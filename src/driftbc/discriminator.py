@@ -14,14 +14,17 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
-    backward,
+    backprop,
+    check_finite,
+    clone_mlp,
     forward,
+    forward_cache,
     init_mlp,
-    interleave_grads,
     mlp_params,
     pack_floats,
+    read_mlp_payload,
     read_record_file,
-    take_floats,
+    split_params,
     write_record_file,
 )
 
@@ -77,14 +80,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_clipped(model: DiscriminatorModel, x: np.ndarray):
+def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
     """Returns (d, active): clipped outputs and the mask where the clip is not
     binding (gradient flows only there)."""
-    z = forward(model.net, x)[:, 0]
     sig = _sigmoid(z)
     d = np.clip(sig, model.clip_lo, model.clip_hi)
     active = (sig > model.clip_lo) & (sig < model.clip_hi)
     return d, active
+
+
+def _forward_clipped(model: DiscriminatorModel, x: np.ndarray):
+    return _clip_logits(model, forward(model.net, x)[:, 0])
+
+
+def _stacked_forward(model: DiscriminatorModel, blocks):
+    """One forward over the row blocks stacked in order; returns the layer
+    cache with the clipped outputs and active mask of every row."""
+    hs = forward_cache(model.net, np.vstack(blocks))
+    d, active = _clip_logits(model, hs[-1][:, 0])
+    return hs, d, active
+
+
+def _grads(model: DiscriminatorModel, hs, dz: np.ndarray, out=None) -> list[np.ndarray]:
+    """Parameter gradients for logit gradients dz over every row of the cache,
+    as views into out (a new flat vector when None) aligned to mlp_params."""
+    grad = np.empty_like(model.net.params) if out is None else out
+    backprop(model.net, hs, dz[:, None], grad)
+    check_finite(model.net, hs, grad)
+    return split_params(grad, model.net.layer_dims)
 
 
 def disc_forward(model: DiscriminatorModel, s, a):
@@ -113,41 +136,65 @@ def _resolve_weights(fn_or_values, states, actions, what: str) -> np.ndarray:
     return values
 
 
-def _two_class_terms(model: DiscriminatorModel, expert_batch, other_batch, other_weights):
-    """Shared core of the offline and online losses:
-    mean_E[-log d] + mean_other[-w * log(1-d)], gradients through d only."""
+def _class_batches(expert_batch, other_batch) -> tuple[np.ndarray, np.ndarray]:
     xe, single_e = _concat_sa(*expert_batch)
     xo, single_o = _concat_sa(*other_batch)
     if single_e or single_o:
         raise ShapeError("loss batches must be 2-D")
-    ne, no = xe.shape[0], xo.shape[0]
-    if ne == 0 or no == 0:
+    if xe.shape[0] == 0 or xo.shape[0] == 0:
         raise DataError("empty batch in discriminator loss")
-    de, me = _forward_clipped(model, xe)
-    do, mo = _forward_clipped(model, xo)
-    w = _resolve_weights(other_weights, other_batch[0], other_batch[1], "per-sample weight")
+    return xe, xo
+
+
+def _two_class_terms(ne: int, w: np.ndarray, d: np.ndarray, active: np.ndarray):
+    """Expert-vs-other loss over the rows [expert; other] of d:
+    mean_E[-log d] + mean_other[-w * log(1-d)], and its logit gradient,
+    which flows through d only."""
+    de, do = d[:ne], d[ne:]
     loss = float(np.mean(-np.log(de)) + np.mean(-w * np.log(1.0 - do)))
-    dz_e = -(1.0 - de) * me / ne
-    dz_o = w * do * mo / no
-    x = np.vstack([xe, xo])
-    dz = np.concatenate([dz_e, dz_o])
-    return loss, x, dz
+    dz_e = -(1.0 - de) * active[:ne] / ne
+    dz_o = w * do * active[ne:] / do.shape[0]
+    return loss, np.concatenate([dz_e, dz_o])
 
 
-def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio_fn):
+def _reg_inputs(mixed_batch, target_fn) -> tuple[np.ndarray, np.ndarray]:
+    x, single = _concat_sa(*mixed_batch)
+    if single:
+        raise ShapeError("mixed_batch must be 2-D")
+    if x.shape[0] == 0:
+        raise DataError("empty regularizer batch")
+    t = _resolve_weights(target_fn, mixed_batch[0], mixed_batch[1], "regularizer target")
+    if np.any(t > 1):
+        raise DataError("regularizer target above 1")
+    return x, t
+
+
+def _reg_terms(t: np.ndarray, d: np.ndarray, active: np.ndarray):
+    """Mean squared gap between d and the targets, and its logit gradient."""
+    diff = d - t
+    loss = float(np.mean(diff * diff))
+    dz = 2.0 * diff * d * (1.0 - d) * active / d.shape[0]
+    return loss, dz
+
+
+def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio_fn,
+                      out=None):
     """Expert term plus density-ratio-weighted supplementary term.
 
     expert_batch and supp_batch are (states, actions) pairs; ratio_fn is either
     a callable (states, actions) -> ratios or a precomputed ratio array. Ratios
     are stop-gradient constants.
-    Returns (loss, grads) with grads aligned to mlp_params(model.net).
+    Returns (loss, grads) with grads aligned to mlp_params(model.net): views
+    into one flat vector in the model.net.params layout, out when given.
     """
-    loss, x, dz = _two_class_terms(model, expert_batch, supp_batch, ratio_fn)
-    w_grads, b_grads, _ = backward(model.net, x, dz[:, None])
-    return loss, interleave_grads(w_grads, b_grads)
+    xe, xs = _class_batches(expert_batch, supp_batch)
+    w = _resolve_weights(ratio_fn, supp_batch[0], supp_batch[1], "per-sample weight")
+    hs, d, active = _stacked_forward(model, [xe, xs])
+    loss, dz = _two_class_terms(xe.shape[0], w, d, active)
+    return loss, _grads(model, hs, dz, out)
 
 
-def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch):
+def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=None):
     """Expert term plus shift-score-weighted term over online experience.
 
     online_batch is (states, actions, shift_scores) with scores in [0, 1].
@@ -158,47 +205,48 @@ def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch):
     scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     if np.any(scores < 0) or np.any(scores > 1):
         raise DataError("shift scores must lie in [0, 1]")
-    loss, x, dz = _two_class_terms(model, expert_batch, (states, actions), scores)
-    w_grads, b_grads, _ = backward(model.net, x, dz[:, None])
-    return loss, interleave_grads(w_grads, b_grads)
+    return offline_disc_loss(model, expert_batch, (states, actions), scores, out=out)
 
 
 def reg_loss(model: DiscriminatorModel, mixed_batch, target_fn):
     """Mean squared deviation between the clipped output and the posterior
     target p_E/(p_E + p_S). Targets are stop-gradient constants."""
-    x, single = _concat_sa(*mixed_batch)
-    if single:
-        raise ShapeError("mixed_batch must be 2-D")
-    n = x.shape[0]
-    if n == 0:
-        raise DataError("empty regularizer batch")
-    d, mask = _forward_clipped(model, x)
-    t = _resolve_weights(target_fn, mixed_batch[0], mixed_batch[1], "regularizer target")
-    if np.any(t > 1):
-        raise DataError("regularizer target above 1")
-    diff = d - t
-    loss = float(np.mean(diff * diff))
-    dz = 2.0 * diff * d * (1.0 - d) * mask / n
-    w_grads, b_grads, _ = backward(model.net, x, dz[:, None])
-    return loss, interleave_grads(w_grads, b_grads)
+    x, t = _reg_inputs(mixed_batch, target_fn)
+    hs, d, active = _stacked_forward(model, [x])
+    loss, dz = _reg_terms(t, d, active)
+    return loss, _grads(model, hs, dz)
 
 
 def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
-                          mixed_batch, ratio_fn, target_fn, reg_weight: float):
+                          mixed_batch, ratio_fn, target_fn, reg_weight: float,
+                          out=None):
     """Offline loss plus reg_weight times the regularizer.
 
     reg_weight = 0 short-circuits to offline_disc_loss exactly (the ablation
-    path); otherwise reg_weight must lie in (0, 1].
+    path); otherwise reg_weight must lie in (0, 1]. One forward runs over the
+    stacked [expert; supp; mixed] rows. The two terms are backpropagated over
+    their own row slices of that cache and then summed as g + reg_weight * h:
+    folding reg_weight into one backward over all rows rounds differently.
     """
     if reg_weight == 0.0:
-        return offline_disc_loss(model, expert_batch, supp_batch, ratio_fn)
+        return offline_disc_loss(model, expert_batch, supp_batch, ratio_fn, out=out)
     if not (0.0 < reg_weight <= 1.0):
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
-    base_loss, base_grads = offline_disc_loss(model, expert_batch, supp_batch, ratio_fn)
-    r_loss, r_grads = reg_loss(model, mixed_batch, target_fn)
-    loss = base_loss + reg_weight * r_loss
-    grads = [g + reg_weight * h for g, h in zip(base_grads, r_grads)]
-    return loss, grads
+    xe, xs = _class_batches(expert_batch, supp_batch)
+    w = _resolve_weights(ratio_fn, supp_batch[0], supp_batch[1], "per-sample weight")
+    xm, t = _reg_inputs(mixed_batch, target_fn)
+    hs, d, active = _stacked_forward(model, [xe, xs, xm])
+    nb = xe.shape[0] + xs.shape[0]
+    base_loss, dz = _two_class_terms(xe.shape[0], w, d[:nb], active[:nb])
+    r_loss, dr = _reg_terms(t, d[nb:], active[nb:])
+    grad = np.empty_like(model.net.params) if out is None else out
+    backprop(model.net, [h[:nb] for h in hs], dz[:, None], grad)
+    reg = np.empty_like(grad)
+    backprop(model.net, [h[nb:] for h in hs], dr[:, None], reg)
+    reg *= reg_weight
+    grad += reg
+    check_finite(model.net, hs, grad)
+    return base_loss + reg_weight * r_loss, split_params(grad, model.net.layer_dims)
 
 
 def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
@@ -214,11 +262,10 @@ def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
     if np.any((y != 0.0) & (y != 1.0)):
         raise DataError("labels must be 0 or 1")
     n = x.shape[0]
-    d, mask = _forward_clipped(model, x)
+    hs, d, mask = _stacked_forward(model, [x])
     loss = float(np.mean(-y * np.log(d) - (1.0 - y) * np.log(1.0 - d)))
     dz = (-y * (1.0 - d) + (1.0 - y) * d) * mask / n
-    w_grads, b_grads, _ = backward(model.net, x, dz[:, None])
-    return loss, interleave_grads(w_grads, b_grads)
+    return loss, _grads(model, hs, dz)
 
 
 def eval_bce(model: DiscriminatorModel, states, actions, labels) -> float:
@@ -315,36 +362,24 @@ def save_discriminator(path, model: DiscriminatorModel, extra: dict | None = Non
     fields["activation"] = model.net.activation
     fields["clip_lo"] = repr(model.clip_lo)
     fields["clip_hi"] = repr(model.clip_hi)
-    write_record_file(path, "disc", fields, pack_floats(mlp_params(model.net)))
+    write_record_file(path, "disc", fields, pack_floats([model.net.params]))
 
 
 def load_discriminator(path) -> tuple[DiscriminatorModel, dict]:
     fields, payload = read_record_file(path, "disc")
     try:
-        dims = tuple(int(d) for d in fields["layer_dims"].split(","))
-        activation = fields["activation"]
         clip_lo = float(fields["clip_lo"])
         clip_hi = float(fields["clip_hi"])
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: malformed discriminator header") from e
-    weights = []
-    biases = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        w, offset = take_floats(payload, offset, (dims[i + 1], dims[i]))
-        b, offset = take_floats(payload, offset, (dims[i + 1],))
-        weights.append(w)
-        biases.append(b)
+    net, offset = read_mlp_payload(path, fields, payload, "discriminator")
     if offset != len(payload):
         raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    net = MlpNetwork(layer_dims=dims, weights=weights, biases=biases, activation=activation)
     model = DiscriminatorModel(net=net, clip_lo=clip_lo, clip_hi=clip_hi)
     known = {"layer_dims", "activation", "clip_lo", "clip_hi"}
     return model, {k: v for k, v in fields.items() if k not in known}
 
 
 def clone_discriminator(model: DiscriminatorModel) -> DiscriminatorModel:
-    from .numeric import clone_mlp
-
     return DiscriminatorModel(net=clone_mlp(model.net), clip_lo=model.clip_lo,
                               clip_hi=model.clip_hi)

@@ -230,6 +230,10 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     sigmas = tuple(float(s) for s in sigmas)
     if not sigmas:
         raise ConfigError("noise sweep needs at least one sigma")
+    duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
+    if duplicates:
+        # a repeated sigma would run its cells twice and report them as one row
+        raise ConfigError(f"duplicate sigma {duplicates[0]!r} in noise sweep")
     if runs < 1:
         raise ConfigError("runs must be >= 1")
     if episodes is None:

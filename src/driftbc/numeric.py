@@ -7,6 +7,8 @@ so the finite-difference tests in the suite actually exercise the math.
 
 from __future__ import annotations
 
+import functools
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -17,17 +19,71 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 
+@functools.lru_cache(maxsize=64)
+def _param_layout(layer_dims: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of W0, b0, W1, b1, ... in the flat parameter
+    vector; the same order as every checkpoint payload."""
+    layout = []
+    offset = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        for shape in ((fan_out, fan_in), (fan_out,)):
+            layout.append((offset, offset + math.prod(shape), shape))
+            offset += math.prod(shape)
+    return tuple(layout)
+
+
+def param_count(layer_dims) -> int:
+    return _param_layout(tuple(layer_dims))[-1][1]
+
+
+def split_params(flat: np.ndarray, layer_dims) -> list[np.ndarray]:
+    """Views [W0, b0, W1, b1, ...] into a flat vector in the parameter layout."""
+    return [flat[start:stop].reshape(shape)
+            for start, stop, shape in _param_layout(tuple(layer_dims))]
+
+
 @dataclass
 class MlpNetwork:
     """Fully connected net. weights[i] has shape (layer_dims[i+1], layer_dims[i]).
 
     The activation applies to hidden layers only; the output layer is linear.
+    All parameters live in one contiguous float64 vector, params, laid out as
+    [W0, b0, W1, b1, ...]; weights and biases are views into it, so an edit
+    through either is seen by the other. Construction copies the given arrays.
     """
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "tanh"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.layer_dims = tuple(int(d) for d in self.layer_dims)
+        if len(self.layer_dims) < 2 or min(self.layer_dims) <= 0:
+            raise ShapeError(f"layer_dims must be >= 2 positive entries, got {self.layer_dims}")
+        self.bind(np.empty(param_count(self.layer_dims)))
+
+    def bind(self, buffer: np.ndarray) -> None:
+        """Copy the parameters into buffer (one contiguous float64 vector of
+        param_count entries) and make weights, biases and params views of it."""
+        views = split_params(buffer, self.layer_dims)
+        given = mlp_params(self)
+        if len(given) != len(views):
+            raise ShapeError(f"{len(given) // 2} layers given for layer_dims {self.layer_dims}")
+        for view, arr in zip(views, given):
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != view.shape:
+                raise ShapeError(f"parameter shape {arr.shape} != expected {view.shape}")
+            view[...] = arr
+        self.params = buffer
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+
+    def __reduce__(self):
+        # copies and pickles rebuild the shared buffer instead of splitting
+        # the views into independent arrays
+        return (MlpNetwork, (self.layer_dims, self.weights, self.biases, self.activation))
 
     @property
     def in_dim(self) -> int:
@@ -59,7 +115,9 @@ def _apply_act(z: np.ndarray, kind: str) -> np.ndarray:
         return np.tanh(z)
     if kind == "relu":
         return np.maximum(z, 0.0)
-    return z
+    if kind == "identity":
+        return z
+    raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
 
 
 def _act_deriv_from_output(h: np.ndarray, kind: str) -> np.ndarray:
@@ -68,7 +126,9 @@ def _act_deriv_from_output(h: np.ndarray, kind: str) -> np.ndarray:
         return 1.0 - h * h
     if kind == "relu":
         return (h > 0.0).astype(np.float64)
-    return np.ones_like(h)
+    if kind == "identity":
+        return np.ones_like(h)
+    raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
 
 
 def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -103,11 +163,58 @@ def forward(net: MlpNetwork, x) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+def forward_cache(net: MlpNetwork, x) -> list[np.ndarray]:
+    """Forward pass over a batch (B, in_dim) that keeps every layer's output,
+    input first and net output last, for backprop to consume. Losses run it
+    once over all their row blocks and backprop row slices of it."""
+    xb, squeeze = _as_batch(x, net.in_dim, "input")
+    if squeeze:
+        raise ShapeError("forward_cache needs a 2-D batch")
+    return _forward_cache(net, xb)
+
+
+def backprop(net: MlpNetwork, hs: list[np.ndarray], upstream: np.ndarray,
+             grad: np.ndarray, input_grad: bool = False):
+    """Gradients of sum_b dot(output_b, upstream_b) from a forward_cache.
+
+    Writes the parameter gradients into grad, a flat vector in the params
+    layout, and returns the input gradient when input_grad is set (else None).
+    Checks nothing: callers run check_finite once on the finished gradient.
+    """
+    views = split_params(grad, net.layer_dims)
+    delta = upstream
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, hs[i], out=views[2 * i])
+        delta.sum(axis=0, out=views[2 * i + 1])
+        if i > 0 or input_grad:
+            delta = delta @ net.weights[i]
+            if i > 0:
+                delta = delta * _act_deriv_from_output(hs[i], net.activation)
+    return delta if input_grad else None
+
+
+def check_finite(net: MlpNetwork, hs: list[np.ndarray], grad: np.ndarray) -> None:
+    """One scan of the net output and the flat gradient in the params layout.
+    Only when that fails are the layers searched, top down, so the
+    NumericError names the first bad layer."""
+    if np.isfinite(grad).all() and np.isfinite(hs[-1]).all():
+        return
+    views = split_params(grad, net.layer_dims)
+    for i in range(len(net.weights) - 1, -1, -1):
+        if not np.isfinite(hs[i + 1]).all():
+            raise NumericError(f"non-finite activation in layer {i}")
+        if not (np.isfinite(views[2 * i]).all() and np.isfinite(views[2 * i + 1]).all()):
+            raise NumericError(f"non-finite gradient in layer {i}")
+    raise NumericError("non-finite gradient")
+
+
 def backward(net: MlpNetwork, x, upstream) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Exact gradients of sum_b dot(output_b, upstream_b) w.r.t. params and input.
 
-    Returns (weight_grads, bias_grads, input_grad). Raises NumericError naming the
-    layer index if any intermediate or gradient goes non-finite.
+    Returns (weight_grads, bias_grads, input_grad), the first two as views into
+    one flat gradient in the params layout. Raises NumericError naming the
+    layer index if the output or a gradient goes non-finite; a non-finite
+    hidden activation reaches the gradient of the layer above it.
     """
     xb, squeeze = _as_batch(x, net.in_dim, "input")
     gb, gsqueeze = _as_batch(upstream, net.out_dim, "upstream_grad")
@@ -116,31 +223,16 @@ def backward(net: MlpNetwork, x, upstream) -> tuple[list[np.ndarray], list[np.nd
             f"input batch {xb.shape[0]} and upstream batch {gb.shape[0]} do not match"
         )
     hs = _forward_cache(net, xb)
-    n = len(net.weights)
-    w_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    b_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    delta = gb
-    for i in range(n - 1, -1, -1):
-        if not np.all(np.isfinite(hs[i + 1])):
-            raise NumericError(f"non-finite activation in layer {i}")
-        w_grads[i] = delta.T @ hs[i]
-        b_grads[i] = delta.sum(axis=0)
-        if not (np.all(np.isfinite(w_grads[i])) and np.all(np.isfinite(b_grads[i]))):
-            raise NumericError(f"non-finite gradient in layer {i}")
-        delta = delta @ net.weights[i]
-        if i > 0:
-            delta = delta * _act_deriv_from_output(hs[i], net.activation)
-    input_grad = delta[0] if squeeze else delta
-    return w_grads, b_grads, input_grad
+    grad = np.empty_like(net.params)
+    delta = backprop(net, hs, gb, grad, input_grad=True)
+    check_finite(net, hs, grad)
+    views = split_params(grad, net.layer_dims)
+    return views[0::2], views[1::2], delta[0] if squeeze else delta
 
 
 def mlp_params(net: MlpNetwork) -> list[np.ndarray]:
     """Parameter arrays as a flat list of views: [W0, b0, W1, b1, ...]."""
-    out: list[np.ndarray] = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
+    return interleave_grads(net.weights, net.biases)
 
 
 def interleave_grads(w_grads: list[np.ndarray], b_grads: list[np.ndarray]) -> list[np.ndarray]:
@@ -307,37 +399,35 @@ def save_mlp(path, net: MlpNetwork, extra: dict | None = None) -> None:
     fields = dict(extra or {})
     fields["layer_dims"] = ",".join(str(d) for d in net.layer_dims)
     fields["activation"] = net.activation
-    payload = pack_floats(mlp_params(net))
-    write_record_file(path, "mlp", fields, payload)
+    write_record_file(path, "mlp", fields, pack_floats([net.params]))
 
 
-def load_mlp(path) -> tuple[MlpNetwork, dict]:
-    fields, payload = read_record_file(path, "mlp")
+def read_mlp_payload(path, fields: dict, payload: bytes, what: str) -> tuple[MlpNetwork, int]:
+    """The net at the head of a checkpoint payload, built from the layer_dims
+    and activation header fields. Returns it with the payload offset after it.
+    Shared by the mlp, policy and discriminator checkpoints."""
     try:
         dims = tuple(int(d) for d in fields["layer_dims"].split(","))
         activation = fields["activation"]
     except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed mlp header fields") from e
+        raise DataError(f"{path}: malformed {what} header") from e
+    if len(dims) < 2 or any(d <= 0 for d in dims):
+        raise DataError(f"{path}: layer_dims must be >= 2 positive entries, got {dims}")
     if activation not in ACTIVATIONS:
         raise DataError(f"{path}: unknown activation {activation!r}")
-    weights = []
-    biases = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        w, offset = take_floats(payload, offset, (dims[i + 1], dims[i]))
-        b, offset = take_floats(payload, offset, (dims[i + 1],))
-        weights.append(w)
-        biases.append(b)
+    flat, offset = take_floats(payload, 0, (param_count(dims),))
+    views = split_params(flat, dims)
+    return MlpNetwork(dims, views[0::2], views[1::2], activation), offset
+
+
+def load_mlp(path) -> tuple[MlpNetwork, dict]:
+    fields, payload = read_record_file(path, "mlp")
+    net, offset = read_mlp_payload(path, fields, payload, "mlp")
     if offset != len(payload):
         raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
     extra = {k: v for k, v in fields.items() if k not in ("layer_dims", "activation")}
-    return MlpNetwork(layer_dims=dims, weights=weights, biases=biases, activation=activation), extra
+    return net, extra
 
 
 def clone_mlp(net: MlpNetwork) -> MlpNetwork:
-    return MlpNetwork(
-        layer_dims=net.layer_dims,
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        activation=net.activation,
-    )
+    return MlpNetwork(net.layer_dims, net.weights, net.biases, net.activation)

@@ -23,7 +23,7 @@ from .density import (DEFAULT_ALPHA, DEFAULT_COV_FLOOR, DEFAULT_K,
                       JointDensityModel, density_ratio, fit_gmm,
                       joint_log_density, load_gmm, save_gmm)
 from .discriminator import (DiscriminatorModel, bc_weight, combined_offline_loss,
-                            disc_params, eval_bce, init_discriminator,
+                            eval_bce, init_discriminator,
                             load_discriminator, reg_weight_at, save_discriminator)
 from .errors import ConfigError, DataError, NumericError
 from .numeric import adam_step, init_adam, named_generator
@@ -207,8 +207,9 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
     n_e, n_s = s_e.shape[0], s_s.shape[0]
     half = config.batch_size // 2
     rng = named_generator(config.seed, "disc_batch")
-    params = disc_params(disc)
+    params = [disc.net.params]
     opt = init_adam(params, learning_rate=config.learning_rate)
+    grad = np.empty_like(disc.net.params)
     eval_every = max(1, config.disc_steps // DISC_EVAL_POINTS)
 
     for step in range(1, config.disc_steps + 1):
@@ -219,23 +220,24 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
         lam = 0.0 if config.disable_reg else reg_weight_at(step, config.reg_cutoff)
         try:
             if lam == 0.0:
-                loss, grads = combined_offline_loss(
-                    disc, expert_batch, supp_batch, None, ratios[idx_s], None, 0.0)
+                loss, _ = combined_offline_loss(
+                    disc, expert_batch, supp_batch, None, ratios[idx_s], None, 0.0,
+                    out=grad)
             else:
                 # regularizer batch: leading halves of both class batches
                 mixed_batch = (np.concatenate([s_e[idx_e[:half]], s_s[idx_s[:half]]]),
                                np.concatenate([a_e[idx_e[:half]], a_s[idx_s[:half]]]))
                 mixed_targets = np.concatenate([targets_e[idx_e[:half]],
                                                 targets_s[idx_s[:half]]])
-                loss, grads = combined_offline_loss(
+                loss, _ = combined_offline_loss(
                     disc, expert_batch, supp_batch, mixed_batch, ratios[idx_s],
-                    mixed_targets, lam)
+                    mixed_targets, lam, out=grad)
         except NumericError as exc:
             raise NumericError(
                 f"discriminator training aborted at step {step}: {exc}") from exc
         if not np.isfinite(loss):
             raise NumericError(f"non-finite discriminator loss at step {step}")
-        adam_step(params, grads, opt)
+        adam_step(params, [grad], opt)
         log.add("disc", step, loss, lam)
         if step % eval_every == 0 or step == config.disc_steps:
             log.add("disc_eval", step, eval_discriminator(disc, *holdout), lam)

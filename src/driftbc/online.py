@@ -10,7 +10,6 @@ so a failed update leaves the deployed models bit-identical.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,7 @@ from . import envs
 from .configio import Stopwatch
 from .demos import DemoSet
 from .density import GmmModel, membership_score
-from .discriminator import (bc_weight, clone_discriminator, disc_params,
-                            online_disc_loss)
+from .discriminator import bc_weight, clone_discriminator, online_disc_loss
 from .errors import ConfigError, DataError, NumericError
 from .numeric import adam_step, init_adam, named_generator
 from .offline import OfflineArtifacts
@@ -34,34 +32,71 @@ UPDATE_POLICY_STEPS = 50
 ADAPT_MODES = ("on", "off", "always")
 
 
+class ExperienceRing:
+    """The last `capacity` (state, action, score) triples, in preallocated
+    arrays written at a cursor. The arrays take their widths from the first
+    append."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.count = 0
+        self.cursor = 0
+        self.states = self.actions = None
+        self.scores = np.empty(capacity)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def append(self, s, a, score: float) -> None:
+        if self.states is None:
+            self.states = np.empty((self.capacity, np.size(s)))
+            self.actions = np.empty((self.capacity, np.size(a)))
+        self.states[self.cursor] = s
+        self.actions[self.cursor] = a
+        self.scores[self.cursor] = score
+        self.cursor = (self.cursor + 1) % self.capacity
+        self.count = min(self.count + 1, self.capacity)
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the stored triples, oldest first."""
+        if self.count < self.capacity:
+            return (self.states[:self.count].copy(), self.actions[:self.count].copy(),
+                    self.scores[:self.count].copy())
+        c = self.cursor
+        return tuple(np.concatenate([arr[c:], arr[:c]])
+                     for arr in (self.states, self.actions, self.scores))
+
+
 @dataclass
 class ShiftDetector:
     """Counts consecutive low-score steps and collects online experience.
 
-    The buffer holds (state, action, score) triples with oldest-first
-    eviction; it is not cleared by a trigger, so later updates see the
-    accumulated recent experience.
+    The buffer holds the last buffer_capacity (state, action, score) triples;
+    it is not cleared by a trigger, so later updates see the accumulated
+    recent experience.
     """
 
     kappa_threshold: float = KAPPA_THRESHOLD
     patience: int = PATIENCE
     buffer_capacity: int = BUFFER_CAPACITY
     consecutive_count: int = 0
-    buffer: deque = field(default_factory=lambda: deque(maxlen=BUFFER_CAPACITY))
+    buffer: ExperienceRing = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 <= self.kappa_threshold <= 1.0:
+            raise ConfigError("kappa_threshold must lie in [0, 1]")
+        if self.patience < 1:
+            raise ConfigError("patience must be at least 1")
+        if self.buffer_capacity < 1:
+            raise ConfigError("buffer_capacity must be at least 1")
+        self.buffer = ExperienceRing(self.buffer_capacity)
 
 
 def make_detector(kappa_threshold: float = KAPPA_THRESHOLD,
                   patience: int = PATIENCE,
                   buffer_capacity: int = BUFFER_CAPACITY) -> ShiftDetector:
-    if not 0.0 <= kappa_threshold <= 1.0:
-        raise ConfigError("kappa_threshold must lie in [0, 1]")
-    if patience < 1:
-        raise ConfigError("patience must be at least 1")
-    if buffer_capacity < 1:
-        raise ConfigError("buffer_capacity must be at least 1")
     return ShiftDetector(kappa_threshold=kappa_threshold, patience=patience,
-                         buffer_capacity=buffer_capacity,
-                         buffer=deque(maxlen=buffer_capacity))
+                         buffer_capacity=buffer_capacity)
 
 
 def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
@@ -72,8 +107,7 @@ def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
 
 
 def append_experience(detector: ShiftDetector, s, a, kappa_value: float) -> None:
-    detector.buffer.append((np.array(s, dtype=np.float64),
-                            np.array(a, dtype=np.float64), float(kappa_value)))
+    detector.buffer.append(s, a, kappa_value)
 
 
 def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
@@ -92,13 +126,10 @@ def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
 
 
 def buffer_snapshot(detector: ShiftDetector):
-    """Freeze the buffer into (states, actions, scores) arrays."""
+    """Freeze the buffer into (states, actions, scores) arrays, oldest first."""
     if not detector.buffer:
         raise DataError("online experience buffer is empty")
-    states = np.stack([item[0] for item in detector.buffer])
-    actions = np.stack([item[1] for item in detector.buffer])
-    scores = np.array([item[2] for item in detector.buffer])
-    return states, actions, scores
+    return detector.buffer.snapshot()
 
 
 @dataclass(frozen=True)
@@ -138,17 +169,18 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     policy = clone_policy(artifacts.policy)
     try:
         rng = named_generator(seed, f"online_update{update_index}_disc")
-        params = disc_params(disc)
+        params = [disc.net.params]
         opt = init_adam(params, learning_rate=config.learning_rate)
+        grad = np.empty_like(disc.net.params)
         for step in range(1, config.disc_steps + 1):
             idx_e = rng.integers(0, n_e, size=config.batch_size)
             idx_x = rng.integers(0, n_x, size=config.batch_size)
-            loss, grads = online_disc_loss(
+            loss, _ = online_disc_loss(
                 disc, (s_e[idx_e], a_e[idx_e]),
-                (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]))
+                (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]), out=grad)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite online disc loss at step {step}")
-            adam_step(params, grads, opt)
+            adam_step(params, [grad], opt)
 
         s_all = np.concatenate([s_e, states_x])
         a_all = np.concatenate([a_e, actions_x])

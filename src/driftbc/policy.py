@@ -5,7 +5,7 @@ policy and for the reference policies that back the density models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,16 +13,20 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
     adam_step,
-    backward,
+    backprop,
+    check_finite,
+    clone_mlp,
     forward,
+    forward_cache,
     gaussian_log_prob,
     init_adam,
     init_mlp,
-    interleave_grads,
     mlp_params,
     named_generator,
     pack_floats,
+    read_mlp_payload,
     read_record_file,
+    split_params,
     take_floats,
     write_record_file,
 )
@@ -38,6 +42,11 @@ class GaussianPolicy:
     log_std stays inside [LOG_STD_MIN, LOG_STD_MAX]; the training loop projects
     it back after every optimizer step. Sampled actions are clamped to the
     action bounds, the likelihood is the unclamped Gaussian.
+
+    The trainable parameters are one flat float64 vector, params, laid out as
+    [mean-net W0, b0, ..., log_std] (the checkpoint payload order);
+    mean_net.params and log_std are views into it. Construction copies the
+    given log_std and moves the given net's parameters into that vector.
     """
 
     mean_net: MlpNetwork
@@ -47,6 +56,7 @@ class GaussianPolicy:
     action_low: np.ndarray
     action_high: np.ndarray
     provenance: str = ""
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mean_net.out_dim != self.action_dim:
@@ -57,6 +67,22 @@ class GaussianPolicy:
             raise ShapeError(
                 f"mean_net input dim {self.mean_net.in_dim} != state_dim {self.state_dim}"
             )
+        log_std = np.asarray(self.log_std, dtype=np.float64)
+        if log_std.shape != (self.action_dim,):
+            raise ShapeError(f"log_std shape {log_std.shape} != ({self.action_dim},)")
+        n = self.mean_net.params.size
+        flat = np.empty(n + self.action_dim)
+        flat[n:] = log_std
+        self.mean_net.bind(flat[:n])
+        self.log_std = flat[n:]
+        self.params = flat
+
+    def __reduce__(self):
+        # copies and pickles rebuild the shared vector instead of splitting
+        # the views into independent arrays
+        return (GaussianPolicy, (self.mean_net, self.log_std, self.state_dim,
+                                 self.action_dim, self.action_low, self.action_high,
+                                 self.provenance))
 
 
 @dataclass
@@ -120,10 +146,12 @@ def policy_params(policy: GaussianPolicy) -> list[np.ndarray]:
     return mlp_params(policy.mean_net) + [policy.log_std]
 
 
-def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights):
+def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None):
     """Mean over the batch of -weight * log_prob(s, a), with exact gradients.
 
-    Returns (loss, grads) where grads aligns with policy_params(policy).
+    Returns (loss, grads) where grads aligns with policy_params(policy). The
+    grads are views into one flat vector in the policy.params layout: out
+    when given (it is overwritten), else a new one.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -140,7 +168,8 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights):
     if np.any(weights < 0):
         raise DataError("negative BC weight in batch")
 
-    mu = forward(policy.mean_net, states)
+    hs = forward_cache(policy.mean_net, states)
+    mu = hs[-1]
     inv_var = np.exp(-2.0 * policy.log_std)
     diff = mu - actions
     nll = 0.5 * np.sum(np.log(2.0 * np.pi) + 2.0 * policy.log_std + diff * diff * inv_var, axis=1)
@@ -148,10 +177,13 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights):
 
     scaled = (weights / n)[:, None]
     upstream_mu = scaled * diff * inv_var
-    w_grads, b_grads, _ = backward(policy.mean_net, states, upstream_mu)
-    log_std_grad = np.sum(scaled * (1.0 - diff * diff * inv_var), axis=0)
-    grads = interleave_grads(w_grads, b_grads) + [log_std_grad]
-    return loss, grads
+    grad = np.empty_like(policy.params) if out is None else out
+    n_net = policy.mean_net.params.size
+    backprop(policy.mean_net, hs, upstream_mu, grad[:n_net])
+    grad[n_net:] = np.sum(scaled * (1.0 - diff * diff * inv_var), axis=0)
+    # the log_std part is left to the callers' loss check, which names the step
+    check_finite(policy.mean_net, hs, grad[:n_net])
+    return loss, split_params(grad, policy.mean_net.layer_dims) + [grad[n_net:]]
 
 
 def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int,
@@ -170,15 +202,16 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
     n = states.shape[0]
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
-    params = policy_params(policy)
+    params = [policy.params]
     opt = init_adam(params, learning_rate=learning_rate)
+    grad = np.empty_like(policy.params)
     history: list[tuple[int, float]] = []
     for step in range(1, steps + 1):
         idx = rng.integers(0, n, size=batch_size)
-        loss, grads = weighted_bc_loss(policy, states[idx], actions[idx], weights[idx])
+        loss, _ = weighted_bc_loss(policy, states[idx], actions[idx], weights[idx], out=grad)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite BC loss at step {step}")
-        adam_step(params, grads, opt)
+        adam_step(params, [grad], opt)
         np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=policy.log_std)
         if record_every and (step == 1 or step == steps or step % record_every == 0):
             history.append((step, loss))
@@ -224,34 +257,24 @@ def save_policy(path, policy: GaussianPolicy, extra: dict | None = None) -> None
     fields["state_dim"] = policy.state_dim
     fields["action_dim"] = policy.action_dim
     fields["provenance"] = policy.provenance or "-"
-    arrays = mlp_params(policy.mean_net) + [policy.log_std, policy.action_low, policy.action_high]
+    arrays = [policy.params, policy.action_low, policy.action_high]
     write_record_file(path, "policy", fields, pack_floats(arrays))
 
 
 def load_policy(path) -> tuple[GaussianPolicy, dict]:
     fields, payload = read_record_file(path, "policy")
     try:
-        dims = tuple(int(d) for d in fields["layer_dims"].split(","))
-        activation = fields["activation"]
         state_dim = int(fields["state_dim"])
         action_dim = int(fields["action_dim"])
         provenance = fields["provenance"]
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: malformed policy header") from e
-    weights = []
-    biases = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        w, offset = take_floats(payload, offset, (dims[i + 1], dims[i]))
-        b, offset = take_floats(payload, offset, (dims[i + 1],))
-        weights.append(w)
-        biases.append(b)
+    net, offset = read_mlp_payload(path, fields, payload, "policy")
     log_std, offset = take_floats(payload, offset, (action_dim,))
     low, offset = take_floats(payload, offset, (action_dim,))
     high, offset = take_floats(payload, offset, (action_dim,))
     if offset != len(payload):
         raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    net = MlpNetwork(layer_dims=dims, weights=weights, biases=biases, activation=activation)
     pol = GaussianPolicy(
         mean_net=net, log_std=log_std, state_dim=state_dim, action_dim=action_dim,
         action_low=low, action_high=high,
@@ -262,11 +285,9 @@ def load_policy(path) -> tuple[GaussianPolicy, dict]:
 
 
 def clone_policy(policy: GaussianPolicy) -> GaussianPolicy:
-    from .numeric import clone_mlp
-
     return GaussianPolicy(
         mean_net=clone_mlp(policy.mean_net),
-        log_std=policy.log_std.copy(),
+        log_std=policy.log_std,
         state_dim=policy.state_dim,
         action_dim=policy.action_dim,
         action_low=policy.action_low.copy(),

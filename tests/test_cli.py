@@ -236,6 +236,14 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert "sigma" in capsys.readouterr().err
 
+    def test_duplicate_sigmas_exit_2(self, ws, tmp_path, capsys):
+        code = main(["evaluate", "--artifacts", str(ws["art"]), "--refs",
+                     str(ws["refs"]), "--sigmas", "0.1,0.10", "--runs", "2",
+                     "--episodes", "2", "--out", str(tmp_path / "ev4")])
+        assert code == EXIT_USAGE
+        assert "duplicate sigma 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "ev4" / "records.txt").exists()
+
 
 class TestGridKth:
     def test_emits_eleven_rows(self, ws, tmp_path, capsys):

@@ -412,3 +412,12 @@ class TestCheckpoint:
         s, a = rand_batch(rng, 5)
         np.testing.assert_array_equal(disc.disc_forward(loaded, s, a),
                                       disc.disc_forward(m, s, a))
+
+    def test_unknown_activation_rejected(self, tmp_path):
+        path = tmp_path / "d.ckpt"
+        disc.save_discriminator(path, disc.init_discriminator(2, 1, rng=np.random.default_rng(24)))
+        raw = path.read_bytes()
+        assert b"activation=relu " in raw
+        path.write_bytes(raw.replace(b"activation=relu ", b"activation=tanx ", 1))
+        with pytest.raises(DataError, match="unknown activation 'tanx'"):
+            disc.load_discriminator(path)

@@ -292,6 +292,11 @@ class TestNoiseSweep:
         assert all(a.returns == b.returns
                    for a, b in zip(serial.cells, parallel.cells))
 
+    def test_duplicate_sigmas_rejected(self, trained, normalizer):
+        with pytest.raises(ConfigError, match="duplicate sigma 0.1"):
+            noise_sweep(trained, normalizer, sigmas=(0.1, 0.0, 0.1), runs=2,
+                        episodes=2)
+
     def test_bad_jobs_rejected(self, trained, normalizer):
         with pytest.raises(ConfigError, match="jobs"):
             noise_sweep(trained, normalizer, sigmas=(0.0,), runs=2, episodes=2,

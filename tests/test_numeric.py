@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftbc import numeric
-from driftbc.errors import DataError, NumericError, ShapeError
+from driftbc.errors import ConfigError, DataError, NumericError, ShapeError
 
 from oracles import adam_scalar_sim, fd_grads, grads_close, mlp_forward_oracle, rel_err
 
@@ -45,6 +45,13 @@ class TestForward:
         net = small_net()
         with pytest.raises(ShapeError):
             numeric.forward(net, np.zeros(5))
+
+    def test_unknown_activation_raises(self):
+        h = np.ones((2, 3))
+        with pytest.raises(ConfigError, match="tanx"):
+            numeric._apply_act(h, "tanx")
+        with pytest.raises(ConfigError, match="tanx"):
+            numeric._act_deriv_from_output(h, "tanx")
 
     def test_relu_activation(self):
         net = small_net(seed=5, activation="relu")

@@ -139,10 +139,10 @@ class TestDetector:
         s = np.array([1.0, 2.0])
         a = np.array([-0.5])
         online.observe_step(det, s, a, 0.25)
-        bs, ba, bk = det.buffer[0]
+        (bs,), (ba,), (bk,) = online.buffer_snapshot(det)
         assert np.array_equal(bs, s) and np.array_equal(ba, a) and bk == 0.25
         s[0] = 99.0  # stored copy must not alias caller memory
-        assert det.buffer[0][0][0] == 1.0
+        assert online.buffer_snapshot(det)[0][0][0] == 1.0
 
     def test_buffer_evicts_oldest(self):
         det = online.make_detector(buffer_capacity=5)
@@ -150,6 +150,34 @@ class TestDetector:
             online.append_experience(det, np.array([float(i)]), np.zeros(1), 0.1)
         states, _, _ = online.buffer_snapshot(det)
         assert states[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
+
+    def test_direct_construction_honours_capacity(self):
+        det = online.ShiftDetector(buffer_capacity=5)
+        for i in range(10):
+            online.append_experience(det, np.array([float(i), -i]), np.array([i / 10]), i / 20)
+        states, actions, scores = online.buffer_snapshot(det)
+        assert len(det.buffer) == 5
+        assert states.tolist() == [[float(i), -i] for i in range(5, 10)]
+        assert actions[:, 0].tolist() == [i / 10 for i in range(5, 10)]
+        assert scores.tolist() == [i / 20 for i in range(5, 10)]
+
+    @pytest.mark.parametrize("appends", [1, 4, 5, 6, 13])
+    def test_snapshot_matches_stacked_history(self, appends):
+        # the ring must give exactly what stacking the last 5 appends gives
+        det = online.ShiftDetector(buffer_capacity=5)
+        rng = np.random.default_rng(appends)
+        history = [(rng.standard_normal(3), rng.standard_normal(2), rng.uniform())
+                   for _ in range(appends)]
+        for s, a, k in history:
+            online.append_experience(det, s, a, k)
+        snap = online.buffer_snapshot(det)
+        kept = history[-5:]
+        expected = (np.stack([h[0] for h in kept]), np.stack([h[1] for h in kept]),
+                    np.array([h[2] for h in kept]))
+        for got, want in zip(snap, expected):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        snap[0][:] = 0.0  # a snapshot is a copy, not a view of the ring
+        assert online.buffer_snapshot(det)[0].tobytes() == expected[0].tobytes()
 
     def test_snapshot_empty_raises(self):
         with pytest.raises(DataError, match="empty"):

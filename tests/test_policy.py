@@ -270,6 +270,15 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="more bytes"):
             policy.load_policy(tmp_path / "cut.ckpt")
 
+    def test_unknown_activation_rejected(self, tmp_path):
+        path = tmp_path / "pol.ckpt"
+        policy.save_policy(path, make_policy(seed=42))
+        raw = path.read_bytes()
+        assert b"activation=tanh " in raw
+        path.write_bytes(raw.replace(b"activation=tanh ", b"activation=tanx ", 1))
+        with pytest.raises(DataError, match="unknown activation 'tanx'"):
+            policy.load_policy(path)
+
     def test_bc_weight_bounds_from_clipped_discriminator(self):
         # any clipped d in [0.01, 0.99] must map into [1/99, 99]
         for d in np.linspace(0.01, 0.99, 50):
