@@ -138,14 +138,25 @@ class RunManifest:
     artifacts: list[str] = field(default_factory=list)
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Write a temp file beside path, fsync it and rename it over path, so
+    path holds the old bytes or the new ones, never a mix."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_manifest(path, manifest: RunManifest) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numeric import format_header, named_generator, parse_header
+from .numeric import RecordReader, named_generator, write_record_file
 from .policy import PolicyTrainConfig, sample_action, train_reference_policy
 from . import envs
 
@@ -36,15 +36,6 @@ class TierRun:
     tier: str
     episodes: int
     samples: int
-
-
-@dataclass(frozen=True)
-class DemoSample:
-    state: np.ndarray
-    action: np.ndarray
-    episode_id: int
-    step_index: int
-    tier: str
 
 
 @dataclass(eq=False)
@@ -75,25 +66,6 @@ class DemoSet:
             if run.tier not in seen:
                 seen.append(run.tier)
         return "+".join(seen)
-
-    def tier_of(self, i: int) -> str:
-        if not 0 <= i < self.n_samples:
-            raise ConfigError(f"sample index {i} out of range [0, {self.n_samples})")
-        offset = 0
-        for run in self.tier_runs:
-            offset += run.samples
-            if i < offset:
-                return run.tier
-        raise DataError("tier runs cover fewer samples than stored")
-
-    def sample(self, i: int) -> DemoSample:
-        tier = self.tier_of(i)
-        return DemoSample(self.states[i], self.actions[i],
-                          int(self.episode_ids[i]), int(self.step_indices[i]), tier)
-
-    def iter_samples(self):
-        for i in range(self.n_samples):
-            yield self.sample(i)
 
 
 def _check_consistent(demos: DemoSet) -> None:
@@ -184,7 +156,7 @@ def mix_supplementary(tiers, proportions=None) -> DemoSet:
         if ds.state_dim != head.state_dim or ds.action_dim != head.action_dim:
             raise DataError("cannot mix demo sets with different dimensions")
 
-    states, actions, ep_ids, step_ids, runs = [], [], [], [], []
+    pieces, runs = [], []
     ep_offset = 0
     for ds, prop in zip(tiers, proportions):
         if not 0.0 < prop <= 1.0:
@@ -198,26 +170,27 @@ def mix_supplementary(tiers, proportions=None) -> DemoSet:
             # episode ids within a run are 0..episodes-1 in generation order
             base = run_eps.min() if run.samples else 0
             mask = run_eps < base + keep_eps
-            states.append(ds.states[run_slice][mask])
-            actions.append(ds.actions[run_slice][mask])
-            kept = run_eps[mask]
-            ep_ids.append((kept - base + ep_offset).astype(np.int32))
-            step_ids.append(ds.step_indices[run_slice][mask])
+            pieces.append(_piece(ds, run_slice, mask, base, ep_offset))
             runs.append(TierRun(run.tier, keep_eps, int(mask.sum())))
             ep_offset += keep_eps
             sample_offset += run.samples
+    return _assemble(head, pieces, runs)
 
-    return DemoSet(
-        env_id=head.env_id,
-        state_dim=head.state_dim,
-        action_dim=head.action_dim,
-        seed=head.seed,
-        states=np.concatenate(states),
-        actions=np.concatenate(actions),
-        episode_ids=np.concatenate(ep_ids),
-        step_indices=np.concatenate(step_ids),
-        tier_runs=tuple(runs),
-    )
+
+def _piece(ds: DemoSet, run_slice: slice, mask, first_ep, ep_offset: int) -> tuple:
+    """The masked rows of one tier run as (states, actions, episode_ids,
+    step_indices), episode ids renumbered from first_ep to ep_offset."""
+    eps = ds.episode_ids[run_slice][mask]
+    return (ds.states[run_slice][mask], ds.actions[run_slice][mask],
+            (eps - first_ep + ep_offset).astype(np.int32), ds.step_indices[run_slice][mask])
+
+
+def _assemble(head: DemoSet, pieces, runs) -> DemoSet:
+    """A set with head's metadata from the pieces, in order, and their tier runs."""
+    states, actions, ep_ids, step_ids = (np.concatenate(col) for col in zip(*pieces))
+    return DemoSet(env_id=head.env_id, state_dim=head.state_dim, action_dim=head.action_dim,
+                   seed=head.seed, states=states, actions=actions, episode_ids=ep_ids,
+                   step_indices=step_ids, tier_runs=tuple(runs))
 
 
 def split_holdout(demos: DemoSet, fraction: float = 0.1) -> tuple[DemoSet, DemoSet]:
@@ -228,17 +201,6 @@ def split_holdout(demos: DemoSet, fraction: float = 0.1) -> tuple[DemoSet, DemoS
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"holdout fraction {fraction} outside (0, 1)")
     _check_consistent(demos)
-
-    def build(pieces, runs):
-        return DemoSet(
-            env_id=demos.env_id, state_dim=demos.state_dim,
-            action_dim=demos.action_dim, seed=demos.seed,
-            states=np.concatenate([p[0] for p in pieces]),
-            actions=np.concatenate([p[1] for p in pieces]),
-            episode_ids=np.concatenate([p[2] for p in pieces]),
-            step_indices=np.concatenate([p[3] for p in pieces]),
-            tier_runs=tuple(runs),
-        )
 
     train_pieces, train_runs, hold_pieces, hold_runs = [], [], [], []
     sample_offset = 0
@@ -253,23 +215,18 @@ def split_holdout(demos: DemoSet, fraction: float = 0.1) -> tuple[DemoSet, DemoS
         train_mask = run_eps < base + n_train
         hold_mask = run_eps >= base + (run.episodes - max(n_hold, 1))
 
-        train_pieces.append((demos.states[run_slice][train_mask],
-                             demos.actions[run_slice][train_mask],
-                             (run_eps[train_mask] - base + train_off).astype(np.int32),
-                             demos.step_indices[run_slice][train_mask]))
+        train_pieces.append(_piece(demos, run_slice, train_mask, base, train_off))
         train_runs.append(TierRun(run.tier, n_train, int(train_mask.sum())))
         train_off += n_train
 
         first_hold = base + (run.episodes - max(n_hold, 1))
-        hold_pieces.append((demos.states[run_slice][hold_mask],
-                            demos.actions[run_slice][hold_mask],
-                            (run_eps[hold_mask] - first_hold + hold_off).astype(np.int32),
-                            demos.step_indices[run_slice][hold_mask]))
+        hold_pieces.append(_piece(demos, run_slice, hold_mask, first_hold, hold_off))
         hold_runs.append(TierRun(run.tier, max(n_hold, 1), int(hold_mask.sum())))
         hold_off += max(n_hold, 1)
         sample_offset += run.samples
 
-    return build(train_pieces, train_runs), build(hold_pieces, hold_runs)
+    return (_assemble(demos, train_pieces, train_runs),
+            _assemble(demos, hold_pieces, hold_runs))
 
 
 # ------------------------------------------------------------------ storage
@@ -297,33 +254,17 @@ def save_demoset(path, demos: DemoSet) -> None:
     rows["step"] = demos.step_indices
     rows["s"] = demos.states
     rows["a"] = demos.actions
-    with open(path, "wb") as fh:
-        fh.write(format_header(DEMO_KIND, fields).encode("ascii"))
-        fh.write(rows.tobytes())
+    write_record_file(path, DEMO_KIND, fields, rows.tobytes())
 
 
 def load_demoset(path) -> DemoSet:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        text = header_line.decode("ascii").rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"demo header is not ascii: {exc}") from None
-    kind, fields = parse_header(text)
-    if kind != DEMO_KIND:
-        raise DataError(f"expected a {DEMO_KIND} file, found kind {kind!r}")
-    try:
-        state_dim = int(fields["state_dim"])
-        action_dim = int(fields["action_dim"])
-        seed = int(fields["seed"])
-        declared = int(fields["samples"])
-        env_id = fields["env_id"]
-        tier_text = fields["tiers"]
-    except KeyError as exc:
-        raise DataError(f"demo header missing field {exc.args[0]!r}") from None
-    if state_dim < 1 or action_dim < 1:
-        raise DataError(f"demo header has bad dims {state_dim}/{action_dim}")
+    rec = RecordReader(path, DEMO_KIND)
+    env_id = rec.field("env_id")
+    state_dim = rec.count("state_dim")
+    action_dim = rec.count("action_dim")
+    seed = rec.field("seed", int)
+    declared = rec.field("samples", int)
+    tier_text = rec.field("tiers")
     if env_id in envs.ENV_IDS:
         spec = envs.make_spec(env_id)
         if (spec.state_dim, spec.action_dim) != (state_dim, action_dim):
@@ -345,8 +286,8 @@ def load_demoset(path) -> DemoSet:
 
     dtype = _row_dtype(state_dim, action_dim)
     row_size = dtype.itemsize
-    n_full, leftover = divmod(len(payload), row_size)
-    if leftover:
+    n_full, leftover = divmod(len(rec.payload), row_size)
+    if leftover and n_full < declared:
         raise DataError(
             f"demo file ends mid-row: row {n_full} has {leftover} of {row_size} "
             f"bytes (need {row_size - leftover} more); a row that narrow would "
@@ -355,11 +296,8 @@ def load_demoset(path) -> DemoSet:
         missing = (declared - n_full) * row_size
         raise DataError(f"demo file truncated: header declares {declared} "
                         f"samples, found {n_full} ({missing} bytes missing)")
-    if n_full > declared:
-        raise DataError(f"demo file has {n_full - declared} rows beyond the "
-                        f"declared {declared} samples")
-
-    rows = np.frombuffer(payload, dtype=dtype)
+    rows = rec.rows(dtype, declared)
+    rec.finish()
     return DemoSet(
         env_id=env_id, state_dim=state_dim, action_dim=action_dim, seed=seed,
         states=rows["s"].copy(), actions=rows["a"].copy(),
@@ -396,30 +334,23 @@ def measure_reference_returns(spec: envs.EnvSpec, episodes: int = 100,
 
 
 def save_reference_returns(path, ref: ReferenceReturns) -> None:
-    fields = {
+    write_record_file(path, REFRET_KIND, {
         "env_id": ref.env_id,
         "expert_return": repr(ref.expert_return),
         "random_return": repr(ref.random_return),
         "episodes": ref.episodes,
         "seed": ref.seed,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_header(REFRET_KIND, fields))
+    })
 
 
 def load_reference_returns(path) -> ReferenceReturns:
-    with open(path, encoding="ascii") as fh:
-        text = fh.readline().rstrip("\n")
-    kind, fields = parse_header(text)
-    if kind != REFRET_KIND:
-        raise DataError(f"expected a {REFRET_KIND} file, found kind {kind!r}")
-    try:
-        return ReferenceReturns(
-            env_id=fields["env_id"],
-            expert_return=float(fields["expert_return"]),
-            random_return=float(fields["random_return"]),
-            episodes=int(fields["episodes"]),
-            seed=int(fields["seed"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad reference-returns file: {exc}") from None
+    rec = RecordReader(path, REFRET_KIND)
+    ref = ReferenceReturns(
+        env_id=rec.field("env_id"),
+        expert_return=rec.field("expert_return", float),
+        random_return=rec.field("random_return", float),
+        episodes=rec.field("episodes", int),
+        seed=rec.field("seed", int),
+    )
+    rec.finish()
+    return ref

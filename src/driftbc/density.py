@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
-from .numeric import pack_floats, read_record_file, take_floats, write_record_file
+from .errors import ConfigError, ShapeError
+from .numeric import RecordReader, pack_floats, write_record_file
 from .policy import GaussianPolicy, log_prob
 
 DEFAULT_K = 8
@@ -51,12 +51,14 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _component_log_densities(model_means, model_vars, states) -> np.ndarray:
-    """(N, K) matrix of per-component diagonal-Gaussian log densities."""
+def _weighted_log_densities(weights, model_means, model_vars, states) -> np.ndarray:
+    """(N, K) matrix of log(weight_k) plus each component's diagonal-Gaussian
+    log density; a zero weight gives -inf."""
     diff = states[:, None, :] - model_means[None, :, :]       # (N, K, d)
     quad = np.sum(diff * diff / model_vars[None, :, :], axis=2)
     norm = np.sum(np.log(2.0 * np.pi * model_vars), axis=1)   # (K,)
-    return -0.5 * (norm[None, :] + quad)
+    with np.errstate(divide="ignore"):
+        return -0.5 * (norm[None, :] + quad) + np.log(weights)[None, :]
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -111,9 +113,7 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     ll_history: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iters):
-        comp_ld = _component_log_densities(means, variances, states)   # (N,K)
-        with np.errstate(divide="ignore"):
-            joint = comp_ld + np.log(weights)[None, :]
+        joint = _weighted_log_densities(weights, means, variances, states)  # (N,K)
         total = _logsumexp(joint, axis=1)                              # (N,)
         ll = float(np.mean(total))
         ll_history.append(ll)
@@ -156,10 +156,8 @@ def gmm_log_density(model: GmmModel, s):
     sb = s[None, :] if single else s
     if sb.ndim != 2 or sb.shape[1] != model.dim:
         raise ShapeError(f"state dim {sb.shape[-1]} != model dim {model.dim}")
-    comp_ld = _component_log_densities(model.means, model.variances, sb)
-    with np.errstate(divide="ignore"):
-        joint = comp_ld + np.log(model.mixture_weights)[None, :]
-    out = _logsumexp(joint, axis=1)
+    out = _logsumexp(_weighted_log_densities(model.mixture_weights, model.means,
+                                             model.variances, sb), axis=1)
     return float(out[0]) if single else out
 
 
@@ -202,42 +200,25 @@ def density_ratio(p_expert: JointDensityModel, p_supp: JointDensityModel, s, a,
 
 
 def save_gmm(path, model: GmmModel, extra: dict | None = None) -> None:
-    fields = dict(extra or {})
-    fields["n_components"] = model.n_components
-    fields["dim"] = model.dim
-    fields["provenance"] = model.provenance or "-"
-    arrays = [np.array([model.alpha, model.calibration_log_quantile, model.cov_floor])]
-    for j in range(model.n_components):
-        arrays.append(np.array([model.mixture_weights[j]]))
-        arrays.append(model.means[j])
-        arrays.append(model.variances[j])
-    write_record_file(path, "gmm", fields, pack_floats(arrays))
+    fields = {**(extra or {}), "n_components": model.n_components, "dim": model.dim,
+              "provenance": model.provenance or "-"}
+    # one row per component: weight, mean, variances
+    table = np.column_stack([model.mixture_weights, model.means, model.variances])
+    scalars = [model.alpha, model.calibration_log_quantile, model.cov_floor]
+    write_record_file(path, "gmm", fields, pack_floats([scalars, table]))
 
 
 def load_gmm(path) -> tuple[GmmModel, dict]:
-    fields, payload = read_record_file(path, "gmm")
-    try:
-        k = int(fields["n_components"])
-        dim = int(fields["dim"])
-        provenance = fields["provenance"]
-    except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed gmm header") from e
-    scalars, offset = take_floats(payload, 0, (3,))
-    weights = np.empty(k)
-    means = np.empty((k, dim))
-    variances = np.empty((k, dim))
-    for j in range(k):
-        w, offset = take_floats(payload, offset, (1,))
-        weights[j] = w[0]
-        means[j], offset = take_floats(payload, offset, (dim,))
-        variances[j], offset = take_floats(payload, offset, (dim,))
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
+    rec = RecordReader(path, "gmm")
+    k, dim = rec.count("n_components"), rec.count("dim")
+    provenance = rec.field("provenance")
+    alpha, quantile, cov_floor = rec.floats((3,))
+    table = rec.floats((k, 1 + 2 * dim))
+    extras = rec.finish()
     model = GmmModel(
-        mixture_weights=weights, means=means, variances=variances,
-        calibration_log_quantile=float(scalars[1]), alpha=float(scalars[0]),
-        cov_floor=float(scalars[2]),
+        mixture_weights=table[:, 0].copy(), means=table[:, 1:1 + dim].copy(),
+        variances=table[:, 1 + dim:].copy(), calibration_log_quantile=float(quantile),
+        alpha=float(alpha), cov_floor=float(cov_floor),
         provenance="" if provenance == "-" else provenance,
     )
-    known = {"n_components", "dim", "provenance"}
-    return model, {k2: v for k2, v in fields.items() if k2 not in known}
+    return model, extras

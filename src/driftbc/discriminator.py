@@ -14,16 +14,15 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
+    RecordReader,
     backprop,
     check_finite,
-    clone_mlp,
     forward,
     forward_cache,
     init_mlp,
     mlp_params,
+    net_fields,
     pack_floats,
-    read_mlp_payload,
-    read_record_file,
     split_params,
     write_record_file,
 )
@@ -41,10 +40,6 @@ class DiscriminatorModel:
     net: MlpNetwork
     clip_lo: float = CLIP_LO
     clip_hi: float = CLIP_HI
-
-    @property
-    def state_action_dim(self) -> int:
-        return self.net.in_dim
 
 
 def init_discriminator(state_dim: int, action_dim: int, hidden_dims=(64, 64),
@@ -71,7 +66,8 @@ def _concat_sa(states, actions) -> tuple[np.ndarray, bool]:
     return np.concatenate([states, actions], axis=1), False
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so neither branch overflows."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -83,7 +79,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
     """Returns (d, active): clipped outputs and the mask where the clip is not
     binding (gradient flows only there)."""
-    sig = _sigmoid(z)
+    sig = sigmoid(z)
     d = np.clip(sig, model.clip_lo, model.clip_hi)
     active = (sig > model.clip_lo) & (sig < model.clip_hi)
     return d, active
@@ -249,10 +245,7 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
     return base_loss + reg_weight * r_loss, split_params(grad, model.net.layer_dims)
 
 
-def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
-    """Per-sample binary cross-entropy averaged over one pooled batch
-    (label 1 = expert). Used for held-out evaluation and the boundary-bias
-    demonstration, where class imbalance must flow through the sampling."""
+def _pooled_inputs(states, actions, labels) -> tuple[np.ndarray, np.ndarray]:
     x, single = _concat_sa(states, actions)
     if single:
         raise ShapeError("pooled batch must be 2-D")
@@ -261,19 +254,27 @@ def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
         raise ShapeError("label count does not match batch size")
     if np.any((y != 0.0) & (y != 1.0)):
         raise DataError("labels must be 0 or 1")
-    n = x.shape[0]
+    return x, y
+
+
+def _bce(y: np.ndarray, d: np.ndarray) -> float:
+    return float(np.mean(-y * np.log(d) - (1.0 - y) * np.log(1.0 - d)))
+
+
+def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
+    """Per-sample binary cross-entropy averaged over one pooled batch
+    (label 1 = expert). Used for the boundary-bias demonstration, where
+    class imbalance must flow through the sampling."""
+    x, y = _pooled_inputs(states, actions, labels)
     hs, d, mask = _stacked_forward(model, [x])
-    loss = float(np.mean(-y * np.log(d) - (1.0 - y) * np.log(1.0 - d)))
-    dz = (-y * (1.0 - d) + (1.0 - y) * d) * mask / n
-    return loss, _grads(model, hs, dz)
+    dz = (-y * (1.0 - d) + (1.0 - y) * d) * mask / x.shape[0]
+    return _bce(y, d), _grads(model, hs, dz)
 
 
 def eval_bce(model: DiscriminatorModel, states, actions, labels) -> float:
-    """Evaluation-only pooled BCE (no gradients)."""
-    x, _ = _concat_sa(states, actions)
-    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    d, _ = _forward_clipped(model, x)
-    return float(np.mean(-y * np.log(d) - (1.0 - y) * np.log(1.0 - d)))
+    """pooled_bce_loss without the backward pass, for held-out evaluation."""
+    x, y = _pooled_inputs(states, actions, labels)
+    return _bce(y, _forward_clipped(model, x)[0])
 
 
 def disc_params(model: DiscriminatorModel) -> list[np.ndarray]:
@@ -284,23 +285,14 @@ def disc_params(model: DiscriminatorModel) -> list[np.ndarray]:
 # Regularizer weight schedule
 
 
-@dataclass(frozen=True)
-class RegWeightSchedule:
+def reg_weight_at(step: int, cutoff_step: int = 10000) -> float:
     """1 up to the cutoff step, then 1/(1 + ln(t - cutoff + 1)). Natural log.
     Non-increasing and always in (0, 1]."""
-
-    cutoff_step: int = 10000
-
-    def value_at(self, step: int) -> float:
-        if step < 0:
-            raise ConfigError(f"step must be >= 0, got {step}")
-        if step <= self.cutoff_step:
-            return 1.0
-        return 1.0 / (1.0 + math.log(step - self.cutoff_step + 1))
-
-
-def reg_weight_at(step: int, cutoff_step: int = 10000) -> float:
-    return RegWeightSchedule(cutoff_step=cutoff_step).value_at(step)
+    if step < 0:
+        raise ConfigError(f"step must be >= 0, got {step}")
+    if step <= cutoff_step:
+        return 1.0
+    return 1.0 / (1.0 + math.log(step - cutoff_step + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +349,14 @@ def pointwise_optimum(p_expert: float, p_supp: float, expert_coef: float = 1.0,
 
 
 def save_discriminator(path, model: DiscriminatorModel, extra: dict | None = None) -> None:
-    fields = dict(extra or {})
-    fields["layer_dims"] = ",".join(str(d) for d in model.net.layer_dims)
-    fields["activation"] = model.net.activation
-    fields["clip_lo"] = repr(model.clip_lo)
-    fields["clip_hi"] = repr(model.clip_hi)
+    fields = {**(extra or {}), **net_fields(model.net),
+              "clip_lo": repr(model.clip_lo), "clip_hi": repr(model.clip_hi)}
     write_record_file(path, "disc", fields, pack_floats([model.net.params]))
 
 
 def load_discriminator(path) -> tuple[DiscriminatorModel, dict]:
-    fields, payload = read_record_file(path, "disc")
-    try:
-        clip_lo = float(fields["clip_lo"])
-        clip_hi = float(fields["clip_hi"])
-    except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed discriminator header") from e
-    net, offset = read_mlp_payload(path, fields, payload, "discriminator")
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    model = DiscriminatorModel(net=net, clip_lo=clip_lo, clip_hi=clip_hi)
-    known = {"layer_dims", "activation", "clip_lo", "clip_hi"}
-    return model, {k: v for k, v in fields.items() if k not in known}
-
-
-def clone_discriminator(model: DiscriminatorModel) -> DiscriminatorModel:
-    return DiscriminatorModel(net=clone_mlp(model.net), clip_lo=model.clip_lo,
-                              clip_hi=model.clip_hi)
+    rec = RecordReader(path, "disc")
+    clip_lo = rec.field("clip_lo", float)
+    clip_hi = rec.field("clip_hi", float)
+    model = DiscriminatorModel(net=rec.net(), clip_lo=clip_lo, clip_hi=clip_hi)
+    return model, rec.finish()

@@ -114,16 +114,12 @@ class NoiseWrapper:
     sigma: float
     rng: np.random.Generator
 
-    def observe(self, state: np.ndarray) -> np.ndarray:
-        return observe(self, state)
 
-
-def observe(wrapper: NoiseWrapper, state, rng: np.random.Generator | None = None) -> np.ndarray:
+def observe(wrapper: NoiseWrapper, state) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
     if wrapper.sigma == 0.0:
         return state.copy()
-    gen = rng if rng is not None else wrapper.rng
-    return state + gen.standard_normal(state.shape[0]) * wrapper.sigma
+    return state + wrapper.rng.standard_normal(state.shape[0]) * wrapper.sigma
 
 
 def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
@@ -172,33 +168,50 @@ class EpisodeRecord:
         return self.rewards.shape[0]
 
 
-def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator,
-            wrapper: NoiseWrapper | None = None, horizon: int | None = None) -> EpisodeRecord:
-    """Run one episode. action_fn sees the observed state only."""
-    steps = spec.horizon if horizon is None else horizon
+def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
+                wrapper: NoiseWrapper | None = None, on_step=None,
+                horizon: int | None = None) -> tuple[float, np.ndarray, bool]:
+    """The one episode loop: reset, then observe, act and step until the task
+    ends or the horizon. act sees the observed state only (the true state
+    when there is no wrapper). on_step(t, state, obs, action, reward), if
+    given, runs after each step with the state the action was taken at.
+
+    Returns the return summed step by step with +=, the final state, and
+    whether the task ended before the horizon.
+    """
     state = reset(spec, env_rng)
-    true_states = []
-    observed_states = []
-    actions = []
-    rewards = []
-    terminated = False
-    for _ in range(steps):
-        obs = observe(wrapper, state) if wrapper is not None else state.copy()
-        a = np.asarray(action_fn(obs), dtype=np.float64)
-        next_state, reward, done = step(spec, state, a)
-        true_states.append(state)
-        observed_states.append(obs)
-        actions.append(np.clip(a, spec.action_low, spec.action_high))
-        rewards.append(reward)
+    total = 0.0
+    done = False
+    for t in range(spec.horizon if horizon is None else horizon):
+        obs = state.copy() if wrapper is None else observe(wrapper, state)
+        action = act(obs)
+        next_state, reward, done = step(spec, state, action)
+        total += reward
+        if on_step is not None:
+            on_step(t, state, obs, action, reward)
         state = next_state
         if done:
-            terminated = True
             break
+    return total, state, done
+
+
+def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator,
+            wrapper: NoiseWrapper | None = None, horizon: int | None = None) -> EpisodeRecord:
+    """Run one episode and record every step, actions clamped to bounds."""
+    steps = []
+
+    def record(t, state, obs, action, reward):
+        a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
+        steps.append((state, obs, a, reward))
+
+    _, final_state, terminated = run_episode(spec, action_fn, env_rng, wrapper,
+                                             record, horizon)
+    true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
     return EpisodeRecord(
-        true_states=np.array(true_states),
-        observed_states=np.array(observed_states),
-        actions=np.array(actions),
-        rewards=np.array(rewards),
-        final_state=state,
+        true_states=true_states,
+        observed_states=observed_states,
+        actions=actions,
+        rewards=rewards,
+        final_state=final_state,
         terminated_early=terminated,
     )

@@ -14,14 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import envs
 from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
 from .offline import OfflineArtifacts, OfflineConfig, run_offline
 from .online import (ADAPT_MODES, BUFFER_CAPACITY, KAPPA_THRESHOLD, PATIENCE,
-                     OnlineUpdateConfig, run_online)
-from .numeric import named_generator
-from .policy import sample_action
+                     OnlineUpdateConfig, play_episodes, run_online)
 
 # EMA smoothing coefficient for the stability metric; recorded in every
 # report so the number can be recomputed from raw returns
@@ -88,29 +85,9 @@ def stability_metric(returns, ema_coefficient: float = EMA_COEFFICIENT) -> float
 
 def score_policy(policy, env_id: str, sigma: float, episodes: int,
                  seed: int) -> np.ndarray:
-    """Per-episode raw returns of the frozen policy under observation noise.
-
-    Stream names match the adaptive runner's, so an adapt-off evaluation and
-    an online run with the same seed see bit-identical episodes.
-    """
-    spec = envs.make_spec(env_id)
-    returns = np.zeros(episodes)
-    for ep in range(episodes):
-        env_rng = named_generator(seed, f"online_ep{ep}_env")
-        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
-        act_rng = named_generator(seed, f"online_ep{ep}_act")
-        wrapper = envs.NoiseWrapper(sigma=sigma, rng=obs_rng)
-        state = envs.reset(spec, env_rng)
-        total = 0.0
-        for _ in range(spec.horizon):
-            obs = envs.observe(wrapper, state)
-            action = sample_action(policy, obs, rng=act_rng)
-            state, reward, done = envs.step(spec, state, action)
-            total += reward
-            if done:
-                break
-        returns[ep] = total
-    return returns
+    """Per-episode raw returns of the frozen policy under observation noise:
+    an adapt-off online run, played by the same episode driver."""
+    return play_episodes(lambda: policy, env_id, sigma, episodes, seed)
 
 
 @dataclass(frozen=True)

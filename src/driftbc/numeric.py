@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configio import write_bytes_atomic
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -305,30 +306,18 @@ def gaussian_log_prob(mean, log_std, action):
     return -0.5 * np.sum(per_dim, axis=-1)
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Reproducible generator keyed by (seed, stream_id)."""
-
-    seed: int
-    stream_id: int
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(ss)
-
-
-def named_stream(seed: int, name: str) -> RngStream:
-    """Stable stream id from a label; one root seed fans out per component."""
-    return RngStream(seed=int(seed), stream_id=zlib.crc32(name.encode("utf8")))
-
-
 def named_generator(seed: int, name: str) -> np.random.Generator:
-    return named_stream(seed, name).generator()
+    """Reproducible generator keyed by (seed, name): the stream id is the
+    CRC-32 of the name, so one root seed fans out per component."""
+    ss = np.random.SeedSequence(entropy=int(seed),
+                                spawn_key=(zlib.crc32(name.encode("utf8")),))
+    return np.random.default_rng(ss)
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint plumbing: one ASCII header line, then little-endian float64 payload.
-# Shared by MLP, policy, GMM, and dataset files. Round trips are bit-exact.
+# Record files: one ASCII header line of key=value fields, then a little-endian
+# payload. Every file kind (policy, disc, gmm, demoset, refret) is written by
+# write_record_file and read through a RecordReader. Round trips are bit-exact.
 
 def format_header(kind: str, fields: dict) -> str:
     parts = [kind]
@@ -353,81 +342,91 @@ def parse_header(line: str) -> tuple[str, dict]:
     return parts[0], fields
 
 
-def write_record_file(path, kind: str, fields: dict, payload: bytes) -> None:
-    header = format_header(kind, fields).encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+def write_record_file(path, kind: str, fields: dict, payload: bytes = b"") -> None:
+    """Atomic: a reader sees the old file or the new one, never a mix."""
+    write_bytes_atomic(path, format_header(kind, fields).encode("ascii") + payload)
 
 
-def read_record_file(path, expected_kind: str) -> tuple[dict, bytes]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataError(f"{path}: no header line found")
-    try:
-        kind, fields = parse_header(raw[:nl].decode("ascii"))
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: header is not ASCII") from e
-    if kind != expected_kind:
-        raise DataError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
-    return fields, raw[nl + 1:]
+def net_fields(net: MlpNetwork) -> dict:
+    """The header fields that RecordReader.net reads the net back from."""
+    return {"layer_dims": ",".join(str(d) for d in net.layer_dims),
+            "activation": net.activation}
+
+
+class RecordReader:
+    """A record file opened for reading: header fields converted on request,
+    payload arrays taken front to back. Every failure is a DataError naming
+    the file."""
+
+    def __init__(self, path, kind: str):
+        self.path = path
+        with open(path, "rb") as f:
+            raw = f.read()
+        nl = raw.find(b"\n")
+        if nl < 0:
+            raise DataError(f"{path}: no header line found")
+        try:
+            found, self.fields = parse_header(raw[:nl].decode("ascii"))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: header is not ASCII") from e
+        if found != kind:
+            raise DataError(f"{path}: expected a {kind!r} file, found {found!r}")
+        self.payload = raw[nl + 1:]
+        self.offset = 0
+        self.used: set[str] = set()
+
+    def field(self, key: str, convert=str):
+        self.used.add(key)
+        if key not in self.fields:
+            raise DataError(f"{self.path}: header has no {key!r} field")
+        try:
+            return convert(self.fields[key])
+        except ValueError:
+            raise DataError(f"{self.path}: malformed header field "
+                            f"{key}={self.fields[key]!r}") from None
+
+    def count(self, key: str) -> int:
+        """A positive integer header field."""
+        n = self.field(key, int)
+        if n < 1:
+            raise DataError(f"{self.path}: header field {key}={n} must be positive")
+        return n
+
+    def rows(self, dtype, count: int) -> np.ndarray:
+        """The next count items of a numpy dtype; DataError names missing bytes."""
+        if count < 0:
+            raise DataError(f"{self.path}: negative item count {count}")
+        dtype = np.dtype(dtype)
+        end = self.offset + count * dtype.itemsize
+        if end > len(self.payload):
+            raise DataError(f"{self.path}: truncated payload: need "
+                            f"{end - len(self.payload)} more bytes")
+        arr = np.frombuffer(self.payload, dtype, count, self.offset).copy()
+        self.offset = end
+        return arr
+
+    def floats(self, shape) -> np.ndarray:
+        return self.rows("<f8", math.prod(shape)).reshape(shape)
+
+    def net(self) -> MlpNetwork:
+        """The net written with net_fields, from the next payload bytes."""
+        dims = self.field("layer_dims", lambda v: tuple(int(d) for d in v.split(",")))
+        activation = self.field("activation")
+        if len(dims) < 2 or any(d <= 0 for d in dims):
+            raise DataError(f"{self.path}: layer_dims must be >= 2 positive entries, got {dims}")
+        if activation not in ACTIVATIONS:
+            raise DataError(f"{self.path}: unknown activation {activation!r}")
+        views = split_params(self.floats((param_count(dims),)), dims)
+        return MlpNetwork(dims, views[0::2], views[1::2], activation)
+
+    def finish(self) -> dict:
+        """Check the payload is used up; the header fields never read are
+        returned as the caller's extras."""
+        if self.offset != len(self.payload):
+            raise DataError(f"{self.path}: {len(self.payload) - self.offset} "
+                            f"unexpected trailing bytes")
+        return {k: v for k, v in self.fields.items() if k not in self.used}
 
 
 def pack_floats(arrays) -> bytes:
-    chunks = []
-    for a in arrays:
-        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return b"".join(chunks)
-
-
-def take_floats(payload: bytes, offset: int, shape) -> tuple[np.ndarray, int]:
-    """Read one float64 array from the payload; DataError names missing bytes."""
-    count = int(np.prod(shape)) if shape else 1
-    nbytes = count * 8
-    if offset + nbytes > len(payload):
-        raise DataError(
-            f"truncated payload: need {offset + nbytes - len(payload)} more bytes "
-            f"for an array of shape {tuple(shape)}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return arr.reshape(shape).copy(), offset + nbytes
-
-
-def save_mlp(path, net: MlpNetwork, extra: dict | None = None) -> None:
-    fields = dict(extra or {})
-    fields["layer_dims"] = ",".join(str(d) for d in net.layer_dims)
-    fields["activation"] = net.activation
-    write_record_file(path, "mlp", fields, pack_floats([net.params]))
-
-
-def read_mlp_payload(path, fields: dict, payload: bytes, what: str) -> tuple[MlpNetwork, int]:
-    """The net at the head of a checkpoint payload, built from the layer_dims
-    and activation header fields. Returns it with the payload offset after it.
-    Shared by the mlp, policy and discriminator checkpoints."""
-    try:
-        dims = tuple(int(d) for d in fields["layer_dims"].split(","))
-        activation = fields["activation"]
-    except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed {what} header") from e
-    if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise DataError(f"{path}: layer_dims must be >= 2 positive entries, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise DataError(f"{path}: unknown activation {activation!r}")
-    flat, offset = take_floats(payload, 0, (param_count(dims),))
-    views = split_params(flat, dims)
-    return MlpNetwork(dims, views[0::2], views[1::2], activation), offset
-
-
-def load_mlp(path) -> tuple[MlpNetwork, dict]:
-    fields, payload = read_record_file(path, "mlp")
-    net, offset = read_mlp_payload(path, fields, payload, "mlp")
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    extra = {k: v for k, v in fields.items() if k not in ("layer_dims", "activation")}
-    return net, extra
-
-
-def clone_mlp(net: MlpNetwork) -> MlpNetwork:
-    return MlpNetwork(net.layer_dims, net.weights, net.biases, net.activation)
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)

@@ -12,7 +12,7 @@ derives from the single config seed through named streams.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .density import (DEFAULT_ALPHA, DEFAULT_COV_FLOOR, DEFAULT_K,
                       JointDensityModel, density_ratio, fit_gmm,
                       joint_log_density, load_gmm, save_gmm)
 from .discriminator import (DiscriminatorModel, bc_weight, combined_offline_loss,
-                            eval_bce, init_discriminator,
-                            load_discriminator, reg_weight_at, save_discriminator)
+                            eval_bce, init_discriminator, load_discriminator,
+                            reg_weight_at, save_discriminator, sigmoid)
 from .errors import ConfigError, DataError, NumericError
 from .numeric import adam_step, init_adam, named_generator
 from .policy import (GaussianPolicy, PolicyTrainConfig, init_policy, load_policy,
@@ -84,30 +84,15 @@ class OfflineConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "OfflineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(cfg) - known
+        unknown = set(cfg) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(
-            env_id=configio.as_str(cfg, "env_id"),
-            expert_demos=configio.as_str(cfg, "expert_demos"),
-            supp_demos=configio.as_str(cfg, "supp_demos", ""),
-            seed=configio.as_int(cfg, "seed", 0),
-            ref_steps=configio.as_int(cfg, "ref_steps", DEFAULT_REF_STEPS),
-            disc_steps=configio.as_int(cfg, "disc_steps", DEFAULT_DISC_STEPS),
-            bc_steps=configio.as_int(cfg, "bc_steps", DEFAULT_BC_STEPS),
-            reg_cutoff=configio.as_int(cfg, "reg_cutoff", DEFAULT_REG_CUTOFF),
-            gmm_k=configio.as_int(cfg, "gmm_k", DEFAULT_K),
-            gmm_alpha=configio.as_float(cfg, "gmm_alpha", DEFAULT_ALPHA),
-            gmm_cov_floor=configio.as_float(cfg, "gmm_cov_floor", DEFAULT_COV_FLOOR),
-            ratio_min=configio.as_float(cfg, "ratio_min", DEFAULT_RATIO_MIN),
-            ratio_max=configio.as_float(cfg, "ratio_max", DEFAULT_RATIO_MAX),
-            learning_rate=configio.as_float(cfg, "learning_rate", 5e-4),
-            batch_size=configio.as_int(cfg, "batch_size", 64),
-            holdout_fraction=configio.as_float(cfg, "holdout_fraction", 0.1),
-            disable_reg=configio.as_bool(cfg, "disable_reg", False),
-            plain_bc=configio.as_bool(cfg, "plain_bc", False),
-        )
+        coerce = {"str": configio.as_str, "int": configio.as_int,
+                  "float": configio.as_float, "bool": configio.as_bool}
+        return cls(**{
+            f.name: coerce[f.type](cfg, f.name,
+                                   None if f.default is MISSING else f.default)
+            for f in fields(cls)})
 
     def to_dict(self) -> dict[str, str]:
         out = {}
@@ -137,15 +122,6 @@ class OfflineArtifacts:
             raise ConfigError("density artifacts are missing (plain_bc run?)")
         return (JointDensityModel(self.ref_expert, self.gmm_expert),
                 JointDensityModel(self.ref_supp, self.gmm_supp))
-
-
-def _stable_logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _load_demo_file(path: str, env_id: str) -> DemoSet:
@@ -302,8 +278,8 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
                   - joint_log_density(joint_s, expert_train.states, expert_train.actions))
         diff_s = (joint_log_density(joint_e, supp_train.states, supp_train.actions)
                   - joint_log_density(joint_s, supp_train.states, supp_train.actions))
-        targets_e = _stable_logistic(np.atleast_1d(diff_e))
-        targets_s = _stable_logistic(np.atleast_1d(diff_s))
+        targets_e = sigmoid(np.atleast_1d(diff_e))
+        targets_s = sigmoid(np.atleast_1d(diff_s))
 
         disc = init_discriminator(spec.state_dim, spec.action_dim,
                                   rng=named_generator(config.seed, "disc_init"))

@@ -10,6 +10,8 @@ so a failed update leaves the deployed models bit-identical.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +20,11 @@ from . import envs
 from .configio import Stopwatch
 from .demos import DemoSet
 from .density import GmmModel, membership_score
-from .discriminator import bc_weight, clone_discriminator, online_disc_loss
+from .discriminator import bc_weight, online_disc_loss
 from .errors import ConfigError, DataError, NumericError
 from .numeric import adam_step, init_adam, named_generator
 from .offline import OfflineArtifacts
-from .policy import clone_policy, run_weighted_bc, sample_action
+from .policy import run_weighted_bc, sample_action
 
 KAPPA_THRESHOLD = 0.4
 PATIENCE = 20
@@ -59,12 +61,8 @@ class ExperienceRing:
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the stored triples, oldest first."""
-        if self.count < self.capacity:
-            return (self.states[:self.count].copy(), self.actions[:self.count].copy(),
-                    self.scores[:self.count].copy())
-        c = self.cursor
-        return tuple(np.concatenate([arr[c:], arr[:c]])
-                     for arr in (self.states, self.actions, self.scores))
+        order = (np.arange(self.count) + self.cursor - self.count) % self.capacity
+        return tuple(arr[order] for arr in (self.states, self.actions, self.scores))
 
 
 @dataclass
@@ -92,22 +90,11 @@ class ShiftDetector:
         self.buffer = ExperienceRing(self.buffer_capacity)
 
 
-def make_detector(kappa_threshold: float = KAPPA_THRESHOLD,
-                  patience: int = PATIENCE,
-                  buffer_capacity: int = BUFFER_CAPACITY) -> ShiftDetector:
-    return ShiftDetector(kappa_threshold=kappa_threshold, patience=patience,
-                         buffer_capacity=buffer_capacity)
-
-
 def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
     """Mean of the two calibrated membership scores; scalar for a single
     state, (N,) for a batch."""
     score = 0.5 * (membership_score(gmm_expert, s) + membership_score(gmm_supp, s))
     return float(score) if np.ndim(score) == 0 else score
-
-
-def append_experience(detector: ShiftDetector, s, a, kappa_value: float) -> None:
-    detector.buffer.append(s, a, kappa_value)
 
 
 def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
@@ -116,7 +103,7 @@ def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
     True when the run reaches the patience length, resetting the count."""
     if kappa_value < detector.kappa_threshold:
         detector.consecutive_count += 1
-        append_experience(detector, s, a, kappa_value)
+        detector.buffer.append(s, a, kappa_value)
     else:
         detector.consecutive_count = 0
     if detector.consecutive_count >= detector.patience:
@@ -165,8 +152,8 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
 
     s_e, a_e = expert_demos.states, expert_demos.actions
     n_e, n_x = s_e.shape[0], states_x.shape[0]
-    disc = clone_discriminator(artifacts.discriminator)
-    policy = clone_policy(artifacts.policy)
+    disc = copy.deepcopy(artifacts.discriminator)
+    policy = copy.deepcopy(artifacts.policy)
     try:
         rng = named_generator(seed, f"online_update{update_index}_disc")
         params = [disc.net.params]
@@ -213,7 +200,33 @@ class OnlineResult:
     records: list[StepRecord]
     update_invocations: int = 0
     failed_updates: int = 0
-    update_wall_ms_total: int = 0
+
+    @property
+    def update_wall_ms_total(self) -> int:
+        return sum(r.update_wall_ms for r in self.records)
+
+
+def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int,
+                  on_step=None) -> np.ndarray:
+    """Per-episode returns of policy_of() acting under observation noise sigma.
+
+    Episode ep draws from its own streams online_ep{ep}_{env,obs,act}, so a
+    frozen-policy evaluation and an adaptive run with the same seed see the
+    same episodes. policy_of is called at every step, so a policy replaced
+    mid-episode acts from the next step on. on_step(ep, t, state, obs,
+    action, reward), if given, runs after every step.
+    """
+    spec = envs.make_spec(env_id)
+    returns = np.zeros(episodes)
+    for ep in range(episodes):
+        env_rng = named_generator(seed, f"online_ep{ep}_env")
+        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
+        act_rng = named_generator(seed, f"online_ep{ep}_act")
+        returns[ep], _, _ = envs.run_episode(
+            spec, lambda obs: sample_action(policy_of(), obs, rng=act_rng), env_rng,
+            envs.NoiseWrapper(sigma=sigma, rng=obs_rng),
+            None if on_step is None else functools.partial(on_step, ep))
+    return returns
 
 
 def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
@@ -238,54 +251,37 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
     if update_config is None:
         update_config = OnlineUpdateConfig()
 
-    spec = envs.make_spec(artifacts.config.env_id)
-    detector = make_detector(kappa_threshold, patience, buffer_capacity)
-    returns = np.zeros(episodes)
+    detector = ShiftDetector(kappa_threshold=kappa_threshold, patience=patience,
+                             buffer_capacity=buffer_capacity)
     records: list[StepRecord] = []
-    result = OnlineResult(episode_returns=returns, records=records)
-    global_step = 0
-    update_index = 0
+    result = OnlineResult(episode_returns=np.zeros(episodes), records=records)
 
-    for ep in range(episodes):
-        env_rng = named_generator(seed, f"online_ep{ep}_env")
-        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
-        act_rng = named_generator(seed, f"online_ep{ep}_act")
-        wrapper = envs.NoiseWrapper(sigma=sigma, rng=obs_rng)
-        state = envs.reset(spec, env_rng)
-        detector.consecutive_count = 0
-        ep_return = 0.0
+    def score_and_adapt(ep, t, state, obs, action, reward):
+        if t == 0:
+            detector.consecutive_count = 0
+        k = kappa(obs, artifacts.gmm_expert, artifacts.gmm_supp)
+        if adapt == "on":
+            triggered = observe_step(detector, obs, action, k)
+        elif adapt == "always":
+            detector.buffer.append(obs, action, k)
+            # this step is step len(records) + 1 of the run
+            triggered = (len(records) + 1) % detector.patience == 0
+        else:
+            triggered = False
+        wall = 0
+        if triggered:
+            watch = Stopwatch()
+            ok = online_update(artifacts, buffer_snapshot(detector), expert_demos,
+                               update_config, seed, result.update_invocations)
+            wall = watch.ms()
+            result.update_invocations += 1
+            if not ok:
+                result.failed_updates += 1
+        records.append(StepRecord(ep, t, k, triggered, wall))
 
-        for step in range(spec.horizon):
-            obs = envs.observe(wrapper, state)
-            k = kappa(obs, artifacts.gmm_expert, artifacts.gmm_supp)
-            action = sample_action(artifacts.policy, obs, rng=act_rng)
-            state, reward, done = envs.step(spec, state, action)
-            ep_return += reward
-            global_step += 1
-
-            if adapt == "on":
-                triggered = observe_step(detector, obs, action, k)
-            elif adapt == "always":
-                append_experience(detector, obs, action, k)
-                triggered = global_step % detector.patience == 0
-            else:
-                triggered = False
-
-            wall = 0
-            if triggered:
-                watch = Stopwatch()
-                ok = online_update(artifacts, buffer_snapshot(detector),
-                                   expert_demos, update_config, seed, update_index)
-                wall = watch.ms()
-                update_index += 1
-                result.update_invocations += 1
-                result.update_wall_ms_total += wall
-                if not ok:
-                    result.failed_updates += 1
-            records.append(StepRecord(ep, step, k, triggered, wall))
-            if done:
-                break
-        returns[ep] = ep_return
+    result.episode_returns = play_episodes(
+        lambda: artifacts.policy, artifacts.config.env_id, sigma, episodes, seed,
+        score_and_adapt)
     return result
 
 

@@ -12,10 +12,10 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
+    RecordReader,
     adam_step,
     backprop,
     check_finite,
-    clone_mlp,
     forward,
     forward_cache,
     gaussian_log_prob,
@@ -23,11 +23,9 @@ from .numeric import (
     init_mlp,
     mlp_params,
     named_generator,
+    net_fields,
     pack_floats,
-    read_mlp_payload,
-    read_record_file,
     split_params,
-    take_floats,
     write_record_file,
 )
 
@@ -251,46 +249,27 @@ def train_reference_policy(demos, config: PolicyTrainConfig, seed: int,
 
 
 def save_policy(path, policy: GaussianPolicy, extra: dict | None = None) -> None:
-    fields = dict(extra or {})
-    fields["layer_dims"] = ",".join(str(d) for d in policy.mean_net.layer_dims)
-    fields["activation"] = policy.mean_net.activation
-    fields["state_dim"] = policy.state_dim
-    fields["action_dim"] = policy.action_dim
-    fields["provenance"] = policy.provenance or "-"
+    fields = {**(extra or {}), **net_fields(policy.mean_net),
+              "state_dim": policy.state_dim, "action_dim": policy.action_dim,
+              "provenance": policy.provenance or "-"}
     arrays = [policy.params, policy.action_low, policy.action_high]
     write_record_file(path, "policy", fields, pack_floats(arrays))
 
 
 def load_policy(path) -> tuple[GaussianPolicy, dict]:
-    fields, payload = read_record_file(path, "policy")
-    try:
-        state_dim = int(fields["state_dim"])
-        action_dim = int(fields["action_dim"])
-        provenance = fields["provenance"]
-    except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed policy header") from e
-    net, offset = read_mlp_payload(path, fields, payload, "policy")
-    log_std, offset = take_floats(payload, offset, (action_dim,))
-    low, offset = take_floats(payload, offset, (action_dim,))
-    high, offset = take_floats(payload, offset, (action_dim,))
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
+    rec = RecordReader(path, "policy")
+    state_dim = rec.field("state_dim", int)
+    action_dim = rec.field("action_dim", int)
+    provenance = rec.field("provenance")
+    net = rec.net()
+    if (net.in_dim, net.out_dim) != (state_dim, action_dim):
+        raise DataError(f"{path}: header dims {state_dim}/{action_dim} disagree "
+                        f"with layer_dims {net.layer_dims}")
+    log_std, low, high = (rec.floats((action_dim,)) for _ in range(3))
+    extras = rec.finish()
     pol = GaussianPolicy(
         mean_net=net, log_std=log_std, state_dim=state_dim, action_dim=action_dim,
         action_low=low, action_high=high,
         provenance="" if provenance == "-" else provenance,
     )
-    known = {"layer_dims", "activation", "state_dim", "action_dim", "provenance"}
-    return pol, {k: v for k, v in fields.items() if k not in known}
-
-
-def clone_policy(policy: GaussianPolicy) -> GaussianPolicy:
-    return GaussianPolicy(
-        mean_net=clone_mlp(policy.mean_net),
-        log_std=policy.log_std,
-        state_dim=policy.state_dim,
-        action_dim=policy.action_dim,
-        action_low=policy.action_low.copy(),
-        action_high=policy.action_high.copy(),
-        provenance=policy.provenance,
-    )
+    return pol, extras

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from driftbc import demos, envs
 from driftbc.demos import DemoSet, TierRun
 from driftbc.errors import ConfigError, DataError
-from driftbc.numeric import format_header
+from driftbc.numeric import format_header, named_generator
 
 
 def pm_spec():
@@ -206,22 +206,27 @@ def test_split_holdout_bad_fraction():
         demos.split_holdout(ds, 1.0)
 
 
-# ------------------------------------------------------------------ access
-
-
-def test_sample_access():
-    spec = pm_spec()
-    med = demos.generate_tier(spec, "medium", 3, 9)
-    rnd = demos.generate_tier(spec, "random", 2, 9)
-    mixed = demos.mix_supplementary([med, rnd])
-    first = mixed.sample(0)
-    assert first.tier == "medium" and first.episode_id == 0 and first.step_index == 0
-    last = mixed.sample(mixed.n_samples - 1)
-    assert last.tier == "random"
-    assert np.array_equal(last.state, mixed.states[-1])
-    assert sum(1 for _ in mixed.iter_samples()) == mixed.n_samples
-    with pytest.raises(ConfigError):
-        mixed.sample(mixed.n_samples)
+@pytest.mark.parametrize("tier", ["expert", "random"])
+def test_episode_returns_are_np_sum_of_rewards(tier):
+    # the reference returns of gen-refs are means of these, so their sum
+    # stays np.sum over each episode's rewards, not a step-by-step +=
+    spec = envs.make_spec("pendulum1")
+    ds = demos.generate_tier(spec, tier, 4, 3)
+    expected = []
+    for ep in range(4):
+        env_rng = named_generator(3, f"ep{ep}_env")
+        act_rng = named_generator(3, f"{tier}_ep{ep}_act")
+        state = envs.reset(spec, env_rng)
+        rewards = []
+        for _ in range(spec.horizon):
+            action = (envs.scripted_expert(spec, state) if tier == "expert"
+                      else act_rng.uniform(spec.action_low, spec.action_high))
+            state, reward, done = envs.step(spec, state, action)
+            rewards.append(reward)
+            if done:
+                break
+        expected.append(np.sum(rewards))
+    assert ds.episode_returns.tobytes() == np.array(expected).tobytes()
 
 
 # ----------------------------------------------------------------- storage

@@ -315,17 +315,16 @@ class TestPooledBce:
 
 class TestRegWeightSchedule:
     def test_boundary_values(self):
-        sched = disc.RegWeightSchedule()
-        assert sched.value_at(1) == 1.0
-        assert sched.value_at(10000) == 1.0
-        assert sched.value_at(10001) == pytest.approx(1 / (1 + np.log(2)), rel=1e-12)
-        assert sched.value_at(10001) == pytest.approx(0.5907, abs=1e-4)
-        assert sched.value_at(100000) == pytest.approx(1 / (1 + np.log(90001)), rel=1e-12)
+        sched = disc.reg_weight_at
+        assert sched(1) == 1.0
+        assert sched(10000) == 1.0
+        assert sched(10001) == pytest.approx(1 / (1 + np.log(2)), rel=1e-12)
+        assert sched(10001) == pytest.approx(0.5907, abs=1e-4)
+        assert sched(100000) == pytest.approx(1 / (1 + np.log(90001)), rel=1e-12)
 
     def test_non_increasing_and_bounded(self):
-        sched = disc.RegWeightSchedule()
         steps = [0, 1, 100, 9999, 10000, 10001, 10002, 20000, 10 ** 6, 10 ** 9]
-        vals = [sched.value_at(t) for t in steps]
+        vals = [disc.reg_weight_at(t) for t in steps]
         assert all(0 < v <= 1 for v in vals)
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 

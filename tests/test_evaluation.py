@@ -24,8 +24,10 @@ from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
                                 normalizer_from_reference, plot_data,
                                 score_policy, stability_metric, sweep_plot_data,
                                 sweep_records, sweep_rows, tier_ablation)
+from driftbc.numeric import named_generator
 from driftbc.offline import OfflineConfig, run_offline
 from driftbc.online import OnlineUpdateConfig, run_online
+from driftbc.policy import sample_action
 from oracles import ema_deviation_oracle
 
 ENV = "pointmass2d"
@@ -197,6 +199,28 @@ class TestScorePolicy:
         result = run_online(trained, expert, sigma=0.1, episodes=3,
                             adapt="off", seed=7)
         assert np.array_equal(returns, result.episode_returns)
+
+    def test_returns_are_a_step_by_step_sum(self, trained):
+        # a loop of its own over the online_ep{ep}_* streams, summing with +=
+        # as the online runner and the benchmark's replay do
+        spec = envs.make_spec(ENV)
+        expected = []
+        for ep in range(3):
+            env_rng = named_generator(7, f"online_ep{ep}_env")
+            wrapper = envs.NoiseWrapper(0.1, named_generator(7, f"online_ep{ep}_obs"))
+            act_rng = named_generator(7, f"online_ep{ep}_act")
+            state = envs.reset(spec, env_rng)
+            total = 0.0
+            for _ in range(spec.horizon):
+                action = sample_action(trained.policy, envs.observe(wrapper, state),
+                                       rng=act_rng)
+                state, reward, done = envs.step(spec, state, action)
+                total += reward
+                if done:
+                    break
+            expected.append(total)
+        returns = score_policy(trained.policy, ENV, sigma=0.1, episodes=3, seed=7)
+        assert returns.tobytes() == np.array(expected).tobytes()
 
     def test_deterministic(self, trained):
         a = score_policy(trained.policy, ENV, 0.05, 2, seed=4)

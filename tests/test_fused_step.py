@@ -140,10 +140,8 @@ def test_flat_vectors_are_the_checkpoint_payload(tmp_path):
     assert numeric.pack_floats(policy.policy_params(pol)) == pol.params.tobytes()
     assert numeric.pack_floats(disc.disc_params(model)) == model.net.params.tobytes()
 
-    numeric.save_mlp(tmp_path / "n.ckpt", net)
     policy.save_policy(tmp_path / "p.ckpt", pol)
     disc.save_discriminator(tmp_path / "d.ckpt", model)
-    assert numeric.load_mlp(tmp_path / "n.ckpt")[0].params.tobytes() == net.params.tobytes()
     loaded_pol = policy.load_policy(tmp_path / "p.ckpt")[0]
     assert loaded_pol.params.tobytes() == pol.params.tobytes()
     assert np.shares_memory(loaded_pol.mean_net.params, loaded_pol.params)

@@ -1,9 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftbc import numeric
+from driftbc.discriminator import DiscriminatorModel, load_discriminator, save_discriminator
 from driftbc.errors import ConfigError, DataError, NumericError, ShapeError
 
 from oracles import adam_scalar_sim, fd_grads, grads_close, mlp_forward_oracle, rel_err
@@ -243,35 +246,45 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
     def test_stream_id_is_stable(self):
-        assert numeric.named_stream(1, "x").stream_id == numeric.named_stream(9, "x").stream_id
+        # the stream id is the CRC-32 of the name, whatever the seed; files
+        # written at a fixed seed depend on it staying so
+        for seed in (1, 9):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(b"x"),))
+            np.testing.assert_array_equal(
+                numeric.named_generator(seed, "x").standard_normal(8),
+                np.random.default_rng(ss).standard_normal(8))
 
 
 class TestCheckpoints:
+    """The net section of the record codec, through the discriminator
+    checkpoint, whose payload is one net and nothing else."""
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = small_net(seed=13, dims=(4, 32, 32, 2))
         path = tmp_path / "net.ckpt"
-        numeric.save_mlp(path, net, extra={"seed": "13", "config_hash": "abc"})
-        loaded, extra = numeric.load_mlp(path)
-        assert loaded.layer_dims == net.layer_dims
-        assert loaded.activation == net.activation
+        save_discriminator(path, DiscriminatorModel(net),
+                           extra={"seed": "13", "config_hash": "abc"})
+        loaded, extra = load_discriminator(path)
+        assert loaded.net.layer_dims == net.layer_dims
+        assert loaded.net.activation == net.activation
         assert extra == {"seed": "13", "config_hash": "abc"}
-        for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+        for a, b in zip(loaded.net.weights + loaded.net.biases, net.weights + net.biases):
             assert a.tobytes() == b.tobytes()
 
     def test_truncated_file_names_missing_bytes(self, tmp_path):
         net = small_net(seed=13)
         path = tmp_path / "net.ckpt"
-        numeric.save_mlp(path, net)
+        save_discriminator(path, DiscriminatorModel(net))
         raw = path.read_bytes()
         (tmp_path / "cut.ckpt").write_bytes(raw[:-16])
         with pytest.raises(DataError, match="16 more bytes"):
-            numeric.load_mlp(tmp_path / "cut.ckpt")
+            load_discriminator(tmp_path / "cut.ckpt")
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "other.ckpt"
         numeric.write_record_file(path, "gmm", {}, b"")
         with pytest.raises(DataError, match="expected"):
-            numeric.load_mlp(path)
+            load_discriminator(path)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -280,8 +293,8 @@ class TestCheckpoints:
     def test_round_trip_property(self, tmp_path, dims, seed):
         net = numeric.init_mlp(tuple(dims), "relu", np.random.default_rng(seed))
         path = tmp_path / f"p{seed}.ckpt"
-        numeric.save_mlp(path, net)
-        loaded, _ = numeric.load_mlp(path)
+        save_discriminator(path, DiscriminatorModel(net))
+        loaded = load_discriminator(path)[0].net
         for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
             assert a.tobytes() == b.tobytes()
 

@@ -96,16 +96,16 @@ class TestKappa:
 
 
 class TestDetector:
-    def test_make_detector_validation(self):
+    def test_detector_validation(self):
         with pytest.raises(ConfigError, match="kappa_threshold"):
-            online.make_detector(kappa_threshold=1.5)
+            online.ShiftDetector(kappa_threshold=1.5)
         with pytest.raises(ConfigError, match="patience"):
-            online.make_detector(patience=0)
+            online.ShiftDetector(patience=0)
         with pytest.raises(ConfigError, match="buffer_capacity"):
-            online.make_detector(buffer_capacity=0)
+            online.ShiftDetector(buffer_capacity=0)
 
     def test_nineteen_then_reset_never_triggers(self):
-        det = online.make_detector()
+        det = online.ShiftDetector()
         s, a = np.zeros(2), np.zeros(1)
         for _ in range(19):
             assert not online.observe_step(det, s, a, 0.1)
@@ -113,7 +113,7 @@ class TestDetector:
         assert det.consecutive_count == 0
 
     def test_trigger_exactly_at_patience(self):
-        det = online.make_detector()
+        det = online.ShiftDetector()
         s, a = np.zeros(2), np.zeros(1)
         fired = [online.observe_step(det, s, a, 0.1) for _ in range(20)]
         assert fired == [False] * 19 + [True]
@@ -121,13 +121,13 @@ class TestDetector:
         assert len(det.buffer) == 20
 
     def test_alternating_never_triggers(self):
-        det = online.make_detector()
+        det = online.ShiftDetector()
         s, a = np.zeros(2), np.zeros(1)
         for i in range(200):
             assert not online.observe_step(det, s, a, 0.1 if i % 2 == 0 else 0.9)
 
     def test_score_at_threshold_counts_as_in_distribution(self):
-        det = online.make_detector(kappa_threshold=0.4)
+        det = online.ShiftDetector(kappa_threshold=0.4)
         s, a = np.zeros(2), np.zeros(1)
         online.observe_step(det, s, a, 0.39)
         online.observe_step(det, s, a, 0.4)
@@ -135,7 +135,7 @@ class TestDetector:
         assert len(det.buffer) == 1  # only the sub-threshold step was stored
 
     def test_buffer_stores_given_state_action_score(self):
-        det = online.make_detector()
+        det = online.ShiftDetector()
         s = np.array([1.0, 2.0])
         a = np.array([-0.5])
         online.observe_step(det, s, a, 0.25)
@@ -145,16 +145,16 @@ class TestDetector:
         assert online.buffer_snapshot(det)[0][0][0] == 1.0
 
     def test_buffer_evicts_oldest(self):
-        det = online.make_detector(buffer_capacity=5)
+        det = online.ShiftDetector(buffer_capacity=5)
         for i in range(8):
-            online.append_experience(det, np.array([float(i)]), np.zeros(1), 0.1)
+            det.buffer.append(np.array([float(i)]), np.zeros(1), 0.1)
         states, _, _ = online.buffer_snapshot(det)
         assert states[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_direct_construction_honours_capacity(self):
         det = online.ShiftDetector(buffer_capacity=5)
         for i in range(10):
-            online.append_experience(det, np.array([float(i), -i]), np.array([i / 10]), i / 20)
+            det.buffer.append(np.array([float(i), -i]), np.array([i / 10]), i / 20)
         states, actions, scores = online.buffer_snapshot(det)
         assert len(det.buffer) == 5
         assert states.tolist() == [[float(i), -i] for i in range(5, 10)]
@@ -169,7 +169,7 @@ class TestDetector:
         history = [(rng.standard_normal(3), rng.standard_normal(2), rng.uniform())
                    for _ in range(appends)]
         for s, a, k in history:
-            online.append_experience(det, s, a, k)
+            det.buffer.append(s, a, k)
         snap = online.buffer_snapshot(det)
         kept = history[-5:]
         expected = (np.stack([h[0] for h in kept]), np.stack([h[1] for h in kept]),
@@ -181,12 +181,12 @@ class TestDetector:
 
     def test_snapshot_empty_raises(self):
         with pytest.raises(DataError, match="empty"):
-            online.buffer_snapshot(online.make_detector())
+            online.buffer_snapshot(online.ShiftDetector())
 
     def test_snapshot_shapes(self):
-        det = online.make_detector()
+        det = online.ShiftDetector()
         for i in range(4):
-            online.append_experience(det, np.zeros(3), np.zeros(2), 0.2)
+            det.buffer.append(np.zeros(3), np.zeros(2), 0.2)
         s, a, k = online.buffer_snapshot(det)
         assert s.shape == (4, 3) and a.shape == (4, 2) and k.shape == (4,)
 

@@ -1,0 +1,118 @@
+"""The record-file codec across all five file kinds: corrupt files raise
+DataError and nothing else, and writes are atomic."""
+
+import os
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from driftbc import demos, envs
+from driftbc.density import fit_gmm, load_gmm, save_gmm
+from driftbc.discriminator import init_discriminator, load_discriminator, save_discriminator
+from driftbc.errors import DataError
+from driftbc.policy import init_policy, load_policy, save_policy
+
+LOADERS = {
+    "policy": load_policy,
+    "disc": load_discriminator,
+    "gmm": load_gmm,
+    "demoset": demos.load_demoset,
+    "refret": demos.load_reference_returns,
+}
+# header fields that fix the payload's layout, or must agree with it
+DIMS_FIELDS = {
+    "policy": ("layer_dims", "state_dim", "action_dim"),
+    "disc": ("layer_dims",),
+    "gmm": ("n_components", "dim"),
+    "demoset": ("state_dim", "action_dim"),
+}
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("records")
+    rng = np.random.default_rng(0)
+    paths = {kind: root / f"{kind}.rec" for kind in LOADERS}
+    save_policy(paths["policy"], init_policy(3, 1, [-2.0], [2.0], hidden_dims=(8,), rng=rng),
+                extra={"seed": 0})
+    save_discriminator(paths["disc"], init_discriminator(3, 1, hidden_dims=(8,), rng=rng))
+    save_gmm(paths["gmm"], fit_gmm(rng.standard_normal((60, 3)), n_components=2))
+    demos.save_demoset(paths["demoset"],
+                       demos.generate_tier(envs.make_spec("pointmass2d"), "random", 2, 0))
+    demos.save_reference_returns(paths["refret"], demos.ReferenceReturns(
+        "pendulum1", -101.25, -905.5, 20, 0))
+    return {kind: path.read_bytes() for kind, path in paths.items()}, root
+
+
+def load(kind, raw, root):
+    path = root / "corrupt.rec"
+    path.write_bytes(raw)
+    return LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_clean_files_load(files, kind):
+    raw, root = files
+    load(kind, raw[kind], root)
+
+
+@FUZZ
+@given(kind=st.sampled_from(sorted(LOADERS)), cut=st.integers(1, 63),
+       extend=st.booleans(), tail=st.binary(min_size=8, max_size=8))
+def test_truncated_or_extended_file_raises(files, kind, cut, extend, tail):
+    raw, root = files
+    corrupt = raw[kind] + tail if extend else raw[kind][:-cut]
+    with pytest.raises(DataError):
+        load(kind, corrupt, root)
+
+
+@FUZZ
+@given(data=st.data())
+def test_dims_field_disagreeing_with_payload_raises(files, data):
+    raw, root = files
+    kind = data.draw(st.sampled_from(sorted(DIMS_FIELDS)))
+    key = data.draw(st.sampled_from(DIMS_FIELDS[kind]))
+    header, payload = raw[kind].split(b"\n", 1)
+    value = re.search(rb"\b" + key.encode() + rb"=([0-9,]+)", header)[1]
+    dims = [int(d) for d in value.split(b",")]
+    i = data.draw(st.integers(0, len(dims) - 1))
+    dims[i] = data.draw(st.integers(1, 99).filter(lambda d: d != dims[i]))
+    new = ",".join(map(str, dims)).encode()
+    header = header.replace(key.encode() + b"=" + value, key.encode() + b"=" + new, 1)
+    with pytest.raises(DataError):
+        load(kind, header + b"\n" + payload, root)
+
+
+@FUZZ
+@given(data=st.data())
+def test_flipped_header_byte_raises_only_data_error(files, data):
+    raw, root = files
+    kind = data.draw(st.sampled_from(sorted(LOADERS)))
+    blob = bytearray(raw[kind])
+    i = data.draw(st.integers(0, blob.index(b"\n")))
+    blob[i] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[i]))
+    try:
+        load(kind, bytes(blob), root)
+    except DataError:
+        pass
+
+
+def test_failed_replace_keeps_the_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, init_policy(3, 1, [-2.0], [2.0], hidden_dims=(8,), rng=rng))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        save_policy(path, init_policy(3, 1, [-2.0], [2.0], hidden_dims=(8,), rng=rng))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["policy.ckpt"]
