@@ -43,13 +43,12 @@ EXIT_NUMERIC = 3
 # ------------------------------------------------------------ shared pieces
 
 
-def _out_dir(arg_out, subcommand: str) -> Path:
-    if arg_out:
-        return Path(arg_out)
-    return Path(os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT)) / subcommand
-
-
-def _prepare_dir(path: Path, force: bool) -> Path:
+def _prepare_dir(arg_out, subcommand: str, force: bool) -> Path:
+    """The output directory: --out, else <DRIFTBC_OUT_ROOT or runs>/<subcommand>."""
+    path = (Path(arg_out) if arg_out
+            else Path(os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT)) / subcommand)
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"output directory {path} exists and is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(
             f"output directory {path} is not empty; pass --force to overwrite")
@@ -58,28 +57,28 @@ def _prepare_dir(path: Path, force: bool) -> Path:
 
 
 def _prepare_file(path: Path, force: bool) -> Path:
+    if path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
     if path.exists() and not force:
         raise ConfigError(f"output file {path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _finish_dir(subcommand: str, out: Path, params: dict, seed: int,
-                watch: Stopwatch, artifacts: list[str],
-                config_path: str = "-") -> None:
-    manifest = RunManifest(
+def _write_run(subcommand: str, manifest_path: Path, params: dict, seed: int,
+               watch: Stopwatch, texts: dict[str, str], message: str,
+               written=(), config_path: str = "-") -> None:
+    """Write each of texts (file name -> contents) beside the manifest, then
+    the manifest over those files and the already written ones, then print
+    message."""
+    out = manifest_path.parent
+    for name, text in texts.items():
+        write_text_atomic(out / name, text)
+    write_manifest(manifest_path, RunManifest(
         subcommand=subcommand, config_hash=config_hash(params), seed=seed,
         out_dir=str(out), wall_ms=watch.ms(), config_path=config_path,
-        artifacts=sorted(artifacts))
-    write_manifest(out / "manifest.txt", manifest)
-
-
-def _finish_file(subcommand: str, out: Path, params: dict, seed: int,
-                 watch: Stopwatch) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand, config_hash=config_hash(params), seed=seed,
-        out_dir=str(out.parent), wall_ms=watch.ms(), artifacts=[out.name])
-    write_manifest(Path(f"{out}.manifest"), manifest)
+        artifacts=sorted([*written, *texts])))
+    print(message, end="")
 
 
 def _parse_sigmas(text: str) -> tuple[float, ...]:
@@ -125,8 +124,9 @@ def cmd_gen_data(args) -> int:
     save_demoset(out, demos)
     params = {"env": args.env, "tier": args.tier,
               "episodes": args.episodes, "seed": args.seed}
-    _finish_file("gen-data", out, params, args.seed, watch)
-    print(f"wrote {out}: {demos.n_episodes} episodes, {demos.n_samples} samples")
+    _write_run("gen-data", Path(f"{out}.manifest"), params, args.seed, watch, {},
+               f"wrote {out}: {demos.n_episodes} episodes, {demos.n_samples} samples\n",
+               [out.name])
     return EXIT_OK
 
 
@@ -137,30 +137,30 @@ def cmd_gen_refs(args) -> int:
     ref = measure_reference_returns(spec, episodes=args.episodes, seed=args.seed)
     save_reference_returns(out, ref)
     params = {"env": args.env, "episodes": args.episodes, "seed": args.seed}
-    _finish_file("gen-refs", out, params, args.seed, watch)
-    print(f"wrote {out}: expert_return={ref.expert_return!r} "
-          f"random_return={ref.random_return!r}")
+    _write_run("gen-refs", Path(f"{out}.manifest"), params, args.seed, watch, {},
+               f"wrote {out}: expert_return={ref.expert_return!r} "
+               f"random_return={ref.random_return!r}\n", [out.name])
     return EXIT_OK
 
 
 def cmd_train_offline(args) -> int:
     cfg = apply_overrides(load_config(args.config), args.set)
     config = OfflineConfig.from_dict(cfg)
-    out = _prepare_dir(_out_dir(args.out, "train-offline"), args.force)
+    out = _prepare_dir(args.out, "train-offline", args.force)
     watch = Stopwatch()
     artifacts = run_offline(config)
     files = save_offline_artifacts(out, artifacts)
-    _finish_dir("train-offline", out, config.to_dict(), config.seed, watch,
-                files, config_path=str(args.config))
-    print(f"trained {config.env_id} artifacts in {out}")
-    print(f"config_hash={config.hash()} seed={config.seed} files={len(files)}")
+    _write_run("train-offline", out / "manifest.txt", config.to_dict(), config.seed,
+               watch, {}, f"trained {config.env_id} artifacts in {out}\n"
+               f"config_hash={config.hash()} seed={config.seed} files={len(files)}\n",
+               files, config_path=str(args.config))
     return EXIT_OK
 
 
 def cmd_run_online(args) -> int:
     artifacts = load_offline_artifacts(args.artifacts)
     expert = load_demoset(artifacts.config.expert_demos)
-    out = _prepare_dir(_out_dir(args.out, "run-online"), args.force)
+    out = _prepare_dir(args.out, "run-online", args.force)
     watch = Stopwatch()
     result = run_online(artifacts, expert, sigma=args.sigma,
                         episodes=args.episodes, adapt=args.adapt,
@@ -169,17 +169,16 @@ def cmd_run_online(args) -> int:
     returns_text = "".join(
         f"episode={i} return={float(r)!r}\n"
         for i, r in enumerate(result.episode_returns))
-    write_text_atomic(out / "returns.log", returns_text)
-    write_text_atomic(out / "triggers.log", format_trigger_log(result.records))
     params = {"artifacts_config_hash": artifacts.config.hash(),
               "sigma": args.sigma, "episodes": args.episodes,
               "adapt": args.adapt, "seed": args.seed, "kth": args.kth,
               "patience": args.patience}
-    _finish_dir("run-online", out, params, args.seed, watch,
-                ["returns.log", "triggers.log"])
     mean_return = float(result.episode_returns.mean())
-    print(f"episodes={args.episodes} mean_return={mean_return!r} "
-          f"triggers={result.update_invocations} failed={result.failed_updates}")
+    _write_run("run-online", out / "manifest.txt", params, args.seed, watch,
+               {"returns.log": returns_text,
+                "triggers.log": format_trigger_log(result.records)},
+               f"episodes={args.episodes} mean_return={mean_return!r} "
+               f"triggers={result.update_invocations} failed={result.failed_updates}\n")
     return EXIT_OK
 
 
@@ -188,24 +187,21 @@ def cmd_evaluate(args) -> int:
     artifacts = load_offline_artifacts(args.artifacts, require_full=need_full)
     normalizer = _load_normalizer(args.refs, artifacts.config.env_id)
     expert = load_demoset(artifacts.config.expert_demos) if need_full else None
-    out = _prepare_dir(_out_dir(args.out, "evaluate"), args.force)
+    out = _prepare_dir(args.out, "evaluate", args.force)
     watch = Stopwatch()
     report = noise_sweep(artifacts, normalizer, sigmas=_parse_sigmas(args.sigmas),
                          runs=args.runs, adapt=args.adapt,
                          episodes=args.episodes, expert_demos=expert,
                          base_seed=args.seed, kappa_threshold=args.kth,
                          patience=args.patience, jobs=args.jobs)
-    write_text_atomic(out / "records.txt", sweep_records(report))
-    summary = format_sweep_summary(report)
-    write_text_atomic(out / "summary.txt", summary)
-    write_text_atomic(out / "plot.txt", sweep_plot_data(report))
     params = {"artifacts_config_hash": artifacts.config.hash(),
               "sigmas": args.sigmas, "runs": args.runs, "adapt": args.adapt,
               "episodes": report.episodes, "seed": args.seed, "kth": args.kth,
               "patience": args.patience}
-    _finish_dir("evaluate", out, params, args.seed, watch,
-                ["records.txt", "summary.txt", "plot.txt"])
-    print(summary, end="")
+    summary = format_sweep_summary(report)
+    _write_run("evaluate", out / "manifest.txt", params, args.seed, watch,
+               {"records.txt": sweep_records(report), "summary.txt": summary,
+                "plot.txt": sweep_plot_data(report)}, summary)
     return EXIT_OK
 
 
@@ -213,23 +209,20 @@ def cmd_grid_kth(args) -> int:
     artifacts = load_offline_artifacts(args.artifacts)
     normalizer = _load_normalizer(args.refs, artifacts.config.env_id)
     expert = load_demoset(artifacts.config.expert_demos)
-    out = _prepare_dir(_out_dir(args.out, "grid-kth"), args.force)
+    out = _prepare_dir(args.out, "grid-kth", args.force)
     watch = Stopwatch()
     report = grid_search_kth(artifacts, expert, normalizer, sigma=args.sigma,
                              runs=args.runs, episodes=args.episodes,
                              base_seed=args.seed, patience=args.patience,
                              jobs=args.jobs)
-    write_text_atomic(out / "records.txt", grid_records(report))
-    summary = format_grid_summary(report)
-    write_text_atomic(out / "summary.txt", summary)
-    write_text_atomic(out / "plot.txt", grid_plot_data(report))
     params = {"artifacts_config_hash": artifacts.config.hash(),
               "sigma": args.sigma, "runs": args.runs,
               "episodes": args.episodes, "seed": args.seed,
               "patience": args.patience}
-    _finish_dir("grid-kth", out, params, args.seed, watch,
-                ["records.txt", "summary.txt", "plot.txt"])
-    print(summary, end="")
+    summary = format_grid_summary(report)
+    _write_run("grid-kth", out / "manifest.txt", params, args.seed, watch,
+               {"records.txt": grid_records(report), "summary.txt": summary,
+                "plot.txt": grid_plot_data(report)}, summary)
     return EXIT_OK
 
 
@@ -238,23 +231,20 @@ def cmd_tier_ablation(args) -> int:
     base = OfflineConfig.from_dict(cfg)
     normalizer = _load_normalizer(args.refs, base.env_id)
     mixes = _parse_mixes(args.mix)
-    out = _prepare_dir(_out_dir(args.out, "tier-ablation"), args.force)
+    out = _prepare_dir(args.out, "tier-ablation", args.force)
     watch = Stopwatch()
     report = tier_ablation(base, mixes, normalizer,
                            sigmas=_parse_sigmas(args.sigmas), runs=args.runs,
                            episodes=args.episodes, base_seed=args.seed,
                            jobs=args.jobs)
-    write_text_atomic(out / "records.txt", ablation_records(report))
-    summary = format_ablation_summary(report)
-    write_text_atomic(out / "summary.txt", summary)
-    write_text_atomic(out / "plot.txt", ablation_plot_data(report))
     params = dict(base.to_dict(), sigmas=args.sigmas, runs=args.runs,
                   episodes=args.episodes, eval_seed=args.seed,
                   mixes=",".join(f"{label}:{path}" for label, path in mixes))
-    _finish_dir("tier-ablation", out, params, args.seed, watch,
-                ["records.txt", "summary.txt", "plot.txt"],
-                config_path=str(args.config))
-    print(summary, end="")
+    summary = format_ablation_summary(report)
+    _write_run("tier-ablation", out / "manifest.txt", params, args.seed, watch,
+               {"records.txt": ablation_records(report), "summary.txt": summary,
+                "plot.txt": ablation_plot_data(report)}, summary,
+               config_path=str(args.config))
     return EXIT_OK
 
 
@@ -266,18 +256,23 @@ def cmd_verify(args) -> int:
     text = format_results(results)
     print(text, end="")
     if args.out:
-        out = _prepare_dir(Path(args.out), args.force)
+        out = _prepare_dir(args.out, "verify", args.force)
         watch = Stopwatch()
-        write_text_atomic(out / "results.txt", text)
         params = {"checks": args.checks or "all", "seed": args.seed}
-        _finish_dir("verify", out, params, args.seed, watch, ["results.txt"])
+        _write_run("verify", out / "manifest.txt", params, args.seed, watch,
+                   {"results.txt": text}, "")
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_common_eval_flags(p, adapt: bool) -> None:
+def _add_out_flags(p, **out_kwargs) -> None:
+    p.add_argument("--out", **out_kwargs)
+    p.add_argument("--force", action="store_true")
+
+
+def _add_sweep_flags(p) -> None:
     p.add_argument("--refs", required=True,
                    help="reference-returns file from gen-refs")
     p.add_argument("--runs", type=int, default=DEFAULT_RUNS)
@@ -285,12 +280,6 @@ def _add_common_eval_flags(p, adapt: bool) -> None:
                    help="first seed; runs use seed..seed+runs-1")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for sweep cells")
-    p.add_argument("--kth", type=float, default=KAPPA_THRESHOLD,
-                   help="shift-score trigger threshold")
-    p.add_argument("--patience", type=int, default=PATIENCE,
-                   help="consecutive low-score steps before an update")
-    if adapt:
-        p.add_argument("--adapt", choices=ADAPT_MODES, default="off")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="imitation-learning lab: weighted cloning, shift "
                     "detection, online adaptation, and evaluation sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
+    kth_help = "shift-score trigger threshold"
+    patience_help = "consecutive low-score steps before an update"
 
     p = sub.add_parser("gen-data", help="roll out a behavior tier to a demo file")
     p.add_argument("--env", required=True)
@@ -306,24 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(TIERS)}, or a comma list mixed in order")
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_out_flags(p, required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("gen-refs", help="measure expert/random reference returns")
     p.add_argument("--env", required=True)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_out_flags(p, required=True)
     p.set_defaults(func=cmd_gen_refs)
 
     p = sub.add_parser("train-offline", help="run the staged offline trainer")
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
+    _add_out_flags(p)
     p.set_defaults(func=cmd_train_offline)
 
     p = sub.add_parser("run-online", help="roll episodes with optional adaptation")
@@ -332,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--adapt", choices=ADAPT_MODES, default="on")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kth", type=float, default=KAPPA_THRESHOLD)
-    p.add_argument("--patience", type=int, default=PATIENCE)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--kth", type=float, default=KAPPA_THRESHOLD, help=kth_help)
+    p.add_argument("--patience", type=int, default=PATIENCE, help=patience_help)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_run_online)
 
     p = sub.add_parser("evaluate", help="noise sweep with normalized scores")
@@ -343,18 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default=",".join(str(s) for s in DEFAULT_SIGMAS))
     p.add_argument("--episodes", type=int, default=None,
                    help="episodes per cell (default 20, or 100 when adapting)")
-    _add_common_eval_flags(p, adapt=True)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
+    _add_sweep_flags(p)
+    p.add_argument("--kth", type=float, default=KAPPA_THRESHOLD, help=kth_help)
+    p.add_argument("--patience", type=int, default=PATIENCE, help=patience_help)
+    p.add_argument("--adapt", choices=ADAPT_MODES, default="off")
+    _add_out_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grid-kth", help="score every trigger-threshold candidate")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--episodes", type=int, default=SCORE_EPISODES)
-    _add_common_eval_flags(p, adapt=False)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
+    _add_sweep_flags(p)
+    p.add_argument("--patience", type=int, default=PATIENCE, help=patience_help)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_grid_kth)
 
     p = sub.add_parser("tier-ablation",
@@ -365,17 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="supplementary demo file per mix, narrowest first")
     p.add_argument("--sigmas", default=",".join(str(s) for s in DEFAULT_SIGMAS))
     p.add_argument("--episodes", type=int, default=SCORE_EPISODES)
-    _add_common_eval_flags(p, adapt=False)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
+    _add_sweep_flags(p)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_tier_ablation)
 
     p = sub.add_parser("verify", help="run the self-contained math checks")
     p.add_argument("--checks", default="",
                    help="comma list of check names (default: all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="optionally write results + manifest here")
-    p.add_argument("--force", action="store_true")
+    _add_out_flags(p, help="optionally write results + manifest here")
     p.set_defaults(func=cmd_verify)
 
     return parser

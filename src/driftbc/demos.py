@@ -139,16 +139,12 @@ def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> De
     )
 
 
-def mix_supplementary(tiers, proportions=None) -> DemoSet:
-    """Concatenate tier sets in the given order, keeping the leading
-    proportion of each set's episodes (whole episodes only)."""
+def mix_supplementary(tiers) -> DemoSet:
+    """Concatenate tier sets in the given order, renumbering episode ids so
+    they stay unique within the mix."""
     tiers = list(tiers)
     if not tiers:
         raise ConfigError("need at least one demo set to mix")
-    if proportions is None:
-        proportions = [1.0] * len(tiers)
-    if len(proportions) != len(tiers):
-        raise ConfigError("one proportion per demo set required")
     head = tiers[0]
     for ds in tiers[1:]:
         if ds.env_id != head.env_id:
@@ -156,25 +152,14 @@ def mix_supplementary(tiers, proportions=None) -> DemoSet:
         if ds.state_dim != head.state_dim or ds.action_dim != head.action_dim:
             raise DataError("cannot mix demo sets with different dimensions")
 
-    pieces, runs = [], []
+    pieces = []
     ep_offset = 0
-    for ds, prop in zip(tiers, proportions):
-        if not 0.0 < prop <= 1.0:
-            raise ConfigError(f"proportion {prop} outside (0, 1]")
+    for ds in tiers:
         _check_consistent(ds)
-        sample_offset = 0
-        for run in ds.tier_runs:
-            run_slice = slice(sample_offset, sample_offset + run.samples)
-            run_eps = ds.episode_ids[run_slice]
-            keep_eps = max(1, int(round(prop * run.episodes)))
-            # episode ids within a run are 0..episodes-1 in generation order
-            base = run_eps.min() if run.samples else 0
-            mask = run_eps < base + keep_eps
-            pieces.append(_piece(ds, run_slice, mask, base, ep_offset))
-            runs.append(TierRun(run.tier, keep_eps, int(mask.sum())))
-            ep_offset += keep_eps
-            sample_offset += run.samples
-    return _assemble(head, pieces, runs)
+        ids = np.unique(ds.episode_ids, return_inverse=True)[1] + ep_offset
+        pieces.append((ds.states, ds.actions, ids.astype(np.int32), ds.step_indices))
+        ep_offset += ds.n_episodes
+    return _assemble(head, pieces, [run for ds in tiers for run in ds.tier_runs])
 
 
 def _piece(ds: DemoSet, run_slice: slice, mask, first_ep, ep_offset: int) -> tuple:
@@ -263,6 +248,7 @@ def load_demoset(path) -> DemoSet:
     state_dim = rec.count("state_dim")
     action_dim = rec.count("action_dim")
     seed = rec.field("seed", int)
+    episodes = rec.field("episodes", int)
     declared = rec.field("samples", int)
     tier_text = rec.field("tiers")
     if env_id in envs.ENV_IDS:
@@ -283,6 +269,8 @@ def load_demoset(path) -> DemoSet:
             raise DataError(f"unknown tier {runs[-1].tier!r} in demo header")
     if sum(r.samples for r in runs) != declared:
         raise DataError("demo header tier samples do not sum to the declared count")
+    if sum(r.episodes for r in runs) != episodes:
+        raise DataError("demo header tier episodes do not sum to the declared count")
 
     dtype = _row_dtype(state_dim, action_dim)
     row_size = dtype.itemsize
@@ -298,6 +286,13 @@ def load_demoset(path) -> DemoSet:
                         f"samples, found {n_full} ({missing} bytes missing)")
     rows = rec.rows(dtype, declared)
     rec.finish()
+    start = 0
+    for run in runs:
+        found = np.unique(rows["ep"][start:start + run.samples]).size
+        if found != run.episodes:
+            raise DataError(f"tier run {run.tier}:{run.episodes}:{run.samples} "
+                            f"holds {found} distinct episode ids")
+        start += run.samples
     return DemoSet(
         env_id=env_id, state_dim=state_dim, action_dim=action_dim, seed=seed,
         states=rows["s"].copy(), actions=rows["a"].copy(),

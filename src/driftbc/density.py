@@ -19,6 +19,9 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_COV_FLOOR = 1e-4
 DEFAULT_RATIO_MIN = 0.1
 DEFAULT_RATIO_MAX = 10.0
+# EM stops after EM_MAX_ITERS, or once an iteration gains under EM_TOL
+EM_MAX_ITERS = 200
+EM_TOL = 1e-6
 
 
 class CovarianceFloorWarning(UserWarning):
@@ -82,7 +85,6 @@ def _farthest_point_seeds(states: np.ndarray, k: int, rng: np.random.Generator) 
 
 def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
             alpha: float = DEFAULT_ALPHA, cov_floor: float = DEFAULT_COV_FLOOR,
-            max_iters: int = 200, tol: float = 1e-6,
             provenance: str = "") -> GmmModel:
     """EM fit with farthest-point seeding and per-dimension variance flooring.
 
@@ -112,7 +114,7 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
 
     ll_history: list[float] = []
     prev_ll = -np.inf
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         joint = _weighted_log_densities(weights, means, variances, states)  # (N,K)
         total = _logsumexp(joint, axis=1)                              # (N,)
         ll = float(np.mean(total))
@@ -129,7 +131,7 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
             floored_any = True
         variances = np.maximum(var_raw, cov_floor)
 
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
 

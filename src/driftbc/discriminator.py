@@ -120,8 +120,7 @@ def bc_weight(model: DiscriminatorModel, s, a):
     return d / (1.0 - d)
 
 
-def _resolve_weights(fn_or_values, states, actions, what: str) -> np.ndarray:
-    values = fn_or_values(states, actions) if callable(fn_or_values) else fn_or_values
+def _resolve_weights(values, states, what: str) -> np.ndarray:
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if values.shape[0] != np.asarray(states).shape[0]:
         raise ShapeError(f"{what} count {values.shape[0]} != batch size")
@@ -153,13 +152,13 @@ def _two_class_terms(ne: int, w: np.ndarray, d: np.ndarray, active: np.ndarray):
     return loss, np.concatenate([dz_e, dz_o])
 
 
-def _reg_inputs(mixed_batch, target_fn) -> tuple[np.ndarray, np.ndarray]:
+def _reg_inputs(mixed_batch, targets) -> tuple[np.ndarray, np.ndarray]:
     x, single = _concat_sa(*mixed_batch)
     if single:
         raise ShapeError("mixed_batch must be 2-D")
     if x.shape[0] == 0:
         raise DataError("empty regularizer batch")
-    t = _resolve_weights(target_fn, mixed_batch[0], mixed_batch[1], "regularizer target")
+    t = _resolve_weights(targets, mixed_batch[0], "regularizer target")
     if np.any(t > 1):
         raise DataError("regularizer target above 1")
     return x, t
@@ -173,18 +172,18 @@ def _reg_terms(t: np.ndarray, d: np.ndarray, active: np.ndarray):
     return loss, dz
 
 
-def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio_fn,
+def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratios,
                       out=None):
     """Expert term plus density-ratio-weighted supplementary term.
 
-    expert_batch and supp_batch are (states, actions) pairs; ratio_fn is either
-    a callable (states, actions) -> ratios or a precomputed ratio array. Ratios
-    are stop-gradient constants.
+    expert_batch and supp_batch are (states, actions) pairs; ratios holds one
+    precomputed ratio per supplementary row. Ratios are stop-gradient
+    constants.
     Returns (loss, grads) with grads aligned to mlp_params(model.net): views
     into one flat vector in the model.net.params layout, out when given.
     """
     xe, xs = _class_batches(expert_batch, supp_batch)
-    w = _resolve_weights(ratio_fn, supp_batch[0], supp_batch[1], "per-sample weight")
+    w = _resolve_weights(ratios, supp_batch[0], "per-sample weight")
     hs, d, active = _stacked_forward(model, [xe, xs])
     loss, dz = _two_class_terms(xe.shape[0], w, d, active)
     return loss, _grads(model, hs, dz, out)
@@ -204,17 +203,17 @@ def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=
     return offline_disc_loss(model, expert_batch, (states, actions), scores, out=out)
 
 
-def reg_loss(model: DiscriminatorModel, mixed_batch, target_fn):
+def reg_loss(model: DiscriminatorModel, mixed_batch, targets):
     """Mean squared deviation between the clipped output and the posterior
     target p_E/(p_E + p_S). Targets are stop-gradient constants."""
-    x, t = _reg_inputs(mixed_batch, target_fn)
+    x, t = _reg_inputs(mixed_batch, targets)
     hs, d, active = _stacked_forward(model, [x])
     loss, dz = _reg_terms(t, d, active)
     return loss, _grads(model, hs, dz)
 
 
 def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
-                          mixed_batch, ratio_fn, target_fn, reg_weight: float,
+                          mixed_batch, ratios, targets, reg_weight: float,
                           out=None):
     """Offline loss plus reg_weight times the regularizer.
 
@@ -225,12 +224,12 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
     folding reg_weight into one backward over all rows rounds differently.
     """
     if reg_weight == 0.0:
-        return offline_disc_loss(model, expert_batch, supp_batch, ratio_fn, out=out)
+        return offline_disc_loss(model, expert_batch, supp_batch, ratios, out=out)
     if not (0.0 < reg_weight <= 1.0):
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
     xe, xs = _class_batches(expert_batch, supp_batch)
-    w = _resolve_weights(ratio_fn, supp_batch[0], supp_batch[1], "per-sample weight")
-    xm, t = _reg_inputs(mixed_batch, target_fn)
+    w = _resolve_weights(ratios, supp_batch[0], "per-sample weight")
+    xm, t = _reg_inputs(mixed_batch, targets)
     hs, d, active = _stacked_forward(model, [xe, xs, xm])
     nb = xe.shape[0] + xs.shape[0]
     base_loss, dz = _two_class_terms(xe.shape[0], w, d[:nb], active[:nb])

@@ -42,8 +42,6 @@ PEND_CAPTURE_EXCESS = 0.6   # skip capture while spinning through too fast
 PEND_KP = 12.0
 PEND_KD = 4.0
 
-NOISE_LEVELS = (0.0, 0.05, 0.1, 0.2)
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -169,10 +167,10 @@ class EpisodeRecord:
 
 
 def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
-                wrapper: NoiseWrapper | None = None, on_step=None,
-                horizon: int | None = None) -> tuple[float, np.ndarray, bool]:
+                wrapper: NoiseWrapper | None = None,
+                on_step=None) -> tuple[float, np.ndarray, bool]:
     """The one episode loop: reset, then observe, act and step until the task
-    ends or the horizon. act sees the observed state only (the true state
+    ends or the spec's horizon. act sees the observed state only (the true state
     when there is no wrapper). on_step(t, state, obs, action, reward), if
     given, runs after each step with the state the action was taken at.
 
@@ -182,7 +180,7 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     state = reset(spec, env_rng)
     total = 0.0
     done = False
-    for t in range(spec.horizon if horizon is None else horizon):
+    for t in range(spec.horizon):
         obs = state.copy() if wrapper is None else observe(wrapper, state)
         action = act(obs)
         next_state, reward, done = step(spec, state, action)
@@ -196,7 +194,7 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
 
 
 def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator,
-            wrapper: NoiseWrapper | None = None, horizon: int | None = None) -> EpisodeRecord:
+            wrapper: NoiseWrapper | None = None) -> EpisodeRecord:
     """Run one episode and record every step, actions clamped to bounds."""
     steps = []
 
@@ -204,8 +202,7 @@ def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator,
         a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
         steps.append((state, obs, a, reward))
 
-    _, final_state, terminated = run_episode(spec, action_fn, env_rng, wrapper,
-                                             record, horizon)
+    _, final_state, terminated = run_episode(spec, action_fn, env_rng, wrapper, record)
     true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
     return EpisodeRecord(
         true_states=true_states,

@@ -17,7 +17,7 @@ import numpy as np
 from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
 from .offline import OfflineArtifacts, OfflineConfig, run_offline
-from .online import (ADAPT_MODES, BUFFER_CAPACITY, KAPPA_THRESHOLD, PATIENCE,
+from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
                      OnlineUpdateConfig, play_episodes, run_online)
 
 # EMA smoothing coefficient for the stability metric; recorded in every
@@ -96,7 +96,6 @@ class SweepCell:
 
     sigma: float
     seed: int
-    episodes: int
     returns: tuple[float, ...]
     mean_return: float
     score: float
@@ -104,26 +103,28 @@ class SweepCell:
     updates: int = 0
 
 
-def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
-                  sigma: float, seed: int, episodes: int, adapt: str = "off",
-                  expert_demos: DemoSet | None = None,
-                  kappa_threshold: float = KAPPA_THRESHOLD,
-                  patience: int = PATIENCE,
-                  buffer_capacity: int = BUFFER_CAPACITY,
-                  update_config: OnlineUpdateConfig | None = None,
-                  ema_coefficient: float = EMA_COEFFICIENT) -> SweepCell:
-    """Evaluate one seed at one noise level.
-
-    adapt="off" rolls the frozen policy directly (works for artifacts without
-    density models); the adaptive modes run on a deep copy so the caller's
-    artifacts never mutate across cells.
-    """
+def _check_cell(sigma: float, episodes: int, adapt: str) -> None:
     if sigma < 0:
         raise ConfigError("sigma must be >= 0")
     if episodes < 2:
         raise ConfigError("episodes must be >= 2 so the stability metric is defined")
     if adapt not in ADAPT_MODES:
         raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
+
+
+def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
+                  sigma: float, seed: int, episodes: int, adapt: str = "off",
+                  expert_demos: DemoSet | None = None,
+                  kappa_threshold: float = KAPPA_THRESHOLD,
+                  patience: int = PATIENCE,
+                  update_config: OnlineUpdateConfig | None = None) -> SweepCell:
+    """Evaluate one seed at one noise level.
+
+    adapt="off" rolls the frozen policy directly (works for artifacts without
+    density models); the adaptive modes run on a deep copy so the caller's
+    artifacts never mutate across cells.
+    """
+    _check_cell(sigma, episodes, adapt)
     if adapt == "off":
         returns = score_policy(artifacts.policy, artifacts.config.env_id,
                                sigma, episodes, seed)
@@ -134,39 +135,57 @@ def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
         work = copy.deepcopy(artifacts)
         result = run_online(work, expert_demos, sigma, episodes, adapt=adapt,
                             seed=seed, kappa_threshold=kappa_threshold,
-                            patience=patience, buffer_capacity=buffer_capacity,
-                            update_config=update_config)
+                            patience=patience, update_config=update_config)
         returns = result.episode_returns
         updates = result.update_invocations
     mean_return = float(np.mean(returns))
     return SweepCell(
-        sigma=float(sigma), seed=int(seed), episodes=int(episodes),
+        sigma=float(sigma), seed=int(seed),
         returns=tuple(float(r) for r in returns), mean_return=mean_return,
         score=normalized_score(mean_return, normalizer),
-        stability=stability_metric(returns, ema_coefficient),
-        updates=updates)
+        stability=stability_metric(returns), updates=updates)
 
 
-def _sample_std(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return 0.0
-    return float(np.std(arr, ddof=1))
+def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
+                 adapt: str) -> None:
+    """Reject a sweep's arguments before any cell runs, or any training."""
+    if not sigmas:
+        raise ConfigError("noise sweep needs at least one sigma")
+    duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
+    if duplicates:
+        # a repeated sigma would run its cells twice and report them as one row
+        raise ConfigError(f"duplicate sigma {duplicates[0]!r} in noise sweep")
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    for sigma in sigmas:
+        _check_cell(sigma, episodes, adapt)
 
 
 def _cell_task(kwargs):
     return evaluate_cell(**kwargs)
 
 
-def _run_cell_tasks(tasks, jobs: int) -> list[SweepCell]:
-    """Cells are pure functions of their arguments, so parallel execution
-    returns the same values in the same order as the serial loop."""
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+def _run_sweep(key: str, values, seeds, jobs: int, **cell_args) -> list[SweepCell]:
+    """evaluate_cell(**cell_args, key=value, seed=seed) for every (value, seed),
+    value-major. Cells are pure functions of their arguments, so parallel
+    execution returns the same values in the same order as the serial loop."""
+    tasks = [dict(cell_args, **{key: value}, seed=seed)
+             for value in values for seed in seeds]
     if jobs == 1 or len(tasks) < 2:
         return [evaluate_cell(**t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_cell_task, tasks))
+
+
+def _row_stats(cells) -> dict:
+    """The seeds, scores, mean_score and std_score (sample std, 0 for one
+    seed) of the cells of one swept value."""
+    scores = tuple(c.score for c in cells)
+    return dict(seeds=tuple(c.seed for c in cells), scores=scores,
+                mean_score=float(np.mean(scores)),
+                std_score=float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0)
 
 
 # ------------------------------------------------------------- noise sweep
@@ -189,7 +208,6 @@ class SweepReport:
     sigmas: tuple[float, ...]
     seeds: tuple[int, ...]
     episodes: int
-    ema_coefficient: float
     cells: tuple[SweepCell, ...]
 
 
@@ -198,45 +216,30 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
                 adapt: str = "off", episodes: int | None = None,
                 expert_demos: DemoSet | None = None, base_seed: int = 0,
                 kappa_threshold: float = KAPPA_THRESHOLD,
-                patience: int = PATIENCE,
-                buffer_capacity: int = BUFFER_CAPACITY,
-                update_config: OnlineUpdateConfig | None = None,
-                jobs: int = 1) -> SweepReport:
+                patience: int = PATIENCE, jobs: int = 1) -> SweepReport:
     """Evaluate every (sigma, seed) cell; deterministic given the seed list,
     whatever the worker count."""
     sigmas = tuple(float(s) for s in sigmas)
-    if not sigmas:
-        raise ConfigError("noise sweep needs at least one sigma")
-    duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
-    if duplicates:
-        # a repeated sigma would run its cells twice and report them as one row
-        raise ConfigError(f"duplicate sigma {duplicates[0]!r} in noise sweep")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
     if episodes is None:
         episodes = SCORE_EPISODES if adapt == "off" else ADAPT_EPISODES
+    _check_sweep(sigmas, runs, episodes, jobs, adapt)
     seeds = tuple(range(base_seed, base_seed + runs))
-    tasks = [dict(artifacts=artifacts, normalizer=normalizer, sigma=sigma,
-                  seed=seed, episodes=episodes, adapt=adapt,
-                  expert_demos=expert_demos, kappa_threshold=kappa_threshold,
-                  patience=patience, buffer_capacity=buffer_capacity,
-                  update_config=update_config)
-             for sigma in sigmas for seed in seeds]
-    cells = _run_cell_tasks(tasks, jobs)
+    cells = _run_sweep("sigma", sigmas, seeds, jobs, artifacts=artifacts,
+                       normalizer=normalizer, episodes=episodes,
+                       adapt=adapt, expert_demos=expert_demos,
+                       kappa_threshold=kappa_threshold, patience=patience)
     return SweepReport(env_id=artifacts.config.env_id, adapt=adapt,
                        sigmas=sigmas, seeds=seeds, episodes=episodes,
-                       ema_coefficient=EMA_COEFFICIENT, cells=tuple(cells))
+                       cells=tuple(cells))
 
 
 def sweep_rows(report: SweepReport) -> list[SweepRow]:
     rows = []
     for sigma in report.sigmas:
         cells = [c for c in report.cells if c.sigma == sigma]
-        scores = tuple(c.score for c in cells)
         rows.append(SweepRow(
-            sigma=sigma, seeds=tuple(c.seed for c in cells), scores=scores,
-            mean_score=float(np.mean(scores)), std_score=_sample_std(scores),
-            mean_stability=float(np.mean([c.stability for c in cells]))))
+            sigma=sigma, mean_stability=float(np.mean([c.stability for c in cells])),
+            **_row_stats(cells)))
     return rows
 
 
@@ -245,7 +248,7 @@ def sweep_records(report: SweepReport) -> str:
     lines = [
         f"kind=sweep env={report.env_id} adapt={report.adapt} "
         f"runs={len(report.seeds)} episodes={report.episodes} "
-        f"ema_coefficient={report.ema_coefficient!r}"
+        f"ema_coefficient={EMA_COEFFICIENT!r}"
     ]
     for c in report.cells:
         lines.append(
@@ -264,7 +267,7 @@ def format_sweep_summary(report: SweepReport) -> str:
     lines = [
         f"noise sweep: env={report.env_id} adapt={report.adapt} "
         f"runs={len(report.seeds)} episodes={report.episodes} "
-        f"ema_coefficient={report.ema_coefficient}",
+        f"ema_coefficient={EMA_COEFFICIENT}",
         f"{'sigma':>8}  {'score':>18}  {'stability':>10}",
     ]
     for r in sweep_rows(report):
@@ -293,11 +296,9 @@ def _check_label(label: str) -> None:
         raise ConfigError(f"label {label!r} must be a single token without '='")
 
 
-def sweep_plot_data(report: SweepReport, label: str | None = None) -> str:
-    if label is None:
-        label = f"{report.env_id}_{report.adapt}"
+def sweep_plot_data(report: SweepReport) -> str:
     points = [(r.sigma, r.mean_score, r.std_score) for r in sweep_rows(report)]
-    return plot_data([(label, points)])
+    return plot_data([(f"{report.env_id}_{report.adapt}", points)])
 
 
 # --------------------------------------------------- threshold grid search
@@ -318,7 +319,6 @@ class GridReport:
     env_id: str
     sigma: float
     episodes: int
-    ema_coefficient: float
     rows: tuple[GridRow, ...]
     best_threshold: float
 
@@ -328,7 +328,6 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
                     candidates=KTH_CANDIDATES, runs: int = DEFAULT_RUNS,
                     episodes: int = SCORE_EPISODES, base_seed: int = 0,
                     patience: int = PATIENCE,
-                    buffer_capacity: int = BUFFER_CAPACITY,
                     update_config: OnlineUpdateConfig | None = None,
                     jobs: int = 1) -> GridReport:
     """Score the adaptive runner at each trigger-threshold candidate.
@@ -343,34 +342,26 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
     for t in candidates:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold candidate {t!r} outside [0, 1]")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    _check_sweep((sigma,), runs, episodes, jobs, "on")
     seeds = tuple(range(base_seed, base_seed + runs))
-    tasks = [dict(artifacts=artifacts, normalizer=normalizer, sigma=sigma,
-                  seed=seed, episodes=episodes, adapt="on",
-                  expert_demos=expert_demos, kappa_threshold=threshold,
-                  patience=patience, buffer_capacity=buffer_capacity,
-                  update_config=update_config)
-             for threshold in candidates for seed in seeds]
-    cells = _run_cell_tasks(tasks, jobs)
+    cells = _run_sweep("kappa_threshold", candidates, seeds, jobs,
+                       artifacts=artifacts, normalizer=normalizer, sigma=sigma,
+                       episodes=episodes, adapt="on", expert_demos=expert_demos,
+                       patience=patience, update_config=update_config)
     rows = []
     for i, threshold in enumerate(candidates):
         group = cells[i * runs:(i + 1) * runs]
-        scores = tuple(c.score for c in group)
-        rows.append(GridRow(
-            threshold=threshold, seeds=seeds, scores=scores,
-            updates=tuple(c.updates for c in group),
-            mean_score=float(np.mean(scores)), std_score=_sample_std(scores)))
+        rows.append(GridRow(threshold=threshold, updates=tuple(c.updates for c in group),
+                            **_row_stats(group)))
     best = rows[int(np.argmax([r.mean_score for r in rows]))].threshold
     return GridReport(env_id=artifacts.config.env_id, sigma=float(sigma),
-                      episodes=episodes, ema_coefficient=EMA_COEFFICIENT,
-                      rows=tuple(rows), best_threshold=best)
+                      episodes=episodes, rows=tuple(rows), best_threshold=best)
 
 
 def grid_records(report: GridReport) -> str:
     lines = [
         f"kind=grid env={report.env_id} sigma={report.sigma!r} "
-        f"episodes={report.episodes} ema_coefficient={report.ema_coefficient!r} "
+        f"episodes={report.episodes} ema_coefficient={EMA_COEFFICIENT!r} "
         f"best_threshold={report.best_threshold!r}"
     ]
     for r in report.rows:
@@ -397,11 +388,9 @@ def format_grid_summary(report: GridReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_plot_data(report: GridReport, label: str | None = None) -> str:
-    if label is None:
-        label = f"kth_{report.env_id}"
+def grid_plot_data(report: GridReport) -> str:
     points = [(r.threshold, r.mean_score, r.std_score) for r in report.rows]
-    return plot_data([(label, points)])
+    return plot_data([(f"kth_{report.env_id}", points)])
 
 
 # ------------------------------------------------------------ tier ablation
@@ -410,17 +399,15 @@ def grid_plot_data(report: GridReport, label: str | None = None) -> str:
 @dataclass(frozen=True)
 class AblationRow:
     label: str
-    supp_demos: str
     sweep: SweepReport
 
 
 @dataclass(frozen=True)
 class AblationReport:
+    """Rows in mix order; every row's sweep has the same sigmas, seeds and
+    episodes."""
+
     env_id: str
-    sigmas: tuple[float, ...]
-    seeds: tuple[int, ...]
-    episodes: int
-    ema_coefficient: float
     rows: tuple[AblationRow, ...]
 
 
@@ -432,7 +419,8 @@ def tier_ablation(base_config: OfflineConfig, mixes,
 
     mixes: ordered (label, supp_demos_path) pairs, narrowest coverage first;
     rows keep that order. All runs share base_config apart from the
-    supplementary path, so rows differ only in data coverage.
+    supplementary path, so rows differ only in data coverage. The sweep
+    arguments are checked before any training.
     """
     mixes = [(str(label), str(path)) for label, path in mixes]
     if not mixes:
@@ -442,26 +430,22 @@ def tier_ablation(base_config: OfflineConfig, mixes,
         raise ConfigError("mix labels must be unique")
     for label in labels:
         _check_label(label)
+    _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off")
     rows = []
-    report_seeds = None
     for label, supp_path in mixes:
-        config = replace(base_config, supp_demos=supp_path)
-        artifacts = run_offline(config)
+        artifacts = run_offline(replace(base_config, supp_demos=supp_path))
         sweep = noise_sweep(artifacts, normalizer, sigmas=sigmas, runs=runs,
                             adapt="off", episodes=episodes, base_seed=base_seed,
                             jobs=jobs)
-        report_seeds = sweep.seeds
-        rows.append(AblationRow(label=label, supp_demos=supp_path, sweep=sweep))
-    return AblationReport(env_id=base_config.env_id,
-                          sigmas=tuple(float(s) for s in sigmas),
-                          seeds=report_seeds, episodes=episodes,
-                          ema_coefficient=EMA_COEFFICIENT, rows=tuple(rows))
+        rows.append(AblationRow(label=label, sweep=sweep))
+    return AblationReport(env_id=base_config.env_id, rows=tuple(rows))
 
 
 def ablation_records(report: AblationReport) -> str:
+    first = report.rows[0].sweep
     lines = [
-        f"kind=ablation env={report.env_id} runs={len(report.seeds)} "
-        f"episodes={report.episodes} ema_coefficient={report.ema_coefficient!r}"
+        f"kind=ablation env={report.env_id} runs={len(first.seeds)} "
+        f"episodes={first.episodes} ema_coefficient={EMA_COEFFICIENT!r}"
     ]
     for row in report.rows:
         for r in sweep_rows(row.sweep):
@@ -473,11 +457,12 @@ def ablation_records(report: AblationReport) -> str:
 
 
 def format_ablation_summary(report: AblationReport) -> str:
+    first = report.rows[0].sweep
     lines = [
-        f"tier ablation: env={report.env_id} runs={len(report.seeds)} "
-        f"episodes={report.episodes}",
+        f"tier ablation: env={report.env_id} runs={len(first.seeds)} "
+        f"episodes={first.episodes}",
         f"{'mix':>10}  " + "  ".join(f"{('sigma=' + format(s, 'g')):>18}"
-                                     for s in report.sigmas),
+                                     for s in first.sigmas),
     ]
     for row in report.rows:
         cols = [f"{r.mean_score:.2f} +/- {r.std_score:.2f}"

@@ -18,6 +18,9 @@ from .configio import write_bytes_atomic
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,17 +254,13 @@ class AdamState:
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(params: list[np.ndarray], learning_rate: float = 5e-4,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def init_adam(params: list[np.ndarray], learning_rate: float = 5e-4) -> AdamState:
     return AdamState(
         first_moment=[np.zeros_like(p) for p in params],
         second_moment=[np.zeros_like(p) for p in params],
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon,
+        learning_rate=learning_rate,
     )
 
 
@@ -273,7 +272,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -284,7 +283,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params
 
 

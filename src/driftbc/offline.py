@@ -11,6 +11,7 @@ derives from the single config seed through named streams.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -166,10 +167,6 @@ class _MetricsLog:
         self.lines.append(f"stage={stage} step={step} loss={float(loss)!r} "
                           f"lambda={float(lam)!r} wall_ms={self.watch.ms()}")
 
-    def add_history(self, stage: str, history, lam: float = 0.0) -> None:
-        for step, loss in history:
-            self.add(stage, step, loss, lam)
-
     def text(self) -> str:
         return "\n".join(self.lines) + "\n" if self.lines else ""
 
@@ -245,28 +242,24 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
                                     batch_size=config.batch_size,
                                     action_low=spec.action_low,
                                     action_high=spec.action_high, label="expert")
-        hist: list = []
         ref_expert = train_reference_policy(expert_train, ref_cfg, config.seed,
-                                            record_every=1, history=hist)
-        log.add_history("ref_expert", hist)
-        hist = []
+                                            functools.partial(log.add, "ref_expert"))
         ref_supp = train_reference_policy(supp_train, replace(ref_cfg, label="supp"),
-                                          config.seed, record_every=1, history=hist)
-        log.add_history("ref_supp", hist)
+                                          config.seed, functools.partial(log.add, "ref_supp"))
 
         gmm_expert = fit_gmm(
             expert_train.states, n_components=config.gmm_k,
             seed=int(named_generator(config.seed, "gmm_expert").integers(2 ** 31)),
             alpha=config.gmm_alpha, cov_floor=config.gmm_cov_floor,
             provenance=expert_train.provenance_label())
-        log.add_history("gmm_expert",
-                        list(enumerate(gmm_expert.ll_history, start=1)))
         gmm_supp = fit_gmm(
             supp_train.states, n_components=config.gmm_k,
             seed=int(named_generator(config.seed, "gmm_supp").integers(2 ** 31)),
             alpha=config.gmm_alpha, cov_floor=config.gmm_cov_floor,
             provenance=supp_train.provenance_label())
-        log.add_history("gmm_supp", list(enumerate(gmm_supp.ll_history, start=1)))
+        for stage, gmm in (("gmm_expert", gmm_expert), ("gmm_supp", gmm_supp)):
+            for step, ll in enumerate(gmm.ll_history, start=1):
+                log.add(stage, step, ll)
 
         joint_e = JointDensityModel(ref_expert, gmm_expert)
         joint_s = JointDensityModel(ref_supp, gmm_supp)
@@ -296,12 +289,10 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
                          spec.action_high,
                          rng=named_generator(config.seed, "policy_init"),
                          provenance="main")
-    bc_hist = run_weighted_bc(policy, bc_states, bc_actions, weights,
-                              config.bc_steps, config.batch_size,
-                              config.learning_rate,
-                              named_generator(config.seed, "policy_train"),
-                              record_every=1)
-    log.add_history("bc", bc_hist)
+    run_weighted_bc(policy, bc_states, bc_actions, weights, config.bc_steps,
+                    config.batch_size, config.learning_rate,
+                    named_generator(config.seed, "policy_train"),
+                    functools.partial(log.add, "bc"))
 
     return OfflineArtifacts(config=config, policy=policy, discriminator=disc,
                             ref_expert=ref_expert, ref_supp=ref_supp,

@@ -31,6 +31,8 @@ PATIENCE = 20
 BUFFER_CAPACITY = 2000
 UPDATE_DISC_STEPS = 50
 UPDATE_POLICY_STEPS = 50
+UPDATE_BATCH_SIZE = 64
+UPDATE_LEARNING_RATE = 5e-4
 ADAPT_MODES = ("on", "off", "always")
 
 
@@ -123,8 +125,6 @@ def buffer_snapshot(detector: ShiftDetector):
 class OnlineUpdateConfig:
     disc_steps: int = UPDATE_DISC_STEPS
     policy_steps: int = UPDATE_POLICY_STEPS
-    batch_size: int = 64
-    learning_rate: float = 5e-4
 
     def __post_init__(self):
         if self.disc_steps < 1 or self.policy_steps < 1:
@@ -157,11 +157,11 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     try:
         rng = named_generator(seed, f"online_update{update_index}_disc")
         params = [disc.net.params]
-        opt = init_adam(params, learning_rate=config.learning_rate)
+        opt = init_adam(params, learning_rate=UPDATE_LEARNING_RATE)
         grad = np.empty_like(disc.net.params)
         for step in range(1, config.disc_steps + 1):
-            idx_e = rng.integers(0, n_e, size=config.batch_size)
-            idx_x = rng.integers(0, n_x, size=config.batch_size)
+            idx_e = rng.integers(0, n_e, size=UPDATE_BATCH_SIZE)
+            idx_x = rng.integers(0, n_x, size=UPDATE_BATCH_SIZE)
             loss, _ = online_disc_loss(
                 disc, (s_e[idx_e], a_e[idx_e]),
                 (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]), out=grad)
@@ -173,7 +173,7 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
         a_all = np.concatenate([a_e, actions_x])
         weights = np.asarray(bc_weight(disc, s_all, a_all), dtype=np.float64)
         run_weighted_bc(policy, s_all, a_all, weights, config.policy_steps,
-                        config.batch_size, config.learning_rate,
+                        UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
                         named_generator(seed, f"online_update{update_index}_policy"))
     except NumericError:
         return False
@@ -232,7 +232,6 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
 def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
                episodes: int, adapt: str = "on", seed: int = 0,
                kappa_threshold: float = KAPPA_THRESHOLD, patience: int = PATIENCE,
-               buffer_capacity: int = BUFFER_CAPACITY,
                update_config: OnlineUpdateConfig | None = None) -> OnlineResult:
     """Roll episodes under observation noise, scoring every observed state.
 
@@ -251,8 +250,7 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
     if update_config is None:
         update_config = OnlineUpdateConfig()
 
-    detector = ShiftDetector(kappa_threshold=kappa_threshold, patience=patience,
-                             buffer_capacity=buffer_capacity)
+    detector = ShiftDetector(kappa_threshold=kappa_threshold, patience=patience)
     records: list[StepRecord] = []
     result = OnlineResult(episode_returns=np.zeros(episodes), records=records)
 

@@ -86,24 +86,22 @@ class GaussianPolicy:
 @dataclass
 class PolicyTrainConfig:
     hidden_dims: tuple[int, ...] = (64, 64)
-    activation: str = "tanh"
     learning_rate: float = 5e-4
     batch_size: int = 64
     steps: int = 5000
-    init_log_std: float = 0.0
     action_low: np.ndarray | None = None
     action_high: np.ndarray | None = None
     label: str = "ref"
 
 
 def init_policy(state_dim: int, action_dim: int, action_low, action_high,
-                hidden_dims=(64, 64), activation: str = "tanh",
-                init_log_std: float = 0.0, rng: np.random.Generator | None = None,
+                hidden_dims=(64, 64), init_log_std: float = 0.0,
+                rng: np.random.Generator | None = None,
                 provenance: str = "") -> GaussianPolicy:
     if rng is None:
         rng = np.random.default_rng(0)
     dims = (state_dim, *hidden_dims, action_dim)
-    net = init_mlp(dims, activation, rng)
+    net = init_mlp(dims, "tanh", rng)
     log_std = np.full(action_dim, float(np.clip(init_log_std, LOG_STD_MIN, LOG_STD_MAX)))
     return GaussianPolicy(
         mean_net=net,
@@ -186,13 +184,13 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None)
 
 def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int,
                     batch_size: int, learning_rate: float, rng: np.random.Generator,
-                    record_every: int = 0) -> list[tuple[int, float]]:
+                    on_step=None) -> None:
     """Adam training loop over uniformly resampled batches.
 
     Shared by plain BC, reference-policy training, and the weighted main run, so
     the unweighted paths are the weighted path with weights fixed at 1.
-    Returns (step, loss) pairs; always includes the first and last step when
-    record_every > 0.
+    on_step(step, loss), if given, runs after each optimizer step with the
+    batch loss taken before it.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -203,7 +201,6 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
     params = [policy.params]
     opt = init_adam(params, learning_rate=learning_rate)
     grad = np.empty_like(policy.params)
-    history: list[tuple[int, float]] = []
     for step in range(1, steps + 1):
         idx = rng.integers(0, n, size=batch_size)
         loss, _ = weighted_bc_loss(policy, states[idx], actions[idx], weights[idx], out=grad)
@@ -211,20 +208,17 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
             raise NumericError(f"non-finite BC loss at step {step}")
         adam_step(params, [grad], opt)
         np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=policy.log_std)
-        if record_every and (step == 1 or step == steps or step % record_every == 0):
-            history.append((step, loss))
-    return history
+        if on_step is not None:
+            on_step(step, loss)
 
 
 def train_reference_policy(demos, config: PolicyTrainConfig, seed: int,
-                           record_every: int = 0,
-                           history: list | None = None) -> GaussianPolicy:
+                           on_step=None) -> GaussianPolicy:
     """BC with unit weights on one demonstration set; the result is only used
     as a conditional-density surrogate, so the budget is modest.
 
     demos must expose .states (N,ds) and .actions (N,da) arrays plus a
-    provenance_label() string. When a history list is supplied, (step, loss)
-    records land there at the record_every cadence.
+    provenance_label() string. on_step is passed to run_weighted_bc.
     """
     states = np.asarray(demos.states, dtype=np.float64)
     actions = np.asarray(demos.actions, dtype=np.float64)
@@ -236,15 +230,11 @@ def train_reference_policy(demos, config: PolicyTrainConfig, seed: int,
     init_rng = named_generator(seed, f"ref_policy_init_{config.label}")
     pol = init_policy(
         states.shape[1], actions.shape[1], config.action_low, config.action_high,
-        hidden_dims=config.hidden_dims, activation=config.activation,
-        init_log_std=config.init_log_std, rng=init_rng, provenance=provenance,
+        hidden_dims=config.hidden_dims, rng=init_rng, provenance=provenance,
     )
     train_rng = named_generator(seed, f"ref_policy_train_{config.label}")
-    recorded = run_weighted_bc(pol, states, actions, np.ones(len(states)), config.steps,
-                               config.batch_size, config.learning_rate, train_rng,
-                               record_every=record_every)
-    if history is not None:
-        history.extend(recorded)
+    run_weighted_bc(pol, states, actions, np.ones(len(states)), config.steps,
+                    config.batch_size, config.learning_rate, train_rng, on_step)
     return pol
 
 

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import argparse
+import inspect
 import os
 from pathlib import Path
 
 import pytest
 
 from driftbc.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                         main)
+                         build_parser, main)
 from driftbc.configio import load_config, read_manifest
 from driftbc.demos import load_demoset, load_reference_returns
 from driftbc.errors import NumericError
@@ -108,6 +110,11 @@ class TestGenRefs:
         ref = load_reference_returns(ws["refs"])
         assert ref.env_id == ENV
         assert ref.expert_return > ref.random_return
+
+    def test_directory_out_exits_2_even_with_force(self, tmp_path, capsys):
+        assert main(["gen-refs", "--env", ENV, "--episodes", "2",
+                     "--out", str(tmp_path), "--force"]) == EXIT_USAGE
+        assert "is a directory" in capsys.readouterr().err
 
 
 class TestTrainOffline:
@@ -314,6 +321,14 @@ class TestVerify:
         manifest = read_manifest(out / "manifest.txt")
         assert manifest.artifacts == ["results.txt"]
 
+    def test_file_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "results.txt"
+        out.write_text("kept\n")
+        assert main(["verify", "--checks", "lambda_schedule",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
 
 class TestParserContract:
     def test_no_subcommand_exits_2(self, capsys):
@@ -325,3 +340,13 @@ class TestParserContract:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_every_flag_is_read_by_its_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            source = inspect.getsource(p.get_default("func"))
+            for action in p._actions:
+                if action.dest != "help":
+                    assert f"args.{action.dest}" in source, \
+                        f"{name} accepts {action.option_strings} and ignores it"

@@ -109,7 +109,7 @@ def test_generation_columns_consistent():
 def test_mix_single_tier_identity():
     spec = pm_spec()
     ds = demos.generate_tier(spec, "medium", 8, 5)
-    mixed = demos.mix_supplementary([ds], [1.0])
+    mixed = demos.mix_supplementary([ds])
     assert_sets_equal(mixed, ds, check_returns=False)
 
 
@@ -130,16 +130,6 @@ def test_mix_two_tiers():
     assert mixed.provenance_label() == "medium+random"
 
 
-def test_mix_proportions_keep_leading_episodes():
-    spec = pm_spec()
-    med = demos.generate_tier(spec, "medium", 20, 5)
-    mixed = demos.mix_supplementary([med], [0.5])
-    assert mixed.tier_runs[0].episodes == 10
-    keep = med.episode_ids < 10
-    assert np.array_equal(mixed.states, med.states[keep])
-    assert np.array_equal(mixed.actions, med.actions[keep])
-
-
 def test_mix_env_mismatch():
     pm = demos.generate_tier(pm_spec(), "random", 2, 0)
     pend = demos.generate_tier(envs.make_spec("pendulum1"), "random", 2, 0)
@@ -147,14 +137,7 @@ def test_mix_env_mismatch():
         demos.mix_supplementary([pm, pend])
 
 
-def test_mix_bad_proportions():
-    ds = demos.generate_tier(pm_spec(), "random", 2, 0)
-    with pytest.raises(ConfigError):
-        demos.mix_supplementary([ds], [0.0])
-    with pytest.raises(ConfigError):
-        demos.mix_supplementary([ds], [1.5])
-    with pytest.raises(ConfigError):
-        demos.mix_supplementary([ds], [0.5, 0.5])
+def test_mix_needs_a_set():
     with pytest.raises(ConfigError):
         demos.mix_supplementary([])
 
@@ -279,6 +262,24 @@ def test_truncated_file_names_missing_bytes(tmp_path):
     on_boundary.write_bytes(blob[:-row_size])
     with pytest.raises(DataError, match=f"{row_size} bytes missing"):
         demos.load_demoset(on_boundary)
+
+
+@pytest.mark.parametrize("edits, match", [
+    # the tier run claims more episodes than the header's total
+    ([(b"random:20:", b"random:40:")], "episodes do not sum"),
+    # header and run agree, but the rows hold only 20 episode ids
+    ([(b"random:20:", b"random:40:"), (b"episodes=20 ", b"episodes=40 ")],
+     "holds 20 distinct episode ids"),
+])
+def test_episode_counts_must_match_rows(tmp_path, edits, match):
+    path = tmp_path / "random.demo"
+    demos.save_demoset(path, demos.generate_tier(pm_spec(), "random", 20, 0))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    for old, new in edits:
+        header = header.replace(old, new)
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(DataError, match=match):
+        demos.load_demoset(path)
 
 
 def test_wrong_width_row_names_row(tmp_path):

@@ -106,15 +106,6 @@ class TestOfflineLoss:
         for g in grads:
             assert np.all(g == 0.0)
 
-    def test_ratio_callable_is_supported(self):
-        m = zero_disc()
-        rng = np.random.default_rng(4)
-        eb = rand_batch(rng, 5)
-        sb = rand_batch(rng, 5)
-        l1, _ = disc.offline_disc_loss(m, eb, sb, lambda s, a: np.full(len(s), 2.0))
-        l2, _ = disc.offline_disc_loss(m, eb, sb, np.full(5, 2.0))
-        assert l1 == l2
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         m = disc.init_discriminator(2, 1, hidden_dims=(6, 5), rng=rng)

@@ -290,9 +290,8 @@ def test_rollout_shapes_and_return():
 
 
 def test_rollout_horizon_override():
-    spec = pend_spec()
-    rec = envs.rollout(spec, lambda s: np.zeros(1), np.random.default_rng(10),
-                       horizon=7)
+    spec = pend_spec(horizon=7)
+    rec = envs.rollout(spec, lambda s: np.zeros(1), np.random.default_rng(10))
     assert len(rec) == 7
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbc import envs
+from driftbc import envs, evaluation
 from driftbc.demos import (generate_tier, measure_reference_returns,
                            mix_supplementary, save_demoset)
 from driftbc.density import CovarianceFloorWarning
@@ -292,7 +292,8 @@ class TestNoiseSweep:
         assert report.env_id == ENV
         assert report.adapt == "off"
         assert report.seeds == (0, 1)
-        assert report.ema_coefficient == 0.1
+        assert sweep_records(report).splitlines()[0].endswith(
+            f" ema_coefficient={EMA_COEFFICIENT!r}")
         assert len(report.cells) == 4
         rows = sweep_rows(report)
         assert [r.sigma for r in rows] == [0.0, 0.1]
@@ -473,9 +474,10 @@ class TestTierAblation:
         assert [r.label for r in report.rows] == ["me", "memr"]
         for row in report.rows:
             assert row.sweep.sigmas == (0.0, 0.1)
+            assert row.sweep.seeds == (0, 1)
             assert len(row.sweep.cells) == 4
-        assert report.seeds == (0, 1)
-        assert report.ema_coefficient == 0.1
+        assert f"runs=2 episodes=2 ema_coefficient={EMA_COEFFICIENT!r}" in \
+            ablation_records(report)
 
     def test_records_and_summary_and_plot(self, report):
         rec = ablation_records(report).splitlines()
@@ -488,6 +490,24 @@ class TestTierAblation:
         assert len(plot) == 4
         assert plot[0].startswith("curve=me x=0.0 ")
         assert plot[2].startswith("curve=memr x=0.0 ")
+
+    @pytest.mark.parametrize("sweep, match", [
+        (dict(sigmas=(0.1, 0.0, 0.1)), "duplicate sigma"),
+        (dict(runs=0), "runs"), (dict(jobs=0), "jobs"),
+        (dict(episodes=1), "episodes"), (dict(sigmas=(-0.1,)), "sigma"),
+    ])
+    def test_sweep_is_checked_before_training(self, demo_paths, normalizer,
+                                              monkeypatch, sweep, match):
+        def no_training(config):
+            raise AssertionError("run_offline called before the sweep was checked")
+
+        monkeypatch.setattr(evaluation, "run_offline", no_training)
+        paths, _ = demo_paths
+        base = OfflineConfig(env_id=ENV, expert_demos=paths["expert"],
+                             supp_demos=paths["medium"])
+        args = {**dict(sigmas=(0.0, 0.1), runs=2, episodes=2, jobs=1), **sweep}
+        with pytest.raises(ConfigError, match=match):
+            tier_ablation(base, [("me", paths["medium"])], normalizer, **args)
 
     def test_validation(self, demo_paths, normalizer):
         paths, _ = demo_paths

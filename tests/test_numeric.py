@@ -152,7 +152,7 @@ class TestAdam:
         state = numeric.init_adam(p, learning_rate=lr)
         numeric.adam_step(p, [g.copy()], state)
         # bias-corrected first step: delta = lr * g / (|g| + eps)
-        expected = -lr * g / (np.abs(g) + state.epsilon)
+        expected = -lr * g / (np.abs(g) + numeric.ADAM_EPSILON)
         np.testing.assert_allclose(p[0], expected, rtol=1e-9)
 
     def test_constant_gradient_matches_scalar_simulation(self):

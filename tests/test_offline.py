@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from driftbc import configio, demos, envs, offline
+from driftbc import configio, demos, envs, offline, policy
 from driftbc.discriminator import init_discriminator, load_discriminator, reg_weight_at
 from driftbc.errors import ConfigError, DataError, NumericError
-from driftbc.numeric import named_generator
+from driftbc.numeric import adam_step, named_generator
 from driftbc.policy import init_policy, load_policy, run_weighted_bc
 
 
@@ -113,6 +113,26 @@ def test_metrics_log_covers_every_stage(small_run):
         assert set(parts) == {"stage", "step", "loss", "lambda", "wall_ms"}
         assert np.isfinite(float(parts["loss"]))
         int(parts["step"]); int(parts["wall_ms"])
+
+
+def test_metrics_stamp_each_training_step_when_it_happens(demo_paths, monkeypatch):
+    # a clock that advances once per policy optimizer step
+    ticks = [0]
+
+    def counting_adam_step(*args):
+        ticks[0] += 1
+        return adam_step(*args)
+
+    monkeypatch.setattr(policy, "adam_step", counting_adam_step)
+    monkeypatch.setattr(configio.Stopwatch, "ms", lambda self: ticks[0])
+    art = offline.run_offline(small_config(demo_paths, ref_steps=20, bc_steps=30))
+    stamps = {}
+    for line in art.metrics.strip().split("\n"):
+        parts = dict(tok.split("=", 1) for tok in line.split())
+        stamps.setdefault(parts["stage"], []).append(int(parts["wall_ms"]))
+    assert stamps["ref_expert"] == list(range(1, 21))
+    assert stamps["ref_supp"] == list(range(21, 41))
+    assert stamps["bc"] == list(range(41, 71))
 
 
 def test_metrics_lambda_matches_schedule(small_run):

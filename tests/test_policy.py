@@ -198,9 +198,12 @@ class TestTraining:
         s = rng.uniform(-1, 1, (400, 3))
         a = np.tanh(s[:, :2]) * 0.5
         pol = make_policy(seed=21, hidden=(16,))
-        hist = policy.run_weighted_bc(pol, s, a, np.ones(len(s)), steps=1500,
-                                      batch_size=64, learning_rate=1e-3,
-                                      rng=np.random.default_rng(22), record_every=100)
+        hist = []
+        policy.run_weighted_bc(pol, s, a, np.ones(len(s)), steps=1500,
+                               batch_size=64, learning_rate=1e-3,
+                               rng=np.random.default_rng(22),
+                               on_step=lambda step, loss: hist.append((step, loss)))
+        assert [step for step, _ in hist] == list(range(1, 1501))
         assert hist[-1][1] < hist[0][1]
 
     def test_log_std_stays_in_box(self):
