@@ -43,10 +43,21 @@ EXIT_NUMERIC = 3
 # ------------------------------------------------------------ shared pieces
 
 
+def _check_parents(path: Path) -> None:
+    """The nearest existing ancestor of path must be a directory, or mkdir
+    would fail on it."""
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(f"output path {path}: {parent} is not a directory")
+            return
+
+
 def _prepare_dir(arg_out, subcommand: str, force: bool) -> Path:
     """The output directory: --out, else <DRIFTBC_OUT_ROOT or runs>/<subcommand>."""
     path = (Path(arg_out) if arg_out
             else Path(os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT)) / subcommand)
+    _check_parents(path)
     if path.exists() and not path.is_dir():
         raise ConfigError(f"output directory {path} exists and is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
@@ -57,6 +68,7 @@ def _prepare_dir(arg_out, subcommand: str, force: bool) -> Path:
 
 
 def _prepare_file(path: Path, force: bool) -> Path:
+    _check_parents(path)
     if path.is_dir():
         raise ConfigError(f"output file {path} is a directory")
     if path.exists() and not force:

@@ -33,7 +33,10 @@ class GmmModel:
     """Diagonal-covariance Gaussian mixture over states.
 
     calibration_log_quantile is the alpha-quantile of the training states' own
-    log-densities; membership_score clamps against it.
+    log-densities; membership_score clamps against it. log_weights and
+    log_norm (log w_k and sum_d log(2 pi var_kd)) are computed once at
+    construction for the density evaluations; the mixture arrays are not
+    meant to change after that.
     """
 
     mixture_weights: np.ndarray  # (K,)
@@ -44,6 +47,12 @@ class GmmModel:
     cov_floor: float = DEFAULT_COV_FLOOR
     provenance: str = ""
     ll_history: list = field(default_factory=list, repr=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.log_weights, self.log_norm = _log_constants(self.mixture_weights,
+                                                         self.variances)
 
     @property
     def n_components(self) -> int:
@@ -54,20 +63,26 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _weighted_log_densities(weights, model_means, model_vars, states) -> np.ndarray:
-    """(N, K) matrix of log(weight_k) plus each component's diagonal-Gaussian
-    log density; a zero weight gives -inf."""
-    diff = states[:, None, :] - model_means[None, :, :]       # (N, K, d)
-    quad = np.sum(diff * diff / model_vars[None, :, :], axis=2)
-    norm = np.sum(np.log(2.0 * np.pi * model_vars), axis=1)   # (K,)
+def _log_constants(weights, variances) -> tuple[np.ndarray, np.ndarray]:
+    """log(weight_k), where a zero weight gives -inf, and each component's
+    sum_d log(2 pi var_kd)."""
     with np.errstate(divide="ignore"):
-        return -0.5 * (norm[None, :] + quad) + np.log(weights)[None, :]
+        log_weights = np.log(weights)
+    return log_weights, np.sum(np.log(2.0 * np.pi * variances), axis=1)
+
+
+def _weighted_log_densities(log_weights, log_norm, model_means, model_vars,
+                            states) -> np.ndarray:
+    """(N, K) matrix of log(weight_k) plus each component's diagonal-Gaussian
+    log density, from the _log_constants of the mixture."""
+    diff = states[:, None, :] - model_means[None, :, :]       # (N, K, d)
+    quad = (diff * diff / model_vars[None, :, :]).sum(axis=2)
+    return -0.5 * (log_norm[None, :] + quad) + log_weights[None, :]
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _farthest_point_seeds(states: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,7 +130,8 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     ll_history: list[float] = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITERS):
-        joint = _weighted_log_densities(weights, means, variances, states)  # (N,K)
+        joint = _weighted_log_densities(*_log_constants(weights, variances),
+                                        means, variances, states)  # (N,K)
         total = _logsumexp(joint, axis=1)                              # (N,)
         ll = float(np.mean(total))
         ll_history.append(ll)
@@ -158,8 +174,8 @@ def gmm_log_density(model: GmmModel, s):
     sb = s[None, :] if single else s
     if sb.ndim != 2 or sb.shape[1] != model.dim:
         raise ShapeError(f"state dim {sb.shape[-1]} != model dim {model.dim}")
-    out = _logsumexp(_weighted_log_densities(model.mixture_weights, model.means,
-                                             model.variances, sb), axis=1)
+    out = _logsumexp(_weighted_log_densities(model.log_weights, model.log_norm,
+                                             model.means, model.variances, sb), axis=1)
     return float(out[0]) if single else out
 
 

@@ -66,6 +66,17 @@ def _concat_sa(states, actions) -> tuple[np.ndarray, bool]:
     return np.concatenate([states, actions], axis=1), False
 
 
+def join_rows(states, actions, what: str = "loss batch") -> np.ndarray:
+    """The (N, ds + da) rows [s, a] of a non-empty 2-D batch; the losses'
+    input check, which the trainers run once over their whole data."""
+    x, single = _concat_sa(states, actions)
+    if single:
+        raise ShapeError(f"{what} must be 2-D")
+    if x.shape[0] == 0:
+        raise DataError(f"empty {what}")
+    return x
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, split by sign so neither branch overflows."""
     out = np.empty_like(z)
@@ -89,18 +100,18 @@ def _forward_clipped(model: DiscriminatorModel, x: np.ndarray):
     return _clip_logits(model, forward(model.net, x)[:, 0])
 
 
-def _stacked_forward(model: DiscriminatorModel, blocks):
-    """One forward over the row blocks stacked in order; returns the layer
-    cache with the clipped outputs and active mask of every row."""
-    hs = forward_cache(model.net, np.vstack(blocks))
+def _stacked_forward(model: DiscriminatorModel, x: np.ndarray):
+    """One forward over the stacked rows x; returns the layer cache with the
+    clipped outputs and active mask of every row."""
+    hs = forward_cache(model.net, x)
     d, active = _clip_logits(model, hs[-1][:, 0])
     return hs, d, active
 
 
-def _grads(model: DiscriminatorModel, hs, dz: np.ndarray, out=None) -> list[np.ndarray]:
+def _grads(model: DiscriminatorModel, hs, dz: np.ndarray) -> list[np.ndarray]:
     """Parameter gradients for logit gradients dz over every row of the cache,
-    as views into out (a new flat vector when None) aligned to mlp_params."""
-    grad = np.empty_like(model.net.params) if out is None else out
+    as views into a new flat vector aligned to mlp_params."""
+    grad = np.empty_like(model.net.params)
     backprop(model.net, hs, dz[:, None], grad)
     check_finite(model.net, hs, grad)
     return split_params(grad, model.net.layer_dims)
@@ -120,9 +131,10 @@ def bc_weight(model: DiscriminatorModel, s, a):
     return d / (1.0 - d)
 
 
-def _resolve_weights(values, states, what: str) -> np.ndarray:
+def check_weights(values, rows: int, what: str) -> np.ndarray:
+    """values as a float vector of one finite, non-negative entry per row."""
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if values.shape[0] != np.asarray(states).shape[0]:
+    if values.shape[0] != rows:
         raise ShapeError(f"{what} count {values.shape[0]} != batch size")
     if not np.all(np.isfinite(values)):
         raise DataError(f"non-finite {what}")
@@ -131,14 +143,20 @@ def _resolve_weights(values, states, what: str) -> np.ndarray:
     return values
 
 
-def _class_batches(expert_batch, other_batch) -> tuple[np.ndarray, np.ndarray]:
-    xe, single_e = _concat_sa(*expert_batch)
-    xo, single_o = _concat_sa(*other_batch)
-    if single_e or single_o:
-        raise ShapeError("loss batches must be 2-D")
-    if xe.shape[0] == 0 or xo.shape[0] == 0:
-        raise DataError("empty batch in discriminator loss")
-    return xe, xo
+def check_scores(scores) -> np.ndarray:
+    """Shift scores as a float vector; each must lie in [0, 1]."""
+    scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
+    if np.any(scores < 0) or np.any(scores > 1):
+        raise DataError("shift scores must lie in [0, 1]")
+    return scores
+
+
+def check_targets(targets, rows: int) -> np.ndarray:
+    """Regularizer targets as a float vector of one entry in [0, 1] per row."""
+    t = check_weights(targets, rows, "regularizer target")
+    if np.any(t > 1):
+        raise DataError("regularizer target above 1")
+    return t
 
 
 def _two_class_terms(ne: int, w: np.ndarray, d: np.ndarray, active: np.ndarray):
@@ -152,24 +170,45 @@ def _two_class_terms(ne: int, w: np.ndarray, d: np.ndarray, active: np.ndarray):
     return loss, np.concatenate([dz_e, dz_o])
 
 
-def _reg_inputs(mixed_batch, targets) -> tuple[np.ndarray, np.ndarray]:
-    x, single = _concat_sa(*mixed_batch)
-    if single:
-        raise ShapeError("mixed_batch must be 2-D")
-    if x.shape[0] == 0:
-        raise DataError("empty regularizer batch")
-    t = _resolve_weights(targets, mixed_batch[0], "regularizer target")
-    if np.any(t > 1):
-        raise DataError("regularizer target above 1")
-    return x, t
-
-
 def _reg_terms(t: np.ndarray, d: np.ndarray, active: np.ndarray):
     """Mean squared gap between d and the targets, and its logit gradient."""
     diff = d - t
     loss = float(np.mean(diff * diff))
     dz = 2.0 * diff * d * (1.0 - d) * active / d.shape[0]
     return loss, dz
+
+
+def two_class_core(model: DiscriminatorModel, x: np.ndarray, ne: int,
+                   w: np.ndarray, grad: np.ndarray) -> float:
+    """The math of offline_disc_loss, without its input checks: x stacks the
+    joined expert rows over the other rows, which carry the checked weights
+    w. Writes the parameter gradient into grad (flat, params layout) and
+    returns the loss; a non-finite output or gradient raises NumericError."""
+    hs, d, active = _stacked_forward(model, x)
+    loss, dz = _two_class_terms(ne, w, d, active)
+    backprop(model.net, hs, dz[:, None], grad)
+    check_finite(model.net, hs, grad)
+    return loss
+
+
+def combined_core(model: DiscriminatorModel, x: np.ndarray, ne: int, nb: int,
+                  w: np.ndarray, t: np.ndarray, reg_weight: float,
+                  grad: np.ndarray) -> float:
+    """The math of combined_offline_loss for reg_weight > 0, without its input
+    checks: x stacks [expert; supp; mixed] rows, the first nb of them the two
+    class batches. The two terms are backpropagated over their own row slices
+    of one forward cache and summed as g + reg_weight * h: folding reg_weight
+    into one backward over all rows rounds differently."""
+    hs, d, active = _stacked_forward(model, x)
+    base_loss, dz = _two_class_terms(ne, w, d[:nb], active[:nb])
+    r_loss, dr = _reg_terms(t, d[nb:], active[nb:])
+    backprop(model.net, [h[:nb] for h in hs], dz[:, None], grad)
+    reg = np.empty_like(grad)
+    backprop(model.net, [h[nb:] for h in hs], dr[:, None], reg)
+    reg *= reg_weight
+    grad += reg
+    check_finite(model.net, hs, grad)
+    return base_loss + reg_weight * r_loss
 
 
 def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratios,
@@ -181,33 +220,37 @@ def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio
     constants.
     Returns (loss, grads) with grads aligned to mlp_params(model.net): views
     into one flat vector in the model.net.params layout, out when given.
+    The trainers run this function's input check once over their whole data
+    and two_class_core at every step.
     """
-    xe, xs = _class_batches(expert_batch, supp_batch)
-    w = _resolve_weights(ratios, supp_batch[0], "per-sample weight")
-    hs, d, active = _stacked_forward(model, [xe, xs])
-    loss, dz = _two_class_terms(xe.shape[0], w, d, active)
-    return loss, _grads(model, hs, dz, out)
+    xe = join_rows(*expert_batch)
+    xs = join_rows(*supp_batch)
+    w = check_weights(ratios, xs.shape[0], "per-sample weight")
+    grad = np.empty_like(model.net.params) if out is None else out
+    loss = two_class_core(model, np.vstack([xe, xs]), xe.shape[0], w, grad)
+    return loss, split_params(grad, model.net.layer_dims)
 
 
 def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=None):
     """Expert term plus shift-score-weighted term over online experience.
 
     online_batch is (states, actions, shift_scores) with scores in [0, 1].
+    online_update runs this function's input check once per update and
+    two_class_core at every step.
     """
     if len(online_batch) != 3:
         raise ShapeError("online_batch must be (states, actions, shift_scores)")
     states, actions, scores = online_batch
-    scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
-    if np.any(scores < 0) or np.any(scores > 1):
-        raise DataError("shift scores must lie in [0, 1]")
-    return offline_disc_loss(model, expert_batch, (states, actions), scores, out=out)
+    return offline_disc_loss(model, expert_batch, (states, actions),
+                             check_scores(scores), out=out)
 
 
 def reg_loss(model: DiscriminatorModel, mixed_batch, targets):
     """Mean squared deviation between the clipped output and the posterior
     target p_E/(p_E + p_S). Targets are stop-gradient constants."""
-    x, t = _reg_inputs(mixed_batch, targets)
-    hs, d, active = _stacked_forward(model, [x])
+    x = join_rows(*mixed_batch, what="regularizer batch")
+    t = check_targets(targets, x.shape[0])
+    hs, d, active = _stacked_forward(model, x)
     loss, dz = _reg_terms(t, d, active)
     return loss, _grads(model, hs, dz)
 
@@ -219,29 +262,24 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
 
     reg_weight = 0 short-circuits to offline_disc_loss exactly (the ablation
     path); otherwise reg_weight must lie in (0, 1]. One forward runs over the
-    stacked [expert; supp; mixed] rows. The two terms are backpropagated over
-    their own row slices of that cache and then summed as g + reg_weight * h:
-    folding reg_weight into one backward over all rows rounds differently.
+    stacked [expert; supp; mixed] rows (see combined_core). The offline
+    trainer runs this function's input check once over its whole data and
+    two_class_core or combined_core at every step.
     """
     if reg_weight == 0.0:
         return offline_disc_loss(model, expert_batch, supp_batch, ratios, out=out)
     if not (0.0 < reg_weight <= 1.0):
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
-    xe, xs = _class_batches(expert_batch, supp_batch)
-    w = _resolve_weights(ratios, supp_batch[0], "per-sample weight")
-    xm, t = _reg_inputs(mixed_batch, targets)
-    hs, d, active = _stacked_forward(model, [xe, xs, xm])
-    nb = xe.shape[0] + xs.shape[0]
-    base_loss, dz = _two_class_terms(xe.shape[0], w, d[:nb], active[:nb])
-    r_loss, dr = _reg_terms(t, d[nb:], active[nb:])
+    xe = join_rows(*expert_batch)
+    xs = join_rows(*supp_batch)
+    w = check_weights(ratios, xs.shape[0], "per-sample weight")
+    xm = join_rows(*mixed_batch, what="regularizer batch")
+    t = check_targets(targets, xm.shape[0])
     grad = np.empty_like(model.net.params) if out is None else out
-    backprop(model.net, [h[:nb] for h in hs], dz[:, None], grad)
-    reg = np.empty_like(grad)
-    backprop(model.net, [h[nb:] for h in hs], dr[:, None], reg)
-    reg *= reg_weight
-    grad += reg
-    check_finite(model.net, hs, grad)
-    return base_loss + reg_weight * r_loss, split_params(grad, model.net.layer_dims)
+    nb = xe.shape[0] + xs.shape[0]
+    loss = combined_core(model, np.vstack([xe, xs, xm]), xe.shape[0], nb, w, t,
+                         reg_weight, grad)
+    return loss, split_params(grad, model.net.layer_dims)
 
 
 def _pooled_inputs(states, actions, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +303,7 @@ def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
     (label 1 = expert). Used for the boundary-bias demonstration, where
     class imbalance must flow through the sampling."""
     x, y = _pooled_inputs(states, actions, labels)
-    hs, d, mask = _stacked_forward(model, [x])
+    hs, d, mask = _stacked_forward(model, x)
     dz = (-y * (1.0 - d) + (1.0 - y) * d) * mask / x.shape[0]
     return _bce(y, d), _grads(model, hs, dz)
 
@@ -303,21 +341,21 @@ def posterior_target(p_expert: float, p_supp: float) -> float:
     return p_expert / (p_expert + p_supp)
 
 
-def pointwise_optimum(p_expert: float, p_supp: float, expert_coef: float = 1.0,
-                      supp_coef: float = 1.0, reg_weight: float = 0.0,
-                      mix_density: float = 1.0, tol: float = 1e-10) -> float:
+def pointwise_optimum(p_expert: float, p_supp: float, supp_coef: float = 1.0,
+                      reg_weight: float = 0.0, mix_density: float = 1.0,
+                      tol: float = 1e-10) -> float:
     """Root in (0,1) of the stationarity condition of the pointwise objective:
 
-        -expert_coef*p_expert/d + supp_coef*p_supp/(1-d)
+        -p_expert/d + supp_coef*p_supp/(1-d)
             + 2*reg_weight*mix_density*(d - posterior_target) = 0
 
     The left side is strictly increasing in d, so bisection finds the unique
     optimum to absolute tolerance tol. With reg_weight = 0 this is the closed
-    form p_expert/(p_expert + (supp_coef/expert_coef)*p_supp); as reg_weight
-    grows it moves monotonically to the posterior target.
+    form p_expert/(p_expert + supp_coef*p_supp); as reg_weight grows it moves
+    monotonically to the posterior target.
     """
     for name, v in (("p_expert", p_expert), ("p_supp", p_supp),
-                    ("expert_coef", expert_coef), ("supp_coef", supp_coef)):
+                    ("supp_coef", supp_coef)):
         if not (v > 0 and np.isfinite(v)):
             raise ConfigError(f"{name} must be positive and finite, got {v}")
     if reg_weight < 0 or mix_density < 0:
@@ -326,7 +364,7 @@ def pointwise_optimum(p_expert: float, p_supp: float, expert_coef: float = 1.0,
     target = posterior_target(p_expert, p_supp)
 
     def f(d: float) -> float:
-        return (-expert_coef * p_expert / d + supp_coef * p_supp / (1.0 - d)
+        return (-p_expert / d + supp_coef * p_supp / (1.0 - d)
                 + 2.0 * reg_weight * mix_density * (d - target))
 
     lo, hi = 1e-15, 1.0 - 1e-15

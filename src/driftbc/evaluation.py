@@ -16,7 +16,7 @@ import numpy as np
 
 from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
-from .offline import OfflineArtifacts, OfflineConfig, run_offline
+from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
                      OnlineUpdateConfig, play_episodes, run_online)
 
@@ -420,7 +420,7 @@ def tier_ablation(base_config: OfflineConfig, mixes,
     mixes: ordered (label, supp_demos_path) pairs, narrowest coverage first;
     rows keep that order. All runs share base_config apart from the
     supplementary path, so rows differ only in data coverage. The sweep
-    arguments are checked before any training.
+    arguments and every mix's demo file are checked before any training.
     """
     mixes = [(str(label), str(path)) for label, path in mixes]
     if not mixes:
@@ -431,6 +431,8 @@ def tier_ablation(base_config: OfflineConfig, mixes,
     for label in labels:
         _check_label(label)
     _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off")
+    for _, supp_path in mixes:
+        load_demo_file(supp_path, base_config.env_id)
     rows = []
     for label, supp_path in mixes:
         artifacts = run_offline(replace(base_config, supp_demos=supp_path))

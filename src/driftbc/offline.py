@@ -23,9 +23,11 @@ from .density import (DEFAULT_ALPHA, DEFAULT_COV_FLOOR, DEFAULT_K,
                       DEFAULT_RATIO_MAX, DEFAULT_RATIO_MIN, GmmModel,
                       JointDensityModel, density_ratio, fit_gmm,
                       joint_log_density, load_gmm, save_gmm)
-from .discriminator import (DiscriminatorModel, bc_weight, combined_offline_loss,
-                            eval_bce, init_discriminator, load_discriminator,
-                            reg_weight_at, save_discriminator, sigmoid)
+from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
+                            check_weights, combined_core, eval_bce,
+                            init_discriminator, join_rows, load_discriminator,
+                            reg_weight_at, save_discriminator, sigmoid,
+                            two_class_core)
 from .errors import ConfigError, DataError, NumericError
 from .numeric import adam_step, init_adam, named_generator
 from .policy import (GaussianPolicy, PolicyTrainConfig, init_policy, load_policy,
@@ -125,7 +127,8 @@ class OfflineArtifacts:
                 JointDensityModel(self.ref_supp, self.gmm_supp))
 
 
-def _load_demo_file(path: str, env_id: str) -> DemoSet:
+def load_demo_file(path: str, env_id: str) -> DemoSet:
+    """The demo set at path, which must exist and be for env_id."""
     if not os.path.exists(path):
         raise DataError(f"missing demo file {path!r}")
     ds = load_demoset(path)
@@ -175,36 +178,48 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
                          expert_train: DemoSet, supp_train: DemoSet,
                          ratios: np.ndarray, targets_e: np.ndarray,
                          targets_s: np.ndarray, holdout: tuple, log: _MetricsLog) -> None:
-    s_e, a_e = expert_train.states, expert_train.actions
-    s_s, a_s = supp_train.states, supp_train.actions
-    n_e, n_s = s_e.shape[0], s_s.shape[0]
-    half = config.batch_size // 2
+    """Adam steps on combined_offline_loss. Its input check runs once over
+    the whole training data; each step gathers [expert; supp; mixed] rows
+    into one stacked buffer and runs the loss core on it."""
+    x_e = join_rows(expert_train.states, expert_train.actions)
+    x_s = join_rows(supp_train.states, supp_train.actions)
+    ratios = check_weights(ratios, x_s.shape[0], "per-sample weight")
+    if not config.disable_reg:
+        targets_e = check_targets(targets_e, x_e.shape[0])
+        targets_s = check_targets(targets_s, x_s.shape[0])
+    n_e, n_s = x_e.shape[0], x_s.shape[0]
+    b = config.batch_size
+    half = b // 2
     rng = named_generator(config.seed, "disc_batch")
     params = [disc.net.params]
     opt = init_adam(params, learning_rate=config.learning_rate)
     grad = np.empty_like(disc.net.params)
     eval_every = max(1, config.disc_steps // DISC_EVAL_POINTS)
+    # rows [expert; supp; mixed], the mixed rows being the leading halves of
+    # both class batches; a step without the regularizer uses the first 2b
+    rows = np.empty((2 * b + 2 * half, x_e.shape[1]))
+    rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
+    mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]
+    w = np.empty(b)
+    t = np.empty(2 * half)
 
     for step in range(1, config.disc_steps + 1):
-        idx_e = rng.integers(0, n_e, size=config.batch_size)
-        idx_s = rng.integers(0, n_s, size=config.batch_size)
-        expert_batch = (s_e[idx_e], a_e[idx_e])
-        supp_batch = (s_s[idx_s], a_s[idx_s])
+        idx_e = rng.integers(0, n_e, size=b)
+        idx_s = rng.integers(0, n_s, size=b)
+        # the drawn indices are in range, so mode="clip" changes nothing
+        x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
+        x_s.take(idx_s, axis=0, out=rows_s, mode="clip")
+        ratios.take(idx_s, out=w, mode="clip")
         lam = 0.0 if config.disable_reg else reg_weight_at(step, config.reg_cutoff)
         try:
             if lam == 0.0:
-                loss, _ = combined_offline_loss(
-                    disc, expert_batch, supp_batch, None, ratios[idx_s], None, 0.0,
-                    out=grad)
+                loss = two_class_core(disc, class_rows, b, w, grad)
             else:
-                # regularizer batch: leading halves of both class batches
-                mixed_batch = (np.concatenate([s_e[idx_e[:half]], s_s[idx_s[:half]]]),
-                               np.concatenate([a_e[idx_e[:half]], a_s[idx_s[:half]]]))
-                mixed_targets = np.concatenate([targets_e[idx_e[:half]],
-                                                targets_s[idx_s[:half]]])
-                loss, _ = combined_offline_loss(
-                    disc, expert_batch, supp_batch, mixed_batch, ratios[idx_s],
-                    mixed_targets, lam, out=grad)
+                mixed_e[...] = rows_e[:half]
+                mixed_s[...] = rows_s[:half]
+                targets_e.take(idx_e[:half], out=t[:half], mode="clip")
+                targets_s.take(idx_s[:half], out=t[half:], mode="clip")
+                loss = combined_core(disc, rows, b, 2 * b, w, t, lam, grad)
         except NumericError as exc:
             raise NumericError(
                 f"discriminator training aborted at step {step}: {exc}") from exc
@@ -220,8 +235,8 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
     log = _MetricsLog()
     spec = envs.make_spec(config.env_id)
 
-    expert_all = _load_demo_file(config.expert_demos, config.env_id)
-    supp_all = (_load_demo_file(config.supp_demos, config.env_id)
+    expert_all = load_demo_file(config.expert_demos, config.env_id)
+    supp_all = (load_demo_file(config.supp_demos, config.env_id)
                 if config.supp_demos else None)
     expert_train, expert_hold = split_holdout(expert_all, config.holdout_fraction)
     supp_train = supp_hold = None

@@ -20,8 +20,9 @@ from . import envs
 from .configio import Stopwatch
 from .demos import DemoSet
 from .density import GmmModel, membership_score
-from .discriminator import bc_weight, online_disc_loss
-from .errors import ConfigError, DataError, NumericError
+from .discriminator import (bc_weight, check_scores, check_weights, join_rows,
+                            two_class_core)
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import adam_step, init_adam, named_generator
 from .offline import OfflineArtifacts
 from .policy import run_weighted_bc, sample_action
@@ -144,14 +145,19 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     states_x, actions_x, scores_x = snapshot
     states_x = np.atleast_2d(states_x)
     actions_x = np.atleast_2d(actions_x)
-    scores_x = np.atleast_1d(scores_x)
     if states_x.shape[0] == 0:
         raise DataError("online update needs a non-empty snapshot")
     if artifacts.discriminator is None:
         raise ConfigError("online updates need the discriminator artifact")
+    # online_disc_loss's input check, run once over the whole snapshot
+    x_e = join_rows(expert_demos.states, expert_demos.actions)
+    x_x = join_rows(states_x, actions_x)
+    if x_x.shape[1] != x_e.shape[1]:
+        raise ShapeError(f"online rows are {x_x.shape[1]} wide, expert rows {x_e.shape[1]}")
+    scores_x = check_weights(check_scores(scores_x), x_x.shape[0], "per-sample weight")
 
     s_e, a_e = expert_demos.states, expert_demos.actions
-    n_e, n_x = s_e.shape[0], states_x.shape[0]
+    n_e, n_x = x_e.shape[0], x_x.shape[0]
     disc = copy.deepcopy(artifacts.discriminator)
     policy = copy.deepcopy(artifacts.policy)
     try:
@@ -159,12 +165,18 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
         params = [disc.net.params]
         opt = init_adam(params, learning_rate=UPDATE_LEARNING_RATE)
         grad = np.empty_like(disc.net.params)
+        # each step gathers [expert; online] rows into one stacked buffer;
+        # the drawn indices are in range, so mode="clip" changes nothing
+        rows = np.empty((2 * UPDATE_BATCH_SIZE, x_e.shape[1]))
+        rows_e, rows_x = rows[:UPDATE_BATCH_SIZE], rows[UPDATE_BATCH_SIZE:]
+        w = np.empty(UPDATE_BATCH_SIZE)
         for step in range(1, config.disc_steps + 1):
             idx_e = rng.integers(0, n_e, size=UPDATE_BATCH_SIZE)
             idx_x = rng.integers(0, n_x, size=UPDATE_BATCH_SIZE)
-            loss, _ = online_disc_loss(
-                disc, (s_e[idx_e], a_e[idx_e]),
-                (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]), out=grad)
+            x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
+            x_x.take(idx_x, axis=0, out=rows_x, mode="clip")
+            scores_x.take(idx_x, out=w, mode="clip")
+            loss = two_class_core(disc, rows, UPDATE_BATCH_SIZE, w, grad)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite online disc loss at step {step}")
             adam_step(params, [grad], opt)

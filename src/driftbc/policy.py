@@ -118,16 +118,12 @@ def action_mean(policy: GaussianPolicy, s) -> np.ndarray:
     return forward(policy.mean_net, s)
 
 
-def sample_action(policy: GaussianPolicy, s, rng: np.random.Generator | None = None,
-                  deterministic: bool = False) -> np.ndarray:
-    """Draw a ~ N(mu(s), diag sigma^2), clamped to bounds. Deterministic mode
-    returns the clamped mean."""
+def sample_action(policy: GaussianPolicy, s, rng: np.random.Generator) -> np.ndarray:
+    """Draw a ~ N(mu(s), diag sigma^2), clamped to bounds."""
     mu = forward(policy.mean_net, s)
-    if not deterministic:
-        if rng is None:
-            raise ConfigError("stochastic sampling needs an rng")
-        mu = mu + rng.standard_normal(policy.action_dim) * np.exp(policy.log_std)
-    return np.clip(mu, policy.action_low, policy.action_high)
+    mu = mu + rng.standard_normal(policy.action_dim) * np.exp(policy.log_std)
+    # np.clip's bits at a third of its call cost, on every control step
+    return np.minimum(np.maximum(mu, policy.action_low), policy.action_high)
 
 
 def log_prob(policy: GaussianPolicy, s, a):
@@ -142,13 +138,10 @@ def policy_params(policy: GaussianPolicy) -> list[np.ndarray]:
     return mlp_params(policy.mean_net) + [policy.log_std]
 
 
-def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None):
-    """Mean over the batch of -weight * log_prob(s, a), with exact gradients.
-
-    Returns (loss, grads) where grads aligns with policy_params(policy). The
-    grads are views into one flat vector in the policy.params layout: out
-    when given (it is overwritten), else a new one.
-    """
+def check_bc_inputs(states, actions, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input check of weighted_bc_loss: states (B, ds), actions (B, da)
+    and weights (B,) as float arrays, B >= 1, every weight finite and
+    non-negative."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -163,7 +156,15 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None)
         raise DataError("non-finite BC weight in batch")
     if np.any(weights < 0):
         raise DataError("negative BC weight in batch")
+    return states, actions, weights
 
+
+def weighted_bc_core(policy: GaussianPolicy, states: np.ndarray, actions: np.ndarray,
+                     weights: np.ndarray, grad: np.ndarray) -> float:
+    """The math of weighted_bc_loss over checked inputs: writes the gradient
+    into grad (flat, policy.params layout) and returns the loss. A non-finite
+    mean-net output or gradient raises NumericError; the log_std part is left
+    to the callers' loss check, which names the step."""
     hs = forward_cache(policy.mean_net, states)
     mu = hs[-1]
     inv_var = np.exp(-2.0 * policy.log_std)
@@ -171,14 +172,28 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None)
     nll = 0.5 * np.sum(np.log(2.0 * np.pi) + 2.0 * policy.log_std + diff * diff * inv_var, axis=1)
     loss = float(np.mean(weights * nll))
 
-    scaled = (weights / n)[:, None]
+    scaled = (weights / states.shape[0])[:, None]
     upstream_mu = scaled * diff * inv_var
-    grad = np.empty_like(policy.params) if out is None else out
     n_net = policy.mean_net.params.size
     backprop(policy.mean_net, hs, upstream_mu, grad[:n_net])
     grad[n_net:] = np.sum(scaled * (1.0 - diff * diff * inv_var), axis=0)
-    # the log_std part is left to the callers' loss check, which names the step
     check_finite(policy.mean_net, hs, grad[:n_net])
+    return loss
+
+
+def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None):
+    """Mean over the batch of -weight * log_prob(s, a), with exact gradients.
+
+    Returns (loss, grads) where grads aligns with policy_params(policy). The
+    grads are views into one flat vector in the policy.params layout: out
+    when given (it is overwritten), else a new one. run_weighted_bc runs this
+    function's input check once over its whole data and weighted_bc_core at
+    every step.
+    """
+    states, actions, weights = check_bc_inputs(states, actions, weights)
+    grad = np.empty_like(policy.params) if out is None else out
+    loss = weighted_bc_core(policy, states, actions, weights, grad)
+    n_net = policy.mean_net.params.size
     return loss, split_params(grad, policy.mean_net.layer_dims) + [grad[n_net:]]
 
 
@@ -190,20 +205,26 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
     Shared by plain BC, reference-policy training, and the weighted main run, so
     the unweighted paths are the weighted path with weights fixed at 1.
     on_step(step, loss), if given, runs after each optimizer step with the
-    batch loss taken before it.
+    batch loss taken before it. The whole data set is checked once, before
+    the first step; each step gathers its rows into preallocated buffers.
     """
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    n = states.shape[0]
-    if n == 0:
+    if np.shape(states)[0] == 0:
         raise ConfigError("cannot train on an empty dataset")
+    states, actions, weights = check_bc_inputs(states, actions, weights)
+    n = states.shape[0]
     params = [policy.params]
     opt = init_adam(params, learning_rate=learning_rate)
     grad = np.empty_like(policy.params)
+    s_batch = np.empty((batch_size, states.shape[1]))
+    a_batch = np.empty((batch_size, actions.shape[1]))
+    w_batch = np.empty(batch_size)
     for step in range(1, steps + 1):
         idx = rng.integers(0, n, size=batch_size)
-        loss, _ = weighted_bc_loss(policy, states[idx], actions[idx], weights[idx], out=grad)
+        # idx is in range, so mode="clip" changes nothing
+        states.take(idx, axis=0, out=s_batch, mode="clip")
+        actions.take(idx, axis=0, out=a_batch, mode="clip")
+        weights.take(idx, out=w_batch, mode="clip")
+        loss = weighted_bc_core(policy, s_batch, a_batch, w_batch, grad)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite BC loss at step {step}")
         adam_step(params, [grad], opt)

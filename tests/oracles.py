@@ -100,3 +100,26 @@ def ema_deviation_oracle(returns, coef):
             ema = coef * r + (1 - coef) * ema
         devs.append(abs(r - ema))
     return float(np.mean(devs))
+
+
+def gmm_log_density_oracle(weights, means, variances, s):
+    """log sum_k w_k N(s; mu_k, diag var_k) for one state, one component at a
+    time, shifted by the largest term. Each sum is np.sum over a 1-D array,
+    which adds in the same order as numpy's sum along a row, so the result
+    can be compared with the package bit for bit."""
+    s = np.asarray(s, dtype=np.float64)
+    terms = []
+    for w, mu, var in zip(weights, means, variances):
+        diff = s - mu
+        quad = np.sum(diff * diff / var)
+        norm = np.sum(np.log(2.0 * np.pi * var))
+        terms.append(-0.5 * (norm + quad) + np.log(w))
+    terms = np.array(terms)
+    top = np.max(terms)
+    return top + np.log(np.sum(np.exp(terms - top)))
+
+
+def membership_oracle(weights, means, variances, log_quantile, s):
+    """min(1, density / exp(log_quantile)) in log space."""
+    return min(1.0, np.exp(gmm_log_density_oracle(weights, means, variances, s)
+                           - log_quantile))

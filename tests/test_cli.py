@@ -116,8 +116,26 @@ class TestGenRefs:
                      "--out", str(tmp_path), "--force"]) == EXIT_USAGE
         assert "is a directory" in capsys.readouterr().err
 
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "refs.txt").write_text("x")
+        assert main(["gen-refs", "--env", ENV, "--episodes", "2",
+                     "--out", str(tmp_path / "refs.txt" / "x.txt")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "is not a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.txt"]
+        assert (tmp_path / "refs.txt").read_text() == "x"
+
 
 class TestTrainOffline:
+    def test_out_dir_under_a_file_exits_2(self, ws, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("x")
+        assert main(["train-offline", "--config", str(ws["config"]), "--out",
+                     str(tmp_path / "blocker" / "sub" / "art")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "is not a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert (tmp_path / "blocker").read_text() == "x"
+
     def test_artifacts_and_manifest(self, ws):
         manifest = read_manifest(ws["art"] / "manifest.txt")
         assert manifest.subcommand == "train-offline"

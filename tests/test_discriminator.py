@@ -335,29 +335,27 @@ class TestPointwiseOptimum:
         for _ in range(100):
             pe, ps = rng.uniform(0.05, 10, 2)
             beta = rng.uniform(0.1, 50)
-            d = disc.pointwise_optimum(pe, ps, expert_coef=1.0, supp_coef=beta,
-                                       reg_weight=0.0)
+            d = disc.pointwise_optimum(pe, ps, supp_coef=beta, reg_weight=0.0)
             assert abs(d - pe / (pe + beta * ps)) < 1e-9
 
     def test_nine_to_one_imbalance(self):
-        d = disc.pointwise_optimum(1.0, 1.0, expert_coef=1.0, supp_coef=9.0,
-                                   reg_weight=0.0)
+        d = disc.pointwise_optimum(1.0, 1.0, supp_coef=9.0, reg_weight=0.0)
         assert d == pytest.approx(0.1, abs=1e-9)
 
     def test_large_reg_weight_reaches_posterior(self):
         for pe, ps, beta in [(1.0, 1.0, 9.0), (0.3, 2.0, 100.0), (5.0, 0.2, 2.0)]:
-            d = disc.pointwise_optimum(pe, ps, expert_coef=1.0, supp_coef=beta,
-                                       reg_weight=1e8, mix_density=1.0)
+            d = disc.pointwise_optimum(pe, ps, supp_coef=beta, reg_weight=1e8,
+                                       mix_density=1.0)
             assert abs(d - pe / (pe + ps)) < 1e-4
 
     def test_interpolation_strictly_between(self):
-        d = disc.pointwise_optimum(1.0, 1.0, expert_coef=1.0, supp_coef=9.0,
-                                   reg_weight=1.0, mix_density=1.0)
+        d = disc.pointwise_optimum(1.0, 1.0, supp_coef=9.0, reg_weight=1.0,
+                                   mix_density=1.0)
         assert 0.1 < d < 0.5
 
     def test_monotone_in_reg_weight(self):
         for beta in (2.0, 9.0, 100.0):
-            vals = [disc.pointwise_optimum(1.0, 1.0, 1.0, beta, lam, 1.0)
+            vals = [disc.pointwise_optimum(1.0, 1.0, beta, lam, 1.0)
                     for lam in (0.0, 1.0, 10.0, 100.0, 1e4)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             biased = 1.0 / (1.0 + beta)
@@ -377,7 +375,7 @@ class TestPointwiseOptimum:
     @settings(max_examples=30, deadline=None)
     @given(pe=st.floats(0.01, 10), ps=st.floats(0.01, 10), beta=st.floats(0.05, 50))
     def test_closed_form_property(self, pe, ps, beta):
-        d = disc.pointwise_optimum(pe, ps, 1.0, beta, 0.0)
+        d = disc.pointwise_optimum(pe, ps, beta, 0.0)
         assert abs(d - pe / (pe + beta * ps)) < 1e-9
 
 

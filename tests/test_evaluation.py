@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from driftbc import envs, evaluation
 from driftbc.demos import (generate_tier, measure_reference_returns,
-                           mix_supplementary, save_demoset)
+                           mix_supplementary, save_demoset,
+                           save_reference_returns)
 from driftbc.density import CovarianceFloorWarning
-from driftbc.errors import ConfigError
+from driftbc.errors import ConfigError, DataError
 from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
                                 EMA_COEFFICIENT, KTH_CANDIDATES,
                                 SCORE_EPISODES, ScoreNormalizer,
@@ -508,6 +509,30 @@ class TestTierAblation:
         args = {**dict(sigmas=(0.0, 0.1), runs=2, episodes=2, jobs=1), **sweep}
         with pytest.raises(ConfigError, match=match):
             tier_ablation(base, [("me", paths["medium"])], normalizer, **args)
+
+    @pytest.mark.parametrize("case, match", [
+        ("missing", "missing demo file"), ("wrong_kind", "expected a 'demoset'"),
+        ("wrong_env", "pendulum1"),
+    ])
+    def test_every_mix_file_is_checked_before_training(
+            self, demo_paths, normalizer, monkeypatch, tmp_path, case, match):
+        def no_training(config):
+            raise AssertionError("run_offline called before every mix was checked")
+
+        bad = tmp_path / f"{case}.demos"
+        if case == "wrong_kind":
+            save_reference_returns(bad, measure_reference_returns(
+                envs.make_spec(ENV), episodes=2, seed=0))
+        elif case == "wrong_env":
+            save_demoset(bad, generate_tier(envs.make_spec("pendulum1"), "expert",
+                                            2, seed=5))
+        monkeypatch.setattr(evaluation, "run_offline", no_training)
+        paths, _ = demo_paths
+        base = OfflineConfig(env_id=ENV, expert_demos=paths["expert"],
+                             supp_demos=paths["medium"])
+        with pytest.raises(DataError, match=match):
+            tier_ablation(base, [("me", paths["medium"]), ("bad", str(bad))],
+                          normalizer, sigmas=(0.0,), runs=2, episodes=2)
 
     def test_validation(self, demo_paths, normalizer):
         paths, _ = demo_paths

@@ -1,14 +1,16 @@
 """Online adapter: shift scoring, patience gating, buffer, updates, run loop."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from driftbc import configio, demos, envs, offline, online
-from driftbc.density import GmmModel, fit_gmm, membership_score
-from driftbc.errors import ConfigError, DataError
+from driftbc.density import GmmModel, fit_gmm, load_gmm, membership_score, save_gmm
+from driftbc.errors import ConfigError, DataError, ShapeError
 from driftbc.numeric import named_generator
+from oracles import membership_oracle
 
 
 def single_gaussian(score_at_origin: float) -> GmmModel:
@@ -90,6 +92,59 @@ class TestKappa:
         k_hi = online.kappa(base + rng.standard_normal(base.shape) * 0.2,
                             art.gmm_expert, art.gmm_supp)
         assert k_hi.mean() <= k_lo.mean()
+
+
+class TestKappaOracle:
+    """kappa against a straight-line mixture density, bit for bit, on a
+    model shaped like the online runs' (8 components over 4-D states)."""
+
+    # sha256 of save_gmm's output for the fitted model below; the cached
+    # log constants must not reach the file
+    SAVED_DIGEST = "957134b7f5b69e0e64d510a72a09967d34c62ca49d61aaa55802c7ed89bcd431"
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(40)
+        states = np.vstack([rng.standard_normal((150, 4)) * 0.4 + c
+                            for c in rng.uniform(-1, 1, (4, 4))])
+        ge = fit_gmm(states, n_components=8, seed=41, provenance="e")
+        gs = fit_gmm(states[::2] * 1.3, n_components=8, seed=42, provenance="s")
+        return ge, gs
+
+    @staticmethod
+    def oracle(s, ge, gs):
+        scores = [membership_oracle(g.mixture_weights, g.means, g.variances,
+                                    g.calibration_log_quantile, s) for g in (ge, gs)]
+        return 0.5 * (scores[0] + scores[1])
+
+    def check_states(self, ge, gs):
+        rng = np.random.default_rng(43)
+        states = rng.standard_normal((1200, 4)) * 1.5
+        for s in states:
+            assert online.kappa(s, ge, gs) == self.oracle(s, ge, gs), s
+
+    def test_fitted_model_matches_oracle(self, models):
+        self.check_states(*models)
+
+    def test_round_tripped_model_matches_oracle(self, models, tmp_path):
+        loaded = []
+        for name, g in zip(("e", "s"), models):
+            save_gmm(tmp_path / name, g)
+            loaded.append(load_gmm(tmp_path / name)[0])
+        self.check_states(*loaded)
+
+    def test_saved_bytes_unchanged(self, models, tmp_path):
+        save_gmm(tmp_path / "g", models[0])
+        raw = (tmp_path / "g").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.SAVED_DIGEST
+        save_gmm(tmp_path / "again", load_gmm(tmp_path / "g")[0])
+        assert (tmp_path / "again").read_bytes() == raw
+
+    def test_wrong_dimension_raises_shape_error(self, models):
+        with pytest.raises(ShapeError, match="state dim 3 != model dim 4"):
+            online.kappa(np.zeros(3), *models)
+        with pytest.raises(ShapeError):
+            online.kappa(np.zeros((5, 2)), *models)
 
 
 # ---------------------------------------------------------------- detector

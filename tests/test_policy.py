@@ -19,12 +19,18 @@ def make_policy(seed=0, state_dim=3, action_dim=2, hidden=(8,), init_log_std=0.0
 
 
 class TestSampling:
-    def test_deterministic_mode_returns_clamped_mean(self):
+    def test_sample_is_clamped_mean_plus_scaled_noise(self):
         pol = make_policy(seed=1)
+        pol.log_std[:] = [0.5, -1.0]
         s = np.array([0.2, -0.4, 1.0])
         mu = policy.action_mean(pol, s)
-        a = policy.sample_action(pol, s, deterministic=True)
-        np.testing.assert_array_equal(a, np.clip(mu, -1, 1))
+        clamped = 0
+        for seed in range(20):
+            a = policy.sample_action(pol, s, np.random.default_rng(seed))
+            noise = np.random.default_rng(seed).standard_normal(2) * np.exp(pol.log_std)
+            np.testing.assert_array_equal(a, np.clip(mu + noise, -1, 1))
+            clamped += bool(np.any(np.abs(mu + noise) > 1))
+        assert clamped > 0
 
     def test_tight_log_std_concentrates_samples(self):
         pol = make_policy(seed=2)
