@@ -73,16 +73,18 @@ def _log_constants(weights, variances) -> tuple[np.ndarray, np.ndarray]:
 
 def _weighted_log_densities(log_weights, log_norm, model_means, model_vars,
                             states) -> np.ndarray:
-    """(N, K) matrix of log(weight_k) plus each component's diagonal-Gaussian
-    log density, from the _log_constants of the mixture."""
-    diff = states[:, None, :] - model_means[None, :, :]       # (N, K, d)
-    quad = (diff * diff / model_vars[None, :, :]).sum(axis=2)
-    return -0.5 * (log_norm[None, :] + quad) + log_weights[None, :]
+    """log(weight_k) plus each component's diagonal-Gaussian log density,
+    from the _log_constants of the mixture: (K,) for one state (d,), (N, K)
+    for states (N, d)."""
+    diff = states[..., None, :] - model_means                  # (..., K, d)
+    quad = (diff * diff / model_vars).sum(axis=-1)
+    return -0.5 * (log_norm + quad) + log_weights
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, shifted by its largest entry."""
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
 
 
 def _farthest_point_seeds(states: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +134,7 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     for _ in range(EM_MAX_ITERS):
         joint = _weighted_log_densities(*_log_constants(weights, variances),
                                         means, variances, states)  # (N,K)
-        total = _logsumexp(joint, axis=1)                              # (N,)
+        total = _logsumexp(joint)                                      # (N,)
         ll = float(np.mean(total))
         ll_history.append(ll)
         resp = np.exp(joint - total[:, None])                          # (N,K)
@@ -168,15 +170,13 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
 
 
 def gmm_log_density(model: GmmModel, s):
-    """Log mixture density via log-sum-exp; accepts (d,) or (N, d)."""
+    """Log mixture density via log-sum-exp; a float for one state (d,), an
+    (N,) array for states (N, d)."""
     s = np.asarray(s, dtype=np.float64)
-    single = s.ndim == 1
-    sb = s[None, :] if single else s
-    if sb.ndim != 2 or sb.shape[1] != model.dim:
-        raise ShapeError(f"state dim {sb.shape[-1]} != model dim {model.dim}")
-    out = _logsumexp(_weighted_log_densities(model.log_weights, model.log_norm,
-                                             model.means, model.variances, sb), axis=1)
-    return float(out[0]) if single else out
+    if s.ndim not in (1, 2) or s.shape[-1] != model.dim:
+        raise ShapeError(f"state dim {s.shape[-1] if s.ndim else 0} != model dim {model.dim}")
+    return _logsumexp(_weighted_log_densities(model.log_weights, model.log_norm,
+                                              model.means, model.variances, s))
 
 
 def membership_score(model: GmmModel, s):

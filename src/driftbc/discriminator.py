@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
+    MlpWorkspace,
     RecordReader,
     backprop,
     check_finite,
@@ -23,7 +24,6 @@ from .numeric import (
     mlp_params,
     net_fields,
     pack_floats,
-    split_params,
     write_record_file,
 )
 
@@ -51,7 +51,9 @@ def init_discriminator(state_dim: int, action_dim: int, hidden_dims=(64, 64),
     return DiscriminatorModel(net=net)
 
 
-def _concat_sa(states, actions) -> tuple[np.ndarray, bool]:
+def _concat_sa(states, actions, out=None) -> tuple[np.ndarray, bool]:
+    """The rows [s, a] and whether s, a were one pair; a batch is written
+    into the leading rows of out when given."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     single = states.ndim == 1
@@ -63,7 +65,11 @@ def _concat_sa(states, actions) -> tuple[np.ndarray, bool]:
         raise ShapeError(
             f"batch mismatch: {states.shape[0]} states vs {actions.shape[0]} actions"
         )
-    return np.concatenate([states, actions], axis=1), False
+    if out is not None:
+        if states.shape[0] > out.shape[0]:
+            raise ShapeError(f"{states.shape[0]} rows do not fit a workspace of {out.shape[0]}")
+        out = out[:states.shape[0]]
+    return np.concatenate([states, actions], axis=1, out=out), False
 
 
 def join_rows(states, actions, what: str = "loss batch") -> np.ndarray:
@@ -78,13 +84,11 @@ def join_rows(states, actions, what: str = "loss batch") -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so neither branch overflows."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, 1/(1 + e) for z >= 0 and e/(1 + e) below, with
+    e = exp(-|z|), so neither branch overflows."""
+    e = np.exp(-np.abs(z))
+    one_plus = 1.0 + e
+    return np.where(z >= 0, 1.0 / one_plus, e / one_plus)
 
 
 def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
@@ -96,38 +100,41 @@ def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
     return d, active
 
 
-def _forward_clipped(model: DiscriminatorModel, x: np.ndarray):
-    return _clip_logits(model, forward(model.net, x)[:, 0])
+def _forward_clipped(model: DiscriminatorModel, x: np.ndarray,
+                     workspace: MlpWorkspace | None = None):
+    return _clip_logits(model, forward(model.net, x, workspace)[:, 0])
 
 
-def _stacked_forward(model: DiscriminatorModel, x: np.ndarray):
+def _stacked_forward(model: DiscriminatorModel, x: np.ndarray,
+                     workspace: MlpWorkspace):
     """One forward over the stacked rows x; returns the layer cache with the
     clipped outputs and active mask of every row."""
-    hs = forward_cache(model.net, x)
+    hs = forward_cache(model.net, x, workspace)
     d, active = _clip_logits(model, hs[-1][:, 0])
     return hs, d, active
 
 
-def _grads(model: DiscriminatorModel, hs, dz: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients for logit gradients dz over every row of the cache,
-    as views into a new flat vector aligned to mlp_params."""
-    grad = np.empty_like(model.net.params)
-    backprop(model.net, hs, dz[:, None], grad)
-    check_finite(model.net, hs, grad)
-    return split_params(grad, model.net.layer_dims)
+def _backprop_logits(model: DiscriminatorModel, hs, dz: np.ndarray,
+                     workspace: MlpWorkspace) -> None:
+    """Parameter gradients for logit gradients dz over every row of the
+    cache, into workspace.grad; a non-finite one raises NumericError."""
+    backprop(model.net, hs, dz[:, None], workspace)
+    check_finite(model.net, hs, workspace.grad)
 
 
-def disc_forward(model: DiscriminatorModel, s, a):
+def disc_forward(model: DiscriminatorModel, s, a, workspace: MlpWorkspace | None = None):
     """Clipped discriminator output in [clip_lo, clip_hi]; scalar for single
-    inputs, (N,) for batches."""
-    x, single = _concat_sa(s, a)
-    d, _ = _forward_clipped(model, x)
+    inputs, (N,) for batches. A workspace takes the joined rows and the
+    layer outputs of a batch in place of new arrays."""
+    x, single = _concat_sa(s, a, None if workspace is None else workspace.inputs)
+    d, _ = _forward_clipped(model, x, workspace)
     return float(d[0]) if single else d
 
 
-def bc_weight(model: DiscriminatorModel, s, a):
-    """Odds d/(1-d) of the clipped output; bounded in [lo/(1-lo), hi/(1-hi)]."""
-    d = disc_forward(model, s, a)
+def bc_weight(model: DiscriminatorModel, s, a, workspace: MlpWorkspace | None = None):
+    """Odds d/(1-d) of the clipped output; bounded in [lo/(1-lo), hi/(1-hi)].
+    workspace is passed to disc_forward."""
+    d = disc_forward(model, s, a, workspace)
     return d / (1.0 - d)
 
 
@@ -164,7 +171,8 @@ def _two_class_terms(ne: int, w: np.ndarray, d: np.ndarray, active: np.ndarray):
     mean_E[-log d] + mean_other[-w * log(1-d)], and its logit gradient,
     which flows through d only."""
     de, do = d[:ne], d[ne:]
-    loss = float(np.mean(-np.log(de)) + np.mean(-w * np.log(1.0 - do)))
+    # sum / count is np.mean's arithmetic without its call overhead
+    loss = float((-np.log(de)).sum() / ne + (-w * np.log(1.0 - do)).sum() / do.shape[0])
     dz_e = -(1.0 - de) * active[:ne] / ne
     dz_o = w * do * active[ne:] / do.shape[0]
     return loss, np.concatenate([dz_e, dz_o])
@@ -179,35 +187,35 @@ def _reg_terms(t: np.ndarray, d: np.ndarray, active: np.ndarray):
 
 
 def two_class_core(model: DiscriminatorModel, x: np.ndarray, ne: int,
-                   w: np.ndarray, grad: np.ndarray) -> float:
+                   w: np.ndarray, workspace: MlpWorkspace) -> float:
     """The math of offline_disc_loss, without its input checks: x stacks the
     joined expert rows over the other rows, which carry the checked weights
-    w. Writes the parameter gradient into grad (flat, params layout) and
-    returns the loss; a non-finite output or gradient raises NumericError."""
-    hs, d, active = _stacked_forward(model, x)
+    w. Writes the parameter gradient into workspace.grad (flat, params
+    layout) and returns the loss; a non-finite output or gradient raises
+    NumericError."""
+    hs, d, active = _stacked_forward(model, x, workspace)
     loss, dz = _two_class_terms(ne, w, d, active)
-    backprop(model.net, hs, dz[:, None], grad)
-    check_finite(model.net, hs, grad)
+    _backprop_logits(model, hs, dz, workspace)
     return loss
 
 
 def combined_core(model: DiscriminatorModel, x: np.ndarray, ne: int, nb: int,
                   w: np.ndarray, t: np.ndarray, reg_weight: float,
-                  grad: np.ndarray) -> float:
+                  workspace: MlpWorkspace, scratch: np.ndarray) -> float:
     """The math of combined_offline_loss for reg_weight > 0, without its input
     checks: x stacks [expert; supp; mixed] rows, the first nb of them the two
     class batches. The two terms are backpropagated over their own row slices
     of one forward cache and summed as g + reg_weight * h: folding reg_weight
-    into one backward over all rows rounds differently."""
-    hs, d, active = _stacked_forward(model, x)
+    into one backward over all rows rounds differently. The gradient goes
+    into workspace.grad; scratch, a vector like it, holds reg_weight * h."""
+    hs, d, active = _stacked_forward(model, x, workspace)
     base_loss, dz = _two_class_terms(ne, w, d[:nb], active[:nb])
     r_loss, dr = _reg_terms(t, d[nb:], active[nb:])
-    backprop(model.net, [h[:nb] for h in hs], dz[:, None], grad)
-    reg = np.empty_like(grad)
-    backprop(model.net, [h[nb:] for h in hs], dr[:, None], reg)
-    reg *= reg_weight
-    grad += reg
-    check_finite(model.net, hs, grad)
+    backprop(model.net, [h[nb:] for h in hs], dr[:, None], workspace)
+    np.multiply(workspace.grad, reg_weight, out=scratch)
+    backprop(model.net, [h[:nb] for h in hs], dz[:, None], workspace)
+    workspace.grad += scratch
+    check_finite(model.net, hs, workspace.grad)
     return base_loss + reg_weight * r_loss
 
 
@@ -226,9 +234,9 @@ def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio
     xe = join_rows(*expert_batch)
     xs = join_rows(*supp_batch)
     w = check_weights(ratios, xs.shape[0], "per-sample weight")
-    grad = np.empty_like(model.net.params) if out is None else out
-    loss = two_class_core(model, np.vstack([xe, xs]), xe.shape[0], w, grad)
-    return loss, split_params(grad, model.net.layer_dims)
+    ws = MlpWorkspace(model.net.layer_dims, xe.shape[0] + xs.shape[0], out)
+    loss = two_class_core(model, np.vstack([xe, xs]), xe.shape[0], w, ws)
+    return loss, ws.grad_views
 
 
 def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=None):
@@ -250,9 +258,11 @@ def reg_loss(model: DiscriminatorModel, mixed_batch, targets):
     target p_E/(p_E + p_S). Targets are stop-gradient constants."""
     x = join_rows(*mixed_batch, what="regularizer batch")
     t = check_targets(targets, x.shape[0])
-    hs, d, active = _stacked_forward(model, x)
+    ws = MlpWorkspace(model.net.layer_dims, x.shape[0])
+    hs, d, active = _stacked_forward(model, x, ws)
     loss, dz = _reg_terms(t, d, active)
-    return loss, _grads(model, hs, dz)
+    _backprop_logits(model, hs, dz, ws)
+    return loss, ws.grad_views
 
 
 def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
@@ -275,11 +285,11 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
     w = check_weights(ratios, xs.shape[0], "per-sample weight")
     xm = join_rows(*mixed_batch, what="regularizer batch")
     t = check_targets(targets, xm.shape[0])
-    grad = np.empty_like(model.net.params) if out is None else out
     nb = xe.shape[0] + xs.shape[0]
+    ws = MlpWorkspace(model.net.layer_dims, nb + xm.shape[0], out)
     loss = combined_core(model, np.vstack([xe, xs, xm]), xe.shape[0], nb, w, t,
-                         reg_weight, grad)
-    return loss, split_params(grad, model.net.layer_dims)
+                         reg_weight, ws, np.empty_like(ws.grad))
+    return loss, ws.grad_views
 
 
 def _pooled_inputs(states, actions, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -303,9 +313,11 @@ def pooled_bce_loss(model: DiscriminatorModel, states, actions, labels):
     (label 1 = expert). Used for the boundary-bias demonstration, where
     class imbalance must flow through the sampling."""
     x, y = _pooled_inputs(states, actions, labels)
-    hs, d, mask = _stacked_forward(model, x)
+    ws = MlpWorkspace(model.net.layer_dims, x.shape[0])
+    hs, d, mask = _stacked_forward(model, x, ws)
     dz = (-y * (1.0 - d) + (1.0 - y) * d) * mask / x.shape[0]
-    return _bce(y, d), _grads(model, hs, dz)
+    _backprop_logits(model, hs, dz, ws)
+    return _bce(y, d), ws.grad_views
 
 
 def eval_bce(model: DiscriminatorModel, states, actions, labels) -> float:

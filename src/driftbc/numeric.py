@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import zlib
 from dataclasses import dataclass, field
 
@@ -114,25 +115,36 @@ def init_mlp(layer_dims, activation: str, rng: np.random.Generator) -> MlpNetwor
     return MlpNetwork(layer_dims=dims, weights=weights, biases=biases, activation=activation)
 
 
-def _apply_act(z: np.ndarray, kind: str) -> np.ndarray:
+def _check_activation(kind: str) -> None:
+    if kind not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
+
+
+def _apply_act(z: np.ndarray, kind: str) -> None:
+    """The hidden activation, in place on z."""
     if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "identity":
-        return z
-    raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
+        np.tanh(z, out=z)
+    elif kind == "relu":
+        np.maximum(z, 0.0, out=z)
+    else:
+        _check_activation(kind)
 
 
-def _act_deriv_from_output(h: np.ndarray, kind: str) -> np.ndarray:
+def _act_deriv_from_output(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation's derivative from its output, written into out (a new
+    array when None) and returned."""
     # tanh' = 1 - tanh^2; relu' from the output sign (h = max(z,0) so h>0 iff z>0)
+    _check_activation(kind)
+    if out is None:
+        out = np.empty_like(h)
     if kind == "tanh":
-        return 1.0 - h * h
-    if kind == "relu":
-        return (h > 0.0).astype(np.float64)
-    if kind == "identity":
-        return np.ones_like(h)
-    raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
+        np.multiply(h, h, out=out)
+        np.subtract(1.0, out, out=out)
+    elif kind == "relu":
+        np.greater(h, 0.0, out=out)
+    else:
+        out.fill(1.0)
+    return out
 
 
 def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -148,52 +160,139 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
 
 
-def _forward_cache(net: MlpNetwork, x: np.ndarray) -> list[np.ndarray]:
-    """Post-activation value of every layer, starting with the input itself."""
+def mapped_empty(count: int) -> np.ndarray:
+    """An uninitialised float64 vector of count entries in its own anonymous
+    memory map: its pages cost nothing until written, and it is unmapped,
+    whatever malloc's thresholds, when the last view of it is freed."""
+    return np.frombuffer(mmap.mmap(-1, max(count, 1) * 8), dtype=np.float64, count=count)
+
+
+class MlpWorkspace:
+    """Preallocated buffers for one net's forward and backprop over at most
+    rows rows: an input block the trainers gather their batches into, every
+    layer's output, the delta entering every layer, every hidden layer's
+    activation derivative, and a flat gradient in the params layout with its
+    [W0, b0, W1, b1, ...] views.
+
+    A forward or backprop over n rows uses the leading n rows of each
+    buffer. The next call overwrites every buffer, and the layer outputs a
+    forward returns alias them, so a caller copies what it keeps. grad, new
+    when None, may run past the net's parameters: the policy keeps its
+    log_std gradient after the mean net's.
+
+    The row buffers share one block. With mapped set it is an anonymous
+    memory map (see mapped_empty), for a workspace that serves a whole run:
+    as a malloc heap block freed at the run's end, its written pages stayed
+    resident, and one process's resident set grew by about 1 MB per
+    run-online call. A short-lived workspace takes the heap, which hands
+    the same pages back call after call without faulting them in again.
+    """
+
+    def __init__(self, layer_dims, rows: int, grad: np.ndarray | None = None,
+                 mapped: bool = False):
+        dims = tuple(int(d) for d in layer_dims)
+        self.rows = int(rows)
+        widths = (dims[0], *dims[1:], *dims[:-1], *dims[1:-1])
+        size = self.rows * sum(widths)
+        block = mapped_empty(size) if mapped else np.empty(size)
+        buffers = []
+        for width in widths:
+            buffers.append(block[:self.rows * width].reshape(self.rows, width))
+            block = block[self.rows * width:]
+        layers = len(dims) - 1
+        self.inputs = buffers[0]
+        self.outputs = buffers[1:1 + layers]
+        self.deltas = buffers[1 + layers:1 + 2 * layers]
+        self.derivs = buffers[1 + 2 * layers:]
+        self.grad = np.empty(param_count(dims)) if grad is None else grad
+        self.grad_views = split_params(self.grad, dims)
+
+    def check_rows(self, n: int) -> None:
+        if n > self.rows:
+            raise ShapeError(f"{n} rows do not fit a workspace of {self.rows}")
+
+
+def _forward_into(net: MlpNetwork, x: np.ndarray, outputs) -> list[np.ndarray]:
+    """Post-activation value of every layer, starting with the input itself;
+    layer i is written into the leading rows of outputs[i], or into a new
+    array when outputs is None (at batch 1 that is the cheaper of the two)."""
+    n = x.shape[0]
     hs = [x]
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        h = z if i == last else _apply_act(z, net.activation)
-        hs.append(h)
+        if outputs is None:
+            z = h @ w.T
+        else:
+            z = outputs[i][:n]
+            np.matmul(h, w.T, out=z)
+        z += b
+        if i != last:
+            _apply_act(z, net.activation)
+        hs.append(z)
+        h = z
     return hs
 
 
-def forward(net: MlpNetwork, x) -> np.ndarray:
-    """Evaluate the net on one input (in_dim,) or a batch (B, in_dim)."""
+def forward(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> np.ndarray:
+    """Evaluate the net on one input (in_dim,) or a batch (B, in_dim).
+
+    With a workspace, the layers are written into its buffers and the output
+    aliases them (see MlpWorkspace); without one, the output is a new array.
+    """
     xb, squeeze = _as_batch(x, net.in_dim, "input")
-    out = _forward_cache(net, xb)[-1]
+    if workspace is not None:
+        workspace.check_rows(xb.shape[0])
+    out = _forward_into(net, xb, None if workspace is None else workspace.outputs)[-1]
     return out[0] if squeeze else out
 
 
-def forward_cache(net: MlpNetwork, x) -> list[np.ndarray]:
+def forward_cache(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> list[np.ndarray]:
     """Forward pass over a batch (B, in_dim) that keeps every layer's output,
     input first and net output last, for backprop to consume. Losses run it
-    once over all their row blocks and backprop row slices of it."""
+    once over all their row blocks and backprop row slices of it. The
+    outputs live in workspace, a new one sized to the batch when None."""
     xb, squeeze = _as_batch(x, net.in_dim, "input")
     if squeeze:
         raise ShapeError("forward_cache needs a 2-D batch")
-    return _forward_cache(net, xb)
+    if workspace is None:
+        workspace = MlpWorkspace(net.layer_dims, xb.shape[0])
+    else:
+        workspace.check_rows(xb.shape[0])
+    return _forward_into(net, xb, workspace.outputs)
 
 
 def backprop(net: MlpNetwork, hs: list[np.ndarray], upstream: np.ndarray,
-             grad: np.ndarray, input_grad: bool = False):
+             workspace: MlpWorkspace, input_grad: bool = False):
     """Gradients of sum_b dot(output_b, upstream_b) from a forward_cache.
 
-    Writes the parameter gradients into grad, a flat vector in the params
-    layout, and returns the input gradient when input_grad is set (else None).
-    Checks nothing: callers run check_finite once on the finished gradient.
+    Writes the parameter gradients into workspace.grad, in the params
+    layout, and returns the input gradient (aliasing workspace.deltas[0])
+    when input_grad is set, else None. hs may be row slices of a cache in
+    the same workspace. Checks nothing: callers run check_finite once on
+    the finished gradient.
     """
-    views = split_params(grad, net.layer_dims)
+    views = workspace.grad_views
+    n = upstream.shape[0]
     delta = upstream
     for i in range(len(net.weights) - 1, -1, -1):
         np.matmul(delta.T, hs[i], out=views[2 * i])
         delta.sum(axis=0, out=views[2 * i + 1])
         if i > 0 or input_grad:
-            delta = delta @ net.weights[i]
+            w = net.weights[i]
+            below = workspace.deltas[i][:n]
+            if w.shape[0] == 1:
+                # a width-1 layer's delta @ w has one product per entry; GEMM
+                # adds it to +0.0, which turns a -0.0 product into +0.0
+                np.multiply(delta, w, out=below)
+                below += 0.0
+            else:
+                np.matmul(delta, w, out=below)
             if i > 0:
-                delta = delta * _act_deriv_from_output(hs[i], net.activation)
+                deriv = workspace.derivs[i - 1][:n]
+                _act_deriv_from_output(hs[i], net.activation, deriv)
+                below *= deriv
+            delta = below
     return delta if input_grad else None
 
 
@@ -226,12 +325,11 @@ def backward(net: MlpNetwork, x, upstream) -> tuple[list[np.ndarray], list[np.nd
         raise ShapeError(
             f"input batch {xb.shape[0]} and upstream batch {gb.shape[0]} do not match"
         )
-    hs = _forward_cache(net, xb)
-    grad = np.empty_like(net.params)
-    delta = backprop(net, hs, gb, grad, input_grad=True)
-    check_finite(net, hs, grad)
-    views = split_params(grad, net.layer_dims)
-    return views[0::2], views[1::2], delta[0] if squeeze else delta
+    ws = MlpWorkspace(net.layer_dims, xb.shape[0])
+    hs = _forward_into(net, xb, ws.outputs)
+    delta = backprop(net, hs, gb, ws, input_grad=True)
+    check_finite(net, hs, ws.grad)
+    return ws.grad_views[0::2], ws.grad_views[1::2], delta[0] if squeeze else delta
 
 
 def mlp_params(net: MlpNetwork) -> list[np.ndarray]:
@@ -250,10 +348,21 @@ def interleave_grads(w_grads: list[np.ndarray], b_grads: list[np.ndarray]) -> li
 
 @dataclass
 class AdamState:
+    """Adam moments, one array per parameter array. scratch holds, per
+    parameter array, two views in its shape into two scratch vectors as
+    long as the largest array; adam_step overwrites them."""
+
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 5e-4
+    scratch: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = max((m.size for m in self.first_moment), default=0)
+        vectors = (np.empty(n), np.empty(n))
+        self.scratch = [tuple(v[:m.size].reshape(m.shape) for v in vectors)
+                        for m in self.first_moment]
 
 
 def init_adam(params: list[np.ndarray], learning_rate: float = 5e-4) -> AdamState:
@@ -265,7 +374,10 @@ def init_adam(params: list[np.ndarray], learning_rate: float = 5e-4) -> AdamStat
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> list[np.ndarray]:
-    """Standard bias-corrected Adam update, in place on params and state."""
+    """Standard bias-corrected Adam update, in place on params and state.
+
+    Each line computes what p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    would, operand for operand, into the state's scratch vectors."""
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError(
             f"param/grad/state length mismatch: {len(params)}/{len(grads)}/{len(state.first_moment)}"
@@ -275,15 +387,25 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.first_moment,
+                                         state.second_moment, state.scratch):
         g = np.asarray(g, dtype=np.float64)
         if p.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} does not match param shape {p.shape}")
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, g, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        np.multiply(g, g, out=step)
+        np.multiply(1.0 - b2, step, out=step)
+        v += step
+        np.divide(m, bc1, out=step)
+        np.multiply(state.learning_rate, step, out=step)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+        p -= step
     return params
 
 

@@ -29,7 +29,7 @@ from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
                             reg_weight_at, save_discriminator, sigmoid,
                             two_class_core)
 from .errors import ConfigError, DataError, NumericError
-from .numeric import adam_step, init_adam, named_generator
+from .numeric import MlpWorkspace, adam_step, init_adam, named_generator
 from .policy import (GaussianPolicy, PolicyTrainConfig, init_policy, load_policy,
                      run_weighted_bc, save_policy, train_reference_policy)
 
@@ -180,7 +180,7 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
                          targets_s: np.ndarray, holdout: tuple, log: _MetricsLog) -> None:
     """Adam steps on combined_offline_loss. Its input check runs once over
     the whole training data; each step gathers [expert; supp; mixed] rows
-    into one stacked buffer and runs the loss core on it."""
+    into the input block of one workspace and runs the loss core on it."""
     x_e = join_rows(expert_train.states, expert_train.actions)
     x_s = join_rows(supp_train.states, supp_train.actions)
     ratios = check_weights(ratios, x_s.shape[0], "per-sample weight")
@@ -193,11 +193,12 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
     rng = named_generator(config.seed, "disc_batch")
     params = [disc.net.params]
     opt = init_adam(params, learning_rate=config.learning_rate)
-    grad = np.empty_like(disc.net.params)
     eval_every = max(1, config.disc_steps // DISC_EVAL_POINTS)
     # rows [expert; supp; mixed], the mixed rows being the leading halves of
     # both class batches; a step without the regularizer uses the first 2b
-    rows = np.empty((2 * b + 2 * half, x_e.shape[1]))
+    ws = MlpWorkspace(disc.net.layer_dims, 2 * b + 2 * half)
+    scratch = np.empty_like(ws.grad)
+    rows = ws.inputs
     rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
     mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]
     w = np.empty(b)
@@ -213,19 +214,19 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
         lam = 0.0 if config.disable_reg else reg_weight_at(step, config.reg_cutoff)
         try:
             if lam == 0.0:
-                loss = two_class_core(disc, class_rows, b, w, grad)
+                loss = two_class_core(disc, class_rows, b, w, ws)
             else:
                 mixed_e[...] = rows_e[:half]
                 mixed_s[...] = rows_s[:half]
                 targets_e.take(idx_e[:half], out=t[:half], mode="clip")
                 targets_s.take(idx_s[:half], out=t[half:], mode="clip")
-                loss = combined_core(disc, rows, b, 2 * b, w, t, lam, grad)
+                loss = combined_core(disc, rows, b, 2 * b, w, t, lam, ws, scratch)
         except NumericError as exc:
             raise NumericError(
                 f"discriminator training aborted at step {step}: {exc}") from exc
         if not np.isfinite(loss):
             raise NumericError(f"non-finite discriminator loss at step {step}")
-        adam_step(params, [grad], opt)
+        adam_step(params, [ws.grad], opt)
         log.add("disc", step, loss, lam)
         if step % eval_every == 0 or step == config.disc_steps:
             log.add("disc_eval", step, eval_discriminator(disc, *holdout), lam)

@@ -23,9 +23,9 @@ from .density import GmmModel, membership_score
 from .discriminator import (bc_weight, check_scores, check_weights, join_rows,
                             two_class_core)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numeric import adam_step, init_adam, named_generator
+from .numeric import MlpWorkspace, adam_step, init_adam, mapped_empty, named_generator
 from .offline import OfflineArtifacts
-from .policy import run_weighted_bc, sample_action
+from .policy import bc_workspace, run_weighted_bc, sample_action
 
 KAPPA_THRESHOLD = 0.4
 PATIENCE = 20
@@ -132,8 +132,28 @@ class OnlineUpdateConfig:
             raise ConfigError("per-trigger step counts must be positive")
 
 
+class UpdateWorkspace:
+    """The buffers online_update reuses from one update to the next: the
+    joined [s, a] rows of the expert demos followed by the online snapshot,
+    the discriminator's workspace for its 2 x UPDATE_BATCH_SIZE training
+    rows and for bc_weight's forward over every joined row, and the
+    policy's for its UPDATE_BATCH_SIZE BC rows.
+
+    rows bounds the expert plus snapshot rows of an update. Every update
+    overwrites every buffer; nothing an update installs aliases them.
+    """
+
+    def __init__(self, artifacts: OfflineArtifacts, rows: int):
+        dims = artifacts.discriminator.net.layer_dims
+        self.rows = int(rows)
+        self.joined = mapped_empty(self.rows * dims[0]).reshape(self.rows, dims[0])
+        self.disc = MlpWorkspace(dims, max(2 * UPDATE_BATCH_SIZE, self.rows), mapped=True)
+        self.policy = bc_workspace(artifacts.policy, UPDATE_BATCH_SIZE)
+
+
 def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
-                  config: OnlineUpdateConfig, seed: int, update_index: int) -> bool:
+                  config: OnlineUpdateConfig, seed: int, update_index: int,
+                  workspace: UpdateWorkspace | None = None) -> bool:
     """One triggered refresh: discriminator steps on expert-vs-online batches
     with the stored shift scores, then policy steps over the union of expert
     demos and online experience, weighted by the refreshed discriminator.
@@ -141,6 +161,10 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     Trains clones and installs them only if every step stays finite; on a
     non-finite loss the deployed models are left untouched and False is
     returned. The state-density models are never modified.
+
+    workspace holds the update's buffers (see UpdateWorkspace); a new one
+    sized to this snapshot is built when None. The update overwrites all of
+    it, so a caller that reads a buffer afterwards copies what it keeps.
     """
     states_x, actions_x, scores_x = snapshot
     states_x = np.atleast_2d(states_x)
@@ -156,18 +180,28 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
         raise ShapeError(f"online rows are {x_x.shape[1]} wide, expert rows {x_e.shape[1]}")
     scores_x = check_weights(check_scores(scores_x), x_x.shape[0], "per-sample weight")
 
-    s_e, a_e = expert_demos.states, expert_demos.actions
     n_e, n_x = x_e.shape[0], x_x.shape[0]
+    n_all = n_e + n_x
+    if workspace is None:
+        workspace = UpdateWorkspace(artifacts, n_all)
+    elif n_all > workspace.rows:
+        raise ShapeError(f"{n_all} expert and online rows do not fit a "
+                         f"workspace of {workspace.rows}")
+    joined = workspace.joined[:n_all]
+    joined[:n_e] = x_e
+    joined[n_e:] = x_x
+    x_e, x_x = joined[:n_e], joined[n_e:]
+    ds = np.shape(expert_demos.states)[1]
+    s_all, a_all = joined[:, :ds], joined[:, ds:]
     disc = copy.deepcopy(artifacts.discriminator)
     policy = copy.deepcopy(artifacts.policy)
     try:
         rng = named_generator(seed, f"online_update{update_index}_disc")
         params = [disc.net.params]
         opt = init_adam(params, learning_rate=UPDATE_LEARNING_RATE)
-        grad = np.empty_like(disc.net.params)
         # each step gathers [expert; online] rows into one stacked buffer;
         # the drawn indices are in range, so mode="clip" changes nothing
-        rows = np.empty((2 * UPDATE_BATCH_SIZE, x_e.shape[1]))
+        rows = workspace.disc.inputs[:2 * UPDATE_BATCH_SIZE]
         rows_e, rows_x = rows[:UPDATE_BATCH_SIZE], rows[UPDATE_BATCH_SIZE:]
         w = np.empty(UPDATE_BATCH_SIZE)
         for step in range(1, config.disc_steps + 1):
@@ -176,17 +210,17 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
             x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
             x_x.take(idx_x, axis=0, out=rows_x, mode="clip")
             scores_x.take(idx_x, out=w, mode="clip")
-            loss = two_class_core(disc, rows, UPDATE_BATCH_SIZE, w, grad)
+            loss = two_class_core(disc, rows, UPDATE_BATCH_SIZE, w, workspace.disc)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite online disc loss at step {step}")
-            adam_step(params, [grad], opt)
+            adam_step(params, [workspace.disc.grad], opt)
 
-        s_all = np.concatenate([s_e, states_x])
-        a_all = np.concatenate([a_e, actions_x])
-        weights = np.asarray(bc_weight(disc, s_all, a_all), dtype=np.float64)
+        weights = np.asarray(bc_weight(disc, s_all, a_all, workspace.disc),
+                             dtype=np.float64)
         run_weighted_bc(policy, s_all, a_all, weights, config.policy_steps,
                         UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
-                        named_generator(seed, f"online_update{update_index}_policy"))
+                        named_generator(seed, f"online_update{update_index}_policy"),
+                        workspace=workspace.policy)
     except NumericError:
         return False
     artifacts.discriminator = disc
@@ -263,6 +297,12 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
         update_config = OnlineUpdateConfig()
 
     detector = ShiftDetector(kappa_threshold=kappa_threshold, patience=patience)
+    # one workspace serves every update of the run; without a discriminator
+    # the first update raises online_update's ConfigError
+    workspace = None
+    if adapt != "off" and artifacts.discriminator is not None:
+        workspace = UpdateWorkspace(
+            artifacts, np.shape(expert_demos.states)[0] + detector.buffer_capacity)
     records: list[StepRecord] = []
     result = OnlineResult(episode_returns=np.zeros(episodes), records=records)
 
@@ -282,7 +322,8 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
         if triggered:
             watch = Stopwatch()
             ok = online_update(artifacts, buffer_snapshot(detector), expert_demos,
-                               update_config, seed, result.update_invocations)
+                               update_config, seed, result.update_invocations,
+                               workspace)
             wall = watch.ms()
             result.update_invocations += 1
             if not ok:

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
+    MlpWorkspace,
     RecordReader,
     adam_step,
     backprop,
@@ -25,7 +26,6 @@ from .numeric import (
     named_generator,
     net_fields,
     pack_floats,
-    split_params,
     write_record_file,
 )
 
@@ -159,24 +159,35 @@ def check_bc_inputs(states, actions, weights) -> tuple[np.ndarray, np.ndarray, n
     return states, actions, weights
 
 
+def bc_workspace(policy: GaussianPolicy, rows: int, grad: np.ndarray | None = None) -> MlpWorkspace:
+    """A workspace of the mean net for weighted_bc_core over at most rows
+    rows; its grad is the whole policy gradient (flat, policy.params
+    layout), grad when given, so the log_std gradient follows the net's."""
+    return MlpWorkspace(policy.mean_net.layer_dims, rows,
+                        np.empty_like(policy.params) if grad is None else grad)
+
+
 def weighted_bc_core(policy: GaussianPolicy, states: np.ndarray, actions: np.ndarray,
-                     weights: np.ndarray, grad: np.ndarray) -> float:
+                     weights: np.ndarray, workspace: MlpWorkspace) -> float:
     """The math of weighted_bc_loss over checked inputs: writes the gradient
-    into grad (flat, policy.params layout) and returns the loss. A non-finite
+    into workspace.grad (a bc_workspace) and returns the loss. A non-finite
     mean-net output or gradient raises NumericError; the log_std part is left
     to the callers' loss check, which names the step."""
-    hs = forward_cache(policy.mean_net, states)
+    hs = forward_cache(policy.mean_net, states, workspace)
     mu = hs[-1]
     inv_var = np.exp(-2.0 * policy.log_std)
     diff = mu - actions
-    nll = 0.5 * np.sum(np.log(2.0 * np.pi) + 2.0 * policy.log_std + diff * diff * inv_var, axis=1)
-    loss = float(np.mean(weights * nll))
+    z2 = diff * diff * inv_var  # (a - mu)^2 / sigma^2
+    nll = 0.5 * np.sum(np.log(2.0 * np.pi) + 2.0 * policy.log_std + z2, axis=1)
+    # sum / count is np.mean's arithmetic without its call overhead
+    loss = float((weights * nll).sum() / states.shape[0])
 
     scaled = (weights / states.shape[0])[:, None]
     upstream_mu = scaled * diff * inv_var
     n_net = policy.mean_net.params.size
-    backprop(policy.mean_net, hs, upstream_mu, grad[:n_net])
-    grad[n_net:] = np.sum(scaled * (1.0 - diff * diff * inv_var), axis=0)
+    grad = workspace.grad
+    backprop(policy.mean_net, hs, upstream_mu, workspace)
+    grad[n_net:] = np.sum(scaled * (1.0 - z2), axis=0)
     check_finite(policy.mean_net, hs, grad[:n_net])
     return loss
 
@@ -191,22 +202,23 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None)
     every step.
     """
     states, actions, weights = check_bc_inputs(states, actions, weights)
-    grad = np.empty_like(policy.params) if out is None else out
-    loss = weighted_bc_core(policy, states, actions, weights, grad)
+    ws = bc_workspace(policy, states.shape[0], out)
+    loss = weighted_bc_core(policy, states, actions, weights, ws)
     n_net = policy.mean_net.params.size
-    return loss, split_params(grad, policy.mean_net.layer_dims) + [grad[n_net:]]
+    return loss, ws.grad_views + [ws.grad[n_net:]]
 
 
 def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int,
                     batch_size: int, learning_rate: float, rng: np.random.Generator,
-                    on_step=None) -> None:
+                    on_step=None, workspace: MlpWorkspace | None = None) -> None:
     """Adam training loop over uniformly resampled batches.
 
     Shared by plain BC, reference-policy training, and the weighted main run, so
     the unweighted paths are the weighted path with weights fixed at 1.
     on_step(step, loss), if given, runs after each optimizer step with the
     batch loss taken before it. The whole data set is checked once, before
-    the first step; each step gathers its rows into preallocated buffers.
+    the first step; each step gathers its rows into the input block of
+    workspace, a bc_workspace of at least batch_size rows (new when None).
     """
     if np.shape(states)[0] == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -214,8 +226,9 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
     n = states.shape[0]
     params = [policy.params]
     opt = init_adam(params, learning_rate=learning_rate)
-    grad = np.empty_like(policy.params)
-    s_batch = np.empty((batch_size, states.shape[1]))
+    ws = bc_workspace(policy, batch_size) if workspace is None else workspace
+    ws.check_rows(batch_size)
+    s_batch = ws.inputs[:batch_size]
     a_batch = np.empty((batch_size, actions.shape[1]))
     w_batch = np.empty(batch_size)
     for step in range(1, steps + 1):
@@ -224,11 +237,13 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
         states.take(idx, axis=0, out=s_batch, mode="clip")
         actions.take(idx, axis=0, out=a_batch, mode="clip")
         weights.take(idx, out=w_batch, mode="clip")
-        loss = weighted_bc_core(policy, s_batch, a_batch, w_batch, grad)
+        loss = weighted_bc_core(policy, s_batch, a_batch, w_batch, ws)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite BC loss at step {step}")
-        adam_step(params, [grad], opt)
-        np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=policy.log_std)
+        adam_step(params, [ws.grad], opt)
+        # np.clip's bits for these non-zero bounds, at less call cost
+        np.maximum(policy.log_std, LOG_STD_MIN, out=policy.log_std)
+        np.minimum(policy.log_std, LOG_STD_MAX, out=policy.log_std)
         if on_step is not None:
             on_step(step, loss)
 

@@ -123,3 +123,59 @@ def membership_oracle(weights, means, variances, log_quantile, s):
     """min(1, density / exp(log_quantile)) in log space."""
     return min(1.0, np.exp(gmm_log_density_oracle(weights, means, variances, s)
                            - log_quantile))
+
+
+def env_step_oracle(spec, state, action):
+    """envs.step as first written: np.clip for every clamp, np.linalg.norm
+    for the distance to the goal, np.all(np.isfinite(...)) for the state
+    check. Returns (next_state, reward, done), or raises NumericError."""
+    from driftbc import envs
+    from driftbc.errors import NumericError
+
+    state = np.asarray(state, dtype=np.float64)
+    if not np.all(np.isfinite(state)):
+        raise NumericError(f"non-finite state passed to step: {state}")
+    a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
+    if spec.env_id == "pointmass2d":
+        pos, vel = state[:2], state[2:]
+        vel = envs.POINTMASS_DAMPING * vel + a * spec.dt
+        pos = np.clip(pos + vel * spec.dt, -1.0, 1.0)
+        dist = float(np.linalg.norm(pos - envs.POINTMASS_GOAL))
+        next_state = np.concatenate([pos, vel])
+        return next_state, -dist, dist < envs.POINTMASS_DONE_DIST
+    theta = float(np.arctan2(state[1], state[0]))
+    theta_dot = float(state[2])
+    torque = float(a[0])
+    theta_acc = ((-envs.PENDULUM_G / envs.PENDULUM_L) * np.sin(theta)
+                 + torque / (envs.PENDULUM_M * envs.PENDULUM_L ** 2))
+    theta_dot = float(np.clip(theta_dot + theta_acc * spec.dt,
+                              -envs.PENDULUM_MAX_SPEED, envs.PENDULUM_MAX_SPEED))
+    theta = theta + theta_dot * spec.dt
+    from_upright = (theta - np.pi + np.pi) % (2.0 * np.pi) - np.pi
+    reward = -(from_upright ** 2 + 0.1 * theta_dot ** 2 + 0.001 * torque ** 2)
+    next_state = np.array([np.cos(theta), np.sin(theta), theta_dot])
+    return next_state, float(reward), False
+
+
+def sigmoid_masked_oracle(z):
+    """The logistic function split by boolean masks on the sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def adam_oracle(params, grads, first, second, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step as whole-array expressions, in place on
+    params and the moment arrays; t counts from 1."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, m, v in zip(params, grads, first, second):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

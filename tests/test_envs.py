@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from driftbc import envs
 from driftbc.errors import ConfigError, NumericError
+from oracles import env_step_oracle
 
 
 def pm_spec(horizon=200):
@@ -181,6 +182,52 @@ def test_step_rejects_non_finite_state():
     spec = pm_spec()
     with pytest.raises(NumericError):
         envs.step(spec, np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(2))
+
+
+def random_step_inputs(env_id, n, rng):
+    """n (state, action) pairs: actions up to 2.5 times past the bounds, one
+    in eight exactly on a bound; pointmass positions one in four on a wall
+    and velocities that carry them through it; pendulum speeds past the
+    limit and (cos, sin) pairs off the unit circle."""
+    spec = envs.make_spec(env_id)
+    hi = spec.action_high
+    actions = rng.uniform(-2.5, 2.5, (n, spec.action_dim)) * hi
+    on_bound = rng.random((n, spec.action_dim)) < 0.125
+    actions[on_bound] = np.sign(actions[on_bound]) * np.broadcast_to(hi, actions.shape)[on_bound]
+    if env_id == "pointmass2d":
+        states = np.hstack([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-3.0, 3.0, (n, 2))])
+        wall = rng.random((n, 2)) < 0.25
+        states[:, :2][wall] = rng.choice([-1.0, 1.0], wall.sum())
+    else:
+        theta = rng.uniform(-np.pi, np.pi, n)
+        radius = rng.choice([1.0, 0.5, 2.0], n)
+        states = np.column_stack([radius * np.cos(theta), radius * np.sin(theta),
+                                  rng.uniform(-12.0, 12.0, n)])
+    return spec, states, actions
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+def test_step_matches_first_written_step_bit_for_bit(env_id):
+    spec, states, actions = random_step_inputs(env_id, 10_000, np.random.default_rng(90))
+    for state, action in zip(states, actions):
+        got = envs.step(spec, state, action)
+        want = env_step_oracle(spec, state, action)
+        assert got[0].tobytes() == want[0].tobytes(), (state, action)
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), (state, action)
+        assert got[2] == want[2] and type(got[1]) is type(want[1]) is float
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_still_rejects_non_finite_state(env_id, bad):
+    spec = envs.make_spec(env_id)
+    for i in range(spec.state_dim):
+        state = np.zeros(spec.state_dim)
+        state[i] = bad
+        with pytest.raises(NumericError, match="non-finite state"):
+            envs.step(spec, state, np.zeros(spec.action_dim))
+        with pytest.raises(NumericError, match="non-finite state"):
+            env_step_oracle(spec, state, np.zeros(spec.action_dim))
 
 
 @settings(max_examples=30, deadline=None)

@@ -96,7 +96,9 @@ class TestKappa:
 
 class TestKappaOracle:
     """kappa against a straight-line mixture density, bit for bit, on a
-    model shaped like the online runs' (8 components over 4-D states)."""
+    model shaped like the online runs' (8 components over 4-D states), on
+    two mixtures of different sizes (3 and 8 components), one state at a
+    time and as a batch."""
 
     # sha256 of save_gmm's output for the fitted model below; the cached
     # log constants must not reach the file
@@ -109,6 +111,16 @@ class TestKappaOracle:
                             for c in rng.uniform(-1, 1, (4, 4))])
         ge = fit_gmm(states, n_components=8, seed=41, provenance="e")
         gs = fit_gmm(states[::2] * 1.3, n_components=8, seed=42, provenance="s")
+        return ge, gs
+
+    @pytest.fixture(scope="class")
+    def mixed_sizes(self):
+        rng = np.random.default_rng(44)
+        states = np.vstack([rng.standard_normal((120, 4)) * 0.5 + c
+                            for c in rng.uniform(-1, 1, (3, 4))])
+        ge = fit_gmm(states, n_components=3, seed=45, provenance="e")
+        gs = fit_gmm(states[::3] * 0.8 + 0.2, n_components=8, seed=46, provenance="s")
+        assert (ge.n_components, gs.n_components) == (3, 8)
         return ge, gs
 
     @staticmethod
@@ -125,6 +137,18 @@ class TestKappaOracle:
 
     def test_fitted_model_matches_oracle(self, models):
         self.check_states(*models)
+
+    def test_mixtures_of_different_sizes_match_oracle(self, mixed_sizes):
+        self.check_states(*mixed_sizes)
+
+    @pytest.mark.parametrize("which", ["models", "mixed_sizes"])
+    def test_batch_matches_oracle(self, which, request):
+        ge, gs = request.getfixturevalue(which)
+        states = np.random.default_rng(47).standard_normal((600, 4)) * 1.5
+        got = online.kappa(states, ge, gs)
+        want = np.array([self.oracle(s, ge, gs) for s in states])
+        assert got.shape == (600,)
+        assert got.tobytes() == want.tobytes()
 
     def test_round_tripped_model_matches_oracle(self, models, tmp_path):
         loaded = []

@@ -1,11 +1,13 @@
-"""Pinned output bytes of a tiny CLI pipeline on pointmass2d.
+"""Pinned output bytes of two tiny CLI pipelines.
 
-Two `train-offline` runs (one with the regularizer, one with
-`disable_reg=true`) and a `run-online --adapt on` call with seven triggered
-updates are run from a relative layout, and the sha256 of every file they
-and the `gen-data` calls write is compared, with `wall_ms` masked, against
-the digests below. A speed change that claims byte-identical outputs must
-keep this test green as it stands.
+On pointmass2d, two `train-offline` runs (one with the regularizer, one with
+`disable_reg=true`), a `run-online --adapt on` call with seven triggered
+updates and a `run-online --adapt always` call are run from a relative
+layout. On pendulum1, a `train-offline` run feeds `gen-refs` and an
+`evaluate --adapt off` sweep. The sha256 of every file these and the
+`gen-data` calls write is compared, with `wall_ms` masked, against the
+digests below. A speed change that claims byte-identical outputs must keep
+this test green as it stands.
 
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently. A change that means to alter these bytes
@@ -39,6 +41,8 @@ COMMANDS = (
      "--out", "art_noreg"],
     ["run-online", "--artifacts", "art", "--sigma", "0.1", "--episodes", "3",
      "--adapt", "on", "--kth", "0.6", "--seed", "1", "--out", "online"],
+    ["run-online", "--artifacts", "art", "--sigma", "0.2", "--episodes", "2",
+     "--adapt", "always", "--seed", "2", "--out", "online_always"],
 )
 
 DIGESTS = {
@@ -67,7 +71,50 @@ DIGESTS = {
     "online/manifest.txt": "fb6906f61420a54fa5c085ebc2f25295463a17d6a1d1f1fee3a1ef532199f4e8",
     "online/returns.log": "41e350c1f1dceaa5743ad886f2579103c4eba030d28e63cfc45e74a58a00a9cb",
     "online/triggers.log": "321ae7beaa94f0c9c43ea30b2368df14858e2a043d44892affe4e0f748d56cf3",
+    "online_always/manifest.txt": "96826d189b6def6f0c7fdbdf1331efa34cc3f7d2b3424f1dc9576792188d6f44",
+    "online_always/returns.log": "250d33e9b98fd9d40cd8394422561b342b08617e04a0499712ce0a8e18376400",
+    "online_always/triggers.log": "ca299ded5e9f0083663dd134fb6f4d4c3711cc27b2e1eb5412741ac0df0f3022",
     "train.cfg": "5178fb7ba44c19660c0a724fb8121b5ceb7c6cd492c2f2ae5c869cd0f5498c1f",
+}
+
+PENDULUM_CFG = ("env_id=pendulum1\nexpert_demos=expert.demos\n"
+                "supp_demos=medium.demos\nseed=4\nref_steps=100\ndisc_steps=200\n"
+                "bc_steps=200\nreg_cutoff=100\n")
+
+PENDULUM_COMMANDS = (
+    ["gen-data", "--env", "pendulum1", "--tier", "expert", "--episodes", "4",
+     "--seed", "6", "--out", "expert.demos"],
+    ["gen-data", "--env", "pendulum1", "--tier", "medium", "--episodes", "6",
+     "--seed", "6", "--out", "medium.demos"],
+    ["train-offline", "--config", "train.cfg", "--out", "art"],
+    ["gen-refs", "--env", "pendulum1", "--episodes", "3", "--seed", "6",
+     "--out", "refs.txt"],
+    ["evaluate", "--artifacts", "art", "--refs", "refs.txt", "--adapt", "off",
+     "--sigmas", "0.0,0.1", "--runs", "2", "--episodes", "3", "--seed", "7",
+     "--out", "sweep"],
+)
+
+PENDULUM_DIGESTS = {
+    "art/config.txt": "298511c46656c17611145e3c88e5af0ffbe0900249d3bdc4262db277820ea88f",
+    "art/discriminator.ckpt": "b138648b14ea1f8aa78812d6df963cd949ebee8bd660b3e71489e3618d94dc7e",
+    "art/gmm_expert.ckpt": "02cd4fdfbde76f82c464973b8d1fd4d1099b7bac5ec73977f4b0cd1ef5101c8f",
+    "art/gmm_supp.ckpt": "97f5d929fbb8a57dd9799e65d02c996f06cf3db76dd9fadd0c943a62e12ee978",
+    "art/manifest.txt": "cfa65f0b3c38110dc399ba5bc41cdaf6a7436c641596cc71ecc65b5904baf874",
+    "art/metrics.log": "7a8ad0d7291cede6b8fda32df0789092044163da837bf87b8a29ea1ee320ddc4",
+    "art/policy.ckpt": "bfcad7d8be61743242a7e325f7d73d83681b08c4de52fdbcc3b9437b1fcca314",
+    "art/ref_policy_expert.ckpt": "9142cbf7cfecfb4e988d9fb0f8dd9d1871d1e789bea3a451553dfedb383dd83c",
+    "art/ref_policy_supp.ckpt": "590a7c4604caa0a3b2742c4d262cfb6bb03373edc36fe8056d51f65ef3de04ba",
+    "expert.demos": "81c4fe1358cdb644d1695aa70f92597635b4178576bb90b38d10f7ccefcf8721",
+    "expert.demos.manifest": "f2428ebfc09429e17e2d5ecea5f6f711bc26094bd90fe3314fb144fd0eec4bc3",
+    "medium.demos": "7c5e4e5862b352496b1400c4fcd11762982f110c9439dda690d751bcb2605e5e",
+    "medium.demos.manifest": "9fd22759db71fc612131d0c7fbc3de42bc1323c705fac9016e855ff65d2b676e",
+    "refs.txt": "ced2ecb165b9f33c175a5813a775d9050340cbd527fe33912d1b4bd76d3c55ec",
+    "refs.txt.manifest": "672231530c2b5213a784b3abfc203b7302dd2c00b8e1493cb402b1e7203accef",
+    "sweep/manifest.txt": "036cb43a5a4b9eab073e0e7c0d0388bf68bbcc4a93d1f77323d30720f0869583",
+    "sweep/plot.txt": "41b852e79aa0e42dbe847e641293206586663516ec993ec2cc2c36ba1b18f0e3",
+    "sweep/records.txt": "7be4124943094c7a95ffa1c4ee4363813633b2af99b8a0ec09a6248bf6052433",
+    "sweep/summary.txt": "5bbf43d89fa6f8a012b5c9f789fabe31efde8e2802398fcd56e4caaecaedaf9f",
+    "train.cfg": "3115c41c0b29b4ec7db50cbb4e4f83aa14092a3727fa82298c52c90d544b31b9",
 }
 
 
@@ -93,4 +140,16 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     found = masked_digests(tmp_path)
     assert sorted(found) == sorted(DIGESTS)
     differ = [name for name in DIGESTS if found[name] != DIGESTS[name]]
+    assert not differ, f"output bytes changed: {differ}"
+
+
+def test_pendulum_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("train.cfg").write_text(PENDULUM_CFG)
+    for argv in PENDULUM_COMMANDS:
+        assert main(argv) == EXIT_OK, argv
+    found = masked_digests(tmp_path)
+    assert sorted(found) == sorted(PENDULUM_DIGESTS)
+    differ = [name for name in PENDULUM_DIGESTS
+              if found[name] != PENDULUM_DIGESTS[name]]
     assert not differ, f"output bytes changed: {differ}"
