@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .numeric import RecordReader, pack_floats, write_record_file
 from .policy import GaussianPolicy, log_prob
 
@@ -100,27 +100,88 @@ def _farthest_point_seeds(states: np.ndarray, k: int, rng: np.random.Generator) 
     return states[seeds].copy()
 
 
+def _sum_last_axis(a: np.ndarray, out: np.ndarray) -> None:
+    """out = a.sum(axis=-1), bit for bit, as one whole-column add per term.
+
+    numpy reduces a contiguous last axis with its pairwise sum: fewer than 8
+    terms are added left to right; from 8 to 128 terms, 8 accumulators take
+    every 8th term and combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before
+    the tail is added left to right; longer axes split in two halves of a
+    multiple of 8 terms. The same adds run here column by column, which is
+    faster than numpy's short inner loop when the last axis is short and the
+    leading ones long. numpy starts from 0.0, which only turns a -0.0 sum
+    into +0.0; the callers here sum terms that are never negative. a must be
+    a scratch array: its columns hold the partial sums afterwards.
+    """
+    n = a.shape[-1]
+    col = [a[..., j] for j in range(n)]
+    if n < 8:
+        np.copyto(out, col[0])
+        for j in range(1, n):
+            np.add(out, col[j], out=out)
+    elif n <= 128:
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                np.add(col[j], col[i + j], out=col[j])
+        for j in (0, 2, 4, 6):
+            np.add(col[j], col[j + 1], out=col[j])
+        np.add(col[0], col[2], out=col[0])
+        np.add(col[4], col[6], out=col[4])
+        np.add(col[0], col[4], out=out)
+        for j in range(tail, n):
+            np.add(out, col[j], out=out)
+    else:
+        half = n // 2 - (n // 2) % 8
+        _sum_last_axis(a[..., :half], out)
+        _sum_last_axis(a[..., half:], col[half])
+        np.add(out, col[half], out=out)
+
+
 def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
             alpha: float = DEFAULT_ALPHA, cov_floor: float = DEFAULT_COV_FLOOR,
             provenance: str = "") -> GmmModel:
     """EM fit with farthest-point seeding and per-dimension variance flooring.
 
-    Raises ConfigError when n_components exceeds the number of distinct states.
-    Emits CovarianceFloorWarning once if any component needed floor repair.
+    Raises DataError for non-finite states, and ConfigError for a bad
+    component count, alpha or cov_floor, all before EM starts. Emits
+    CovarianceFloorWarning once if any component needed floor repair.
+
+    The loop runs on buffers allocated once per fit and gives the same bits
+    as the plain formulas of gmm_log_density and the M-step. Each row of
+    `rows` is a state repeated K times, (N, K*d), so s - mu runs over one
+    long contiguous row per state; `sq` holds (s - mu)^2 for the current
+    means, computed once per iteration and used by the M-step's variances,
+    then divided by the new variances in place by the next E-step (or the
+    calibration pass after the last one). Its (N, K, d) view is the operand
+    of the variance einsum, which sums over n in order.
+
+    The sums over d and over K are written out as whole-column adds
+    (_sum_last_axis): numpy's .sum(axis=-1) runs one inner loop of d or K
+    terms per row, which costs more than the adds. To keep the bits, the
+    adds repeat numpy's own order: left to right below 8 terms, its
+    8-accumulator pairwise order from 8 terms on. A numpy that changes that
+    order fails tests/test_density.py::TestSumLastAxis by name, which pins
+    the helper against .sum(axis=-1). The responsibilities stay (N, K) in C
+    order, the operand layout of resp.sum(axis=0) and resp.T @ states.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[0] == 0:
         raise ConfigError("fit_gmm needs a non-empty (N, d) state array")
+    if not np.all(np.isfinite(states)):
+        raise DataError("fit_gmm got non-finite states")
     k = int(n_components)
     if k < 1:
         raise ConfigError(f"n_components must be >= 1, got {k}")
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
+    if not (np.isfinite(cov_floor) and cov_floor > 0.0):
+        raise ConfigError(f"cov_floor must be positive and finite, got {cov_floor}")
     n_distinct = np.unique(states, axis=0).shape[0]
     if k > n_distinct:
         raise ConfigError(
             f"n_components={k} exceeds the {n_distinct} distinct states available"
         )
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
 
     rng = np.random.default_rng(seed)
     means = _farthest_point_seeds(states, k, rng)
@@ -129,22 +190,51 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     variances = np.tile(np.maximum(global_var, cov_floor), (k, 1))
     weights = np.full(k, 1.0 / k)
 
+    n, d = states.shape
+    rows = np.tile(states, (1, k))
+    sq = np.empty_like(rows)
+    sq3 = sq.reshape(n, k, d)
+    joint, resp = np.empty((n, k)), np.empty((n, k))
+    top, total = np.empty(n), np.empty(n)
+
+    def set_means(mu):
+        np.subtract(rows, mu.ravel(), out=sq)
+        np.multiply(sq, sq, out=sq)
+
+    def e_step(log_weights, log_norm, var):
+        """total = gmm_log_density at the current means. Uses up sq, which
+        the next set_means refills; resp holds exp(joint - max) afterwards."""
+        np.divide(sq, var.ravel(), out=sq)
+        _sum_last_axis(sq3, joint)
+        np.add(log_norm, joint, out=joint)
+        np.multiply(-0.5, joint, out=joint)
+        np.add(joint, log_weights, out=joint)
+        # the row max, column by column: max ignores order
+        np.copyto(top, joint[:, 0])
+        for j in range(1, k):
+            np.maximum(top, joint[:, j], out=top)
+        np.subtract(joint, top[:, None], out=resp)
+        np.exp(resp, out=resp)
+        _sum_last_axis(resp, total)
+        np.log(total, out=total)
+        np.add(top, total, out=total)
+
+    set_means(means)
     ll_history: list[float] = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITERS):
-        joint = _weighted_log_densities(*_log_constants(weights, variances),
-                                        means, variances, states)  # (N,K)
-        total = _logsumexp(joint)                                      # (N,)
+        e_step(*_log_constants(weights, variances), variances)
         ll = float(np.mean(total))
         ll_history.append(ll)
-        resp = np.exp(joint - total[:, None])                          # (N,K)
+        np.subtract(joint, total[:, None], out=resp)
+        np.exp(resp, out=resp)
 
         nk = resp.sum(axis=0)                                          # (K,)
-        weights = nk / states.shape[0]
+        weights = nk / n
         safe_nk = np.maximum(nk, 1e-300)
         means = (resp.T @ states) / safe_nk[:, None]
-        diff = states[:, None, :] - means[None, :, :]
-        var_raw = np.einsum("nk,nkd->kd", resp, diff * diff) / safe_nk[:, None]
+        set_means(means)
+        var_raw = np.einsum("nk,nkd->kd", resp, sq3) / safe_nk[:, None]
         if np.any(var_raw < cov_floor):
             floored_any = True
         variances = np.maximum(var_raw, cov_floor)
@@ -164,8 +254,8 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
         calibration_log_quantile=0.0, alpha=float(alpha), cov_floor=float(cov_floor),
         provenance=provenance, ll_history=ll_history,
     )
-    train_ld = gmm_log_density(model, states)
-    model.calibration_log_quantile = float(np.quantile(train_ld, alpha))
+    e_step(model.log_weights, model.log_norm, model.variances)
+    model.calibration_log_quantile = float(np.quantile(total, alpha))
     return model
 
 
@@ -210,11 +300,17 @@ def joint_log_density(model: JointDensityModel, s, a):
     return log_prob(model.policy_ref, s, a) + gmm_log_density(model.gmm, s)
 
 
+def clamped_ratio(log_ratio, r_min: float = DEFAULT_RATIO_MIN,
+                  r_max: float = DEFAULT_RATIO_MAX):
+    """exp(log_ratio), clamped to [r_min, r_max] in log space."""
+    return np.exp(np.clip(log_ratio, np.log(r_min), np.log(r_max)))
+
+
 def density_ratio(p_expert: JointDensityModel, p_supp: JointDensityModel, s, a,
                   r_min: float = DEFAULT_RATIO_MIN, r_max: float = DEFAULT_RATIO_MAX):
     """Supplementary-over-expert joint density ratio, clamped in log space."""
-    log_diff = joint_log_density(p_supp, s, a) - joint_log_density(p_expert, s, a)
-    return np.exp(np.clip(log_diff, np.log(r_min), np.log(r_max)))
+    return clamped_ratio(joint_log_density(p_supp, s, a)
+                         - joint_log_density(p_expert, s, a), r_min, r_max)
 
 
 def save_gmm(path, model: GmmModel, extra: dict | None = None) -> None:

@@ -21,7 +21,7 @@ from . import configio, envs
 from .demos import DemoSet, load_demoset, split_holdout
 from .density import (DEFAULT_ALPHA, DEFAULT_COV_FLOOR, DEFAULT_K,
                       DEFAULT_RATIO_MAX, DEFAULT_RATIO_MIN, GmmModel,
-                      JointDensityModel, density_ratio, fit_gmm,
+                      JointDensityModel, clamped_ratio, fit_gmm,
                       joint_log_density, load_gmm, save_gmm)
 from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
                             check_weights, combined_core, eval_bce,
@@ -84,6 +84,18 @@ class OfflineConfig:
             raise ConfigError("expert_demos path is required")
         if not self.supp_demos and not self.plain_bc:
             raise ConfigError("supp_demos path is required unless plain_bc is set")
+        if self.gmm_k < 1:
+            raise ConfigError(f"gmm_k must be >= 1, got {self.gmm_k}")
+        if not 0.0 < self.gmm_alpha < 1.0:
+            raise ConfigError(f"gmm_alpha must lie in (0, 1), got {self.gmm_alpha}")
+        if not (np.isfinite(self.gmm_cov_floor) and self.gmm_cov_floor > 0.0):
+            raise ConfigError(f"gmm_cov_floor must be positive and finite, "
+                              f"got {self.gmm_cov_floor}")
+        if not 0.0 < self.ratio_min <= self.ratio_max:
+            raise ConfigError(f"need 0 < ratio_min <= ratio_max, got "
+                              f"{self.ratio_min} and {self.ratio_max}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "OfflineConfig":
@@ -279,14 +291,14 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
 
         joint_e = JointDensityModel(ref_expert, gmm_expert)
         joint_s = JointDensityModel(ref_supp, gmm_supp)
-        # frozen per-sample quantities: supplementary-over-expert ratios and
-        # posterior targets sigma(log pE - log pS)
-        ratios = density_ratio(joint_e, joint_s, supp_train.states,
-                               supp_train.actions, config.ratio_min, config.ratio_max)
+        # frozen per-sample quantities: posterior targets sigma(log pE - log pS)
+        # and supplementary-over-expert ratios exp(log pS - log pE), where
+        # -(a - b) and b - a are the same float
         diff_e = (joint_log_density(joint_e, expert_train.states, expert_train.actions)
                   - joint_log_density(joint_s, expert_train.states, expert_train.actions))
         diff_s = (joint_log_density(joint_e, supp_train.states, supp_train.actions)
                   - joint_log_density(joint_s, supp_train.states, supp_train.actions))
+        ratios = clamped_ratio(-diff_s, config.ratio_min, config.ratio_max)
         targets_e = sigmoid(np.atleast_1d(diff_e))
         targets_s = sigmoid(np.atleast_1d(diff_s))
 

@@ -179,3 +179,64 @@ def adam_oracle(params, grads, first, second, t, lr, beta1=0.9, beta2=0.999, eps
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def fit_gmm_oracle(states, k, seed, alpha, cov_floor, max_iters=200, tol=1e-6):
+    """EM for a diagonal-covariance mixture as first written: fresh (N, K, d)
+    arrays every iteration, numpy's own .sum(axis=-1) for every reduction,
+    and the calibration quantile from a second full E-step. Returns
+    (weights, means, variances, ll_history, calibration quantile, floored)."""
+    states = np.asarray(states, dtype=np.float64)
+    n = states.shape[0]
+
+    def weighted_log_densities(weights, variances, means, s):
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(weights)
+        log_norm = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+        diff = s[..., None, :] - means
+        quad = (diff * diff / variances).sum(axis=-1)
+        return -0.5 * (log_norm + quad) + log_weights
+
+    def logsumexp(a):
+        m = a.max(axis=-1)
+        return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+
+    rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(0, n))]
+    min_d2 = np.sum((states - states[seeds[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(min_d2))
+        seeds.append(nxt)
+        min_d2 = np.minimum(min_d2, np.sum((states - states[nxt]) ** 2, axis=1))
+    means = states[seeds].copy()
+    global_var = np.var(states, axis=0)
+    floored = bool(np.any(global_var < cov_floor))
+    variances = np.tile(np.maximum(global_var, cov_floor), (k, 1))
+    weights = np.full(k, 1.0 / k)
+
+    ll_history = []
+    prev_ll = -np.inf
+    for _ in range(max_iters):
+        joint = weighted_log_densities(weights, variances, means, states)
+        total = logsumexp(joint)
+        ll = float(np.mean(total))
+        ll_history.append(ll)
+        resp = np.exp(joint - total[:, None])
+
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        safe_nk = np.maximum(nk, 1e-300)
+        means = (resp.T @ states) / safe_nk[:, None]
+        diff = states[:, None, :] - means[None, :, :]
+        var_raw = np.einsum("nk,nkd->kd", resp, diff * diff) / safe_nk[:, None]
+        if np.any(var_raw < cov_floor):
+            floored = True
+        variances = np.maximum(var_raw, cov_floor)
+
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+
+    train_ld = logsumexp(weighted_log_densities(weights, variances, means, states))
+    return (weights, means, variances, ll_history,
+            float(np.quantile(train_ld, alpha)), floored)

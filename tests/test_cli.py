@@ -186,6 +186,23 @@ class TestTrainOffline:
         err = capsys.readouterr().err
         assert "numeric abort" in err and "step 7" in err
 
+    @pytest.mark.parametrize("override", ["gmm_k=0", "gmm_alpha=1.5",
+                                          "gmm_cov_floor=-1", "ratio_min=-1",
+                                          "ratio_min=20", "learning_rate=-1"])
+    def test_bad_config_value_exits_2_before_training(self, ws, tmp_path, capsys,
+                                                      monkeypatch, override):
+        import driftbc.offline as offline_mod
+
+        def refuse(*args, **kw):
+            raise AssertionError("a reference policy was trained")
+
+        monkeypatch.setattr(offline_mod, "train_reference_policy", refuse)
+        code = main(["train-offline", "--config", str(ws["config"]),
+                     "--set", override, "--out", str(tmp_path / "bad")])
+        assert code == EXIT_USAGE
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_env_var_sets_default_output_root(self, ws, tmp_path, monkeypatch):
         monkeypatch.setenv("DRIFTBC_OUT_ROOT", str(tmp_path / "space"))
         run_ok(["train-offline", "--config", str(ws["config"])])

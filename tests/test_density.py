@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbc import density, policy
-from driftbc.errors import ConfigError, ShapeError
+from driftbc.errors import ConfigError, DataError, ShapeError
 
-from oracles import trapezoid_integral_2d
+from oracles import fit_gmm_oracle, trapezoid_integral_2d
 
 
 def blob(rng, center, n, spread=1.0, d=2):
@@ -82,6 +84,105 @@ class TestFitGmm:
         lls = model.ll_history
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
         assert model.mixture_weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_states_rejected_before_em(self, monkeypatch, bad):
+        monkeypatch.setattr(density, "_farthest_point_seeds", refuse_em)
+        states = blob(np.random.default_rng(8), np.zeros(2), 50)
+        states[17, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            density.fit_gmm(states, n_components=2, seed=0)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_cov_floor_rejected_before_em(self, monkeypatch, floor):
+        monkeypatch.setattr(density, "_farthest_point_seeds", refuse_em)
+        states = blob(np.random.default_rng(9), np.zeros(2), 50)
+        with pytest.raises(ConfigError, match="cov_floor"):
+            density.fit_gmm(states, n_components=2, seed=0, cov_floor=floor)
+
+
+def refuse_em(*args):
+    raise AssertionError("EM started")
+
+
+def assert_fit_matches_oracle(states, k, seed, alpha=0.05, cov_floor=1e-4):
+    """fit_gmm equals the straight-line EM of the oracle bit for bit; returns
+    the model and the oracle's iteration count."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = density.fit_gmm(states, n_components=k, seed=seed, alpha=alpha,
+                                cov_floor=cov_floor)
+    weights, means, variances, lls, quantile, floored = fit_gmm_oracle(
+        states, k, seed, alpha, cov_floor)
+    assert model.mixture_weights.tobytes() == weights.tobytes()
+    assert model.means.tobytes() == means.tobytes()
+    assert model.variances.tobytes() == variances.tobytes()
+    assert np.array(model.ll_history).tobytes() == np.array(lls).tobytes()
+    assert np.float64(model.calibration_log_quantile).tobytes() \
+        == np.float64(quantile).tobytes()
+    warned = any(issubclass(w.category, density.CovarianceFloorWarning) for w in caught)
+    assert warned == floored
+    return model, len(lls)
+
+
+class TestSumLastAxis:
+    """fit_gmm reproduces numpy's reduction order for its sums over d and K;
+    a numpy whose .sum(axis=-1) adds in another order fails here by name."""
+
+    @pytest.mark.parametrize("n", list(range(1, 21)) + [127, 128, 129, 130])
+    def test_matches_numpy_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # magnitudes over twelve decades, so that another order of adds
+        # shows in the last bits
+        a = rng.standard_normal((31, 5, n)) * 10.0 ** rng.uniform(-6, 6, (31, 5, n))
+        out = np.empty((31, 5))
+        density._sum_last_axis(a.copy(), out)
+        assert out.tobytes() == a.sum(axis=-1).tobytes()
+        if n >= 8:
+            left_to_right = a[..., 0].copy()
+            for j in range(1, n):
+                left_to_right += a[..., j]
+            assert left_to_right.tobytes() != out.tobytes()
+
+
+class TestFitMatchesOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("d", [1, 3, 4, 8, 9])
+    def test_grid_of_components_and_dims(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        states = rng.standard_normal((300, d)) * rng.uniform(0.5, 2.0, d)
+        assert_fit_matches_oracle(states, k, seed=k + d)
+
+    def test_full_run_of_em_max_iters(self):
+        states = np.random.default_rng(0).standard_normal((400, 3))
+        _, iters = assert_fit_matches_oracle(states, 6, seed=0)
+        assert iters == density.EM_MAX_ITERS
+
+    def test_early_stop(self):
+        states = np.random.default_rng(3).standard_normal((400, 3))
+        _, iters = assert_fit_matches_oracle(states, 6, seed=3)
+        assert 1 < iters < density.EM_MAX_ITERS
+
+    def test_floored_component(self):
+        rng = np.random.default_rng(11)
+        states = np.vstack([np.tile([1.0, -2.0, 0.5], (40, 1)),
+                            rng.standard_normal((120, 3)) * 2])
+        model, _ = assert_fit_matches_oracle(states, 3, seed=4)
+        assert np.min(model.variances) == model.cov_floor
+
+    def test_duplicate_states(self):
+        rng = np.random.default_rng(12)
+        states = np.repeat(rng.standard_normal((50, 2)), 3, axis=0)
+        assert_fit_matches_oracle(states, 4, seed=2)
+
+    @pytest.mark.parametrize("k, d, alpha", [(1, 2, 0.05), (8, 4, 0.05), (9, 3, 0.3)])
+    def test_calibration_is_the_scoring_quantile(self, k, d, alpha):
+        states = np.random.default_rng(k * d).standard_normal((500, d))
+        model = density.fit_gmm(states, n_components=k, seed=1, alpha=alpha)
+        expected = float(np.quantile(density.gmm_log_density(model, states), alpha))
+        assert np.float64(model.calibration_log_quantile).tobytes() \
+            == np.float64(expected).tobytes()
 
 
 class TestLogDensity:

@@ -87,6 +87,41 @@ def test_config_validation(demo_paths):
             "supp_demos": demo_paths["supp"], "bogus": "1"})
 
 
+BAD_CONFIG_VALUES = [
+    ({"gmm_k": 0}, "gmm_k"),
+    ({"gmm_alpha": 1.5}, "gmm_alpha"),
+    ({"gmm_alpha": 0.0}, "gmm_alpha"),
+    ({"gmm_cov_floor": -1.0}, "gmm_cov_floor"),
+    ({"gmm_cov_floor": 0.0}, "gmm_cov_floor"),
+    ({"ratio_min": 20.0, "ratio_max": 10.0}, "ratio_min <= ratio_max"),
+    ({"ratio_min": -1.0}, "ratio_min"),
+    ({"ratio_min": 0.0}, "ratio_min"),
+    ({"learning_rate": -1.0}, "learning_rate"),
+    ({"learning_rate": 0.0}, "learning_rate"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+]
+
+
+@pytest.fixture
+def nothing_trained(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("a reference policy was trained")
+
+    monkeypatch.setattr(offline, "train_reference_policy", refuse)
+
+
+@pytest.mark.parametrize("bad, message", BAD_CONFIG_VALUES)
+def test_bad_config_values_rejected_before_training(demo_paths, nothing_trained,
+                                                     bad, message):
+    with pytest.raises(ConfigError, match=message):
+        offline.run_offline(small_config(demo_paths, **bad))
+
+
+def test_equal_ratio_bounds_accepted(demo_paths):
+    cfg = small_config(demo_paths, ratio_min=2.0, ratio_max=2.0)
+    assert cfg.ratio_min == cfg.ratio_max == 2.0
+
+
 # ------------------------------------------------------------------ stages
 
 
