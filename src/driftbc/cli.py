@@ -388,6 +388,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        # before any subcommand creates an output path; train-offline's
+        # seed is checked with the rest of its config
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         code = args.func(args)
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

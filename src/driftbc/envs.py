@@ -11,11 +11,13 @@ unperturbed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
+from .numeric import NormalRows
 
 ENV_IDS = ("pointmass2d", "pendulum1")
 
@@ -24,6 +26,7 @@ PENDULUM_DT = 0.1
 HORIZON = 200
 
 POINTMASS_GOAL = np.array([0.8, 0.8])
+POINTMASS_GOAL_XY = tuple(POINTMASS_GOAL.tolist())
 POINTMASS_DAMPING = 0.95
 POINTMASS_DONE_DIST = 0.05
 
@@ -77,33 +80,49 @@ def _wrap_angle(x: float) -> float:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _clamp(x: float, low: float, high: float) -> float:
+    """min(max(x, low), high) without the builtins' call cost: np.clip's
+    value for the non-zero bounds used here, NaN included."""
+    x = low if low > x else x
+    return high if high < x else x
+
+
 def step(spec: EnvSpec, state, action) -> tuple[np.ndarray, float, bool]:
     """One dynamics step; the action is clamped to bounds first. done reflects
-    the task's own termination condition; the horizon is the caller's job."""
-    state = np.asarray(state, dtype=np.float64)
-    if not np.isfinite(state).all():
-        raise NumericError(f"non-finite state passed to step: {state}")
-    # minimum(maximum(...)) is np.clip's value for the non-zero bounds used
-    # here, at a fraction of its call cost on these 1- and 2-vectors
-    a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), spec.action_low),
-                   spec.action_high)
+    the task's own termination condition; the horizon is the caller's job.
+
+    The arithmetic runs on Python floats, which round each operation as
+    numpy's float64 does. numpy still computes arctan2, sin, cos, sqrt and
+    the goal-gap dot product, whose rounding libm or a plain sum need not
+    share.
+    """
+    values = np.asarray(state, dtype=np.float64).tolist()
+    a = np.asarray(action, dtype=np.float64).tolist()
+    if len(values) != spec.state_dim or len(a) != spec.action_dim:
+        raise ShapeError(f"{spec.env_id} steps a {spec.state_dim}-state with a "
+                         f"{spec.action_dim}-action, got {np.shape(state)} and "
+                         f"{np.shape(action)}")
+    if not all(map(math.isfinite, values)):
+        raise NumericError(f"non-finite state passed to step: {np.asarray(state)}")
+    low, high = spec.action_low.tolist(), spec.action_high.tolist()
 
     if spec.env_id == "pointmass2d":
-        pos, vel = state[:2], state[2:]
-        vel = POINTMASS_DAMPING * vel + a * spec.dt
-        pos = np.minimum(np.maximum(pos + vel * spec.dt, -1.0), 1.0)
-        gap = pos - POINTMASS_GOAL
+        x, y, vx, vy = values
+        vx = POINTMASS_DAMPING * vx + _clamp(a[0], low[0], high[0]) * spec.dt
+        vy = POINTMASS_DAMPING * vy + _clamp(a[1], low[1], high[1]) * spec.dt
+        x = _clamp(x + vx * spec.dt, -1.0, 1.0)
+        y = _clamp(y + vy * spec.dt, -1.0, 1.0)
+        gap = np.array((x - POINTMASS_GOAL_XY[0], y - POINTMASS_GOAL_XY[1]))
         # what np.linalg.norm computes for a 1-D float vector
         dist = float(np.sqrt(gap.dot(gap)))
-        next_state = np.concatenate([pos, vel])
-        return next_state, -dist, dist < POINTMASS_DONE_DIST
+        return np.array((x, y, vx, vy)), -dist, dist < POINTMASS_DONE_DIST
 
-    theta = float(np.arctan2(state[1], state[0]))
-    theta_dot = float(state[2])
-    torque = float(a[0])
+    cos_theta, sin_theta, theta_dot = values
+    theta = float(np.arctan2(sin_theta, cos_theta))
+    torque = _clamp(a[0], low[0], high[0])
     theta_acc = (-PENDULUM_G / PENDULUM_L) * np.sin(theta) + torque / (PENDULUM_M * PENDULUM_L ** 2)
-    theta_dot = float(min(max(theta_dot + theta_acc * spec.dt, -PENDULUM_MAX_SPEED),
-                          PENDULUM_MAX_SPEED))
+    theta_dot = float(_clamp(theta_dot + theta_acc * spec.dt, -PENDULUM_MAX_SPEED,
+                             PENDULUM_MAX_SPEED))
     theta = theta + theta_dot * spec.dt
     from_upright = _wrap_angle(theta - np.pi)
     reward = -(from_upright ** 2 + 0.1 * theta_dot ** 2 + 0.001 * torque ** 2)
@@ -113,13 +132,18 @@ def step(spec: EnvSpec, state, action) -> tuple[np.ndarray, float, bool]:
 
 @dataclass
 class NoiseWrapper:
-    """Adds N(0, sigma^2 I) to observations; sigma = 0 is the identity."""
+    """Adds N(0, sigma^2 I) to observations; sigma = 0 is the identity.
+    rng is a Generator, or a NormalRows block drawn from one (see observe)."""
 
     sigma: float
-    rng: np.random.Generator
+    rng: np.random.Generator | NormalRows
 
 
 def observe(wrapper: NoiseWrapper, state) -> np.ndarray:
+    """state plus sigma times wrapper.rng.standard_normal(state_dim); no draw
+    at sigma 0. play_episodes sets rng to a NormalRows block of the
+    episode's online_ep{ep}_obs stream, so the observation of step t takes
+    row t, the values a Generator would draw at that step."""
     state = np.asarray(state, dtype=np.float64)
     if wrapper.sigma == 0.0:
         return state.copy()
@@ -179,6 +203,11 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     ends or the spec's horizon. act sees the observed state only (the true state
     when there is no wrapper). on_step(t, state, obs, action, reward), if
     given, runs after each step with the state the action was taken at.
+
+    Step t calls observe once and act once. When the wrapper's rng and the
+    generator act samples from are NormalRows blocks, as play_episodes makes
+    them, step t therefore uses row t of each, and an episode that ends
+    early leaves its later rows unused.
 
     Returns the return summed step by step with +=, the final state, and
     whether the task ended before the horizon.

@@ -54,7 +54,8 @@ class MlpNetwork:
     The activation applies to hidden layers only; the output layer is linear.
     All parameters live in one contiguous float64 vector, params, laid out as
     [W0, b0, W1, b1, ...]; weights and biases are views into it, so an edit
-    through either is seen by the other. Construction copies the given arrays.
+    through either is seen by the other. weights_t holds the transposed views
+    that forward multiplies by. Construction copies the given arrays.
     """
 
     layer_dims: tuple[int, ...]
@@ -62,6 +63,7 @@ class MlpNetwork:
     biases: list[np.ndarray]
     activation: str = "tanh"
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    weights_t: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
@@ -84,6 +86,7 @@ class MlpNetwork:
         self.params = buffer
         self.weights = views[0::2]
         self.biases = views[1::2]
+        self.weights_t = [w.T for w in self.weights]
 
     def __reduce__(self):
         # copies and pickles rebuild the shared buffer instead of splitting
@@ -147,17 +150,24 @@ def _act_deriv_from_output(h: np.ndarray, kind: str, out: np.ndarray | None = No
     return out
 
 
-def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_input(x, dim: int, what: str) -> np.ndarray:
+    """x as a float64 array, one row (dim,) or a batch (B, dim)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         if x.shape[0] != dim:
             raise ShapeError(f"{what} has length {x.shape[0]}, expected {dim}")
-        return x[None, :], True
-    if x.ndim == 2:
+    elif x.ndim == 2:
         if x.shape[1] != dim:
             raise ShapeError(f"{what} has trailing dim {x.shape[1]}, expected {dim}")
-        return x, False
-    raise ShapeError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
+    else:
+        raise ShapeError(f"{what} must be 1-D or 2-D, got ndim={x.ndim}")
+    return x
+
+
+def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """x as a batch, and whether it was one row."""
+    x = _as_input(x, dim, what)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 def mapped_empty(count: int) -> np.ndarray:
@@ -213,19 +223,19 @@ class MlpWorkspace:
 
 
 def _forward_into(net: MlpNetwork, x: np.ndarray, outputs) -> list[np.ndarray]:
-    """Post-activation value of every layer, starting with the input itself;
-    layer i is written into the leading rows of outputs[i], or into a new
-    array when outputs is None (at batch 1 that is the cheaper of the two)."""
-    n = x.shape[0]
+    """Post-activation value of every layer, starting with the input itself.
+    x is a batch (n, in_dim), or one row (in_dim,) when outputs is None.
+    Layer i is written into the leading n rows of outputs[i], or into a new
+    array when outputs is None (for one row that is the cheaper of the two)."""
     hs = [x]
     h = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for i, (w_t, b) in enumerate(zip(net.weights_t, net.biases)):
         if outputs is None:
-            z = h @ w.T
+            z = h @ w_t
         else:
-            z = outputs[i][:n]
-            np.matmul(h, w.T, out=z)
+            z = outputs[i][:x.shape[0]]
+            np.matmul(h, w_t, out=z)
         z += b
         if i != last:
             _apply_act(z, net.activation)
@@ -239,12 +249,17 @@ def forward(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> np.nda
 
     With a workspace, the layers are written into its buffers and the output
     aliases them (see MlpWorkspace); without one, the output is a new array.
+    One input without a workspace goes through matmul as a 1-D operand,
+    which matmul runs as a batch of one row with the same BLAS call, so the
+    output has the bits of forward(net, x[None, :])[0] for less call cost.
     """
-    xb, squeeze = _as_batch(x, net.in_dim, "input")
-    if workspace is not None:
-        workspace.check_rows(xb.shape[0])
-    out = _forward_into(net, xb, None if workspace is None else workspace.outputs)[-1]
-    return out[0] if squeeze else out
+    x = _as_input(x, net.in_dim, "input")
+    if workspace is None:
+        return _forward_into(net, x, None)[-1]
+    xb = x if x.ndim == 2 else x[None, :]
+    workspace.check_rows(xb.shape[0])
+    out = _forward_into(net, xb, workspace.outputs)[-1]
+    return out if x.ndim == 2 else out[0]
 
 
 def forward_cache(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> list[np.ndarray]:
@@ -433,6 +448,29 @@ def named_generator(seed: int, name: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(zlib.crc32(name.encode("utf8")),))
     return np.random.default_rng(ss)
+
+
+class NormalRows:
+    """Standard normals drawn from rng once, as one (rows, width) block, and
+    handed out a row per standard_normal(width) call: call t returns row t.
+    It stands in for rng where a loop would draw width values per step.
+    Generator.standard_normal fills its output element by element from one
+    stream, so row t holds the values rng's own t-th standard_normal(width)
+    call would have returned, for one call instead of rows."""
+
+    __slots__ = ("width", "_next_row")
+
+    def __init__(self, rng: np.random.Generator, rows: int, width: int):
+        self.width = width
+        self._next_row = iter(rng.standard_normal((rows, width))).__next__
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        if size != self.width:
+            raise ShapeError(f"rows hold {self.width} standard normals, {size} asked for")
+        try:
+            return self._next_row()
+        except StopIteration:
+            raise ShapeError("every drawn row is used") from None
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,9 @@ class OfflineConfig:
         for name in ("ref_steps", "disc_steps", "bc_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("seed", "reg_cutoff"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")
         if not self.expert_demos:

@@ -23,7 +23,8 @@ from .density import GmmModel, membership_score
 from .discriminator import (bc_weight, check_scores, check_weights, join_rows,
                             two_class_core)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numeric import MlpWorkspace, adam_step, init_adam, mapped_empty, named_generator
+from .numeric import (MlpWorkspace, NormalRows, adam_step, init_adam, mapped_empty,
+                      named_generator)
 from .offline import OfflineArtifacts
 from .policy import bc_workspace, run_weighted_bc, sample_action
 
@@ -258,19 +259,26 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
 
     Episode ep draws from its own streams online_ep{ep}_{env,obs,act}, so a
     frozen-policy evaluation and an adaptive run with the same seed see the
-    same episodes. policy_of is called at every step, so a policy replaced
-    mid-episode acts from the next step on. on_step(ep, t, state, obs,
-    action, reward), if given, runs after every step.
+    same episodes. The observation and action noise of an episode are drawn
+    once, as (horizon, d) blocks of standard normals from online_ep{ep}_obs
+    and online_ep{ep}_act (see NormalRows): step t observes with row t of
+    the first and acts with row t of the second, the values a draw of d per
+    step from each stream gives. policy_of is called at every step, so a
+    policy replaced mid-episode acts from the next step on, on the same
+    rows. on_step(ep, t, state, obs, action, reward), if given, runs after
+    every step.
     """
     spec = envs.make_spec(env_id)
     returns = np.zeros(episodes)
     for ep in range(episodes):
         env_rng = named_generator(seed, f"online_ep{ep}_env")
-        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
-        act_rng = named_generator(seed, f"online_ep{ep}_act")
+        obs_noise = NormalRows(named_generator(seed, f"online_ep{ep}_obs"),
+                               spec.horizon, spec.state_dim)
+        act_noise = NormalRows(named_generator(seed, f"online_ep{ep}_act"),
+                               spec.horizon, spec.action_dim)
         returns[ep], _, _ = envs.run_episode(
-            spec, lambda obs: sample_action(policy_of(), obs, rng=act_rng), env_rng,
-            envs.NoiseWrapper(sigma=sigma, rng=obs_rng),
+            spec, lambda obs: sample_action(policy_of(), obs, act_noise), env_rng,
+            envs.NoiseWrapper(sigma=sigma, rng=obs_noise),
             None if on_step is None else functools.partial(on_step, ep))
     return returns
 

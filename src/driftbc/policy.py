@@ -13,6 +13,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
     MlpWorkspace,
+    NormalRows,
     RecordReader,
     adam_step,
     backprop,
@@ -118,8 +119,12 @@ def action_mean(policy: GaussianPolicy, s) -> np.ndarray:
     return forward(policy.mean_net, s)
 
 
-def sample_action(policy: GaussianPolicy, s, rng: np.random.Generator) -> np.ndarray:
-    """Draw a ~ N(mu(s), diag sigma^2), clamped to bounds."""
+def sample_action(policy: GaussianPolicy, s, rng: np.random.Generator | NormalRows) -> np.ndarray:
+    """Draw a ~ N(mu(s), diag sigma^2), clamped to bounds, as mu(s) plus
+    sigma times rng.standard_normal(action_dim). play_episodes passes a
+    NormalRows block of the episode's online_ep{ep}_act stream, so the
+    action of step t takes row t, the values a Generator would draw at that
+    step."""
     mu = forward(policy.mean_net, s)
     mu = mu + rng.standard_normal(policy.action_dim) * np.exp(policy.log_std)
     # np.clip's bits at a third of its call cost, on every control step

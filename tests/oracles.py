@@ -240,3 +240,52 @@ def fit_gmm_oracle(states, k, seed, alpha, cov_floor, max_iters=200, tol=1e-6):
     train_ld = logsumexp(weighted_log_densities(weights, variances, means, states))
     return (weights, means, variances, ll_history,
             float(np.quantile(train_ld, alpha)), floored)
+
+
+def mlp_forward_row_oracle(weights, biases, activation, x):
+    """The net on one input as a batch of one row: x[None, :] @ W.T + b per
+    layer, as the forward pass was first written. Returns the output row."""
+    h = np.asarray(x, dtype=np.float64)[None, :]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w.T + b
+        if i != last:
+            h = np.tanh(h) if activation == "tanh" else np.maximum(h, 0.0)
+    return h[0]
+
+
+def play_episodes_oracle(policy_of, env_id, sigma, episodes, seed, on_step=None):
+    """driftbc.online.play_episodes as a loop of its own: every step draws
+    standard_normal(d) from the episode's online_ep{ep}_obs and
+    online_ep{ep}_act streams, computes the action with
+    mlp_forward_row_oracle and np.clip, and steps with env_step_oracle.
+    Same signature and return value, so it can stand in for it."""
+    from driftbc import envs
+    from driftbc.numeric import named_generator
+
+    spec = envs.make_spec(env_id)
+    returns = np.zeros(episodes)
+    for ep in range(episodes):
+        env_rng = named_generator(seed, f"online_ep{ep}_env")
+        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
+        act_rng = named_generator(seed, f"online_ep{ep}_act")
+        state = envs.reset(spec, env_rng)
+        total = 0.0
+        for t in range(spec.horizon):
+            obs = state.copy()
+            if sigma != 0.0:
+                obs = state + obs_rng.standard_normal(spec.state_dim) * sigma
+            policy = policy_of()
+            net = policy.mean_net
+            mu = mlp_forward_row_oracle(net.weights, net.biases, net.activation, obs)
+            action = np.clip(mu + act_rng.standard_normal(policy.action_dim)
+                             * np.exp(policy.log_std), policy.action_low, policy.action_high)
+            next_state, reward, done = env_step_oracle(spec, state, action)
+            total += reward
+            if on_step is not None:
+                on_step(ep, t, state, obs, action, reward)
+            state = next_state
+            if done:
+                break
+        returns[ep] = total
+    return returns

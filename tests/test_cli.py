@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,7 +189,8 @@ class TestTrainOffline:
 
     @pytest.mark.parametrize("override", ["gmm_k=0", "gmm_alpha=1.5",
                                           "gmm_cov_floor=-1", "ratio_min=-1",
-                                          "ratio_min=20", "learning_rate=-1"])
+                                          "ratio_min=20", "learning_rate=-1",
+                                          "reg_cutoff=-5", "seed=-1"])
     def test_bad_config_value_exits_2_before_training(self, ws, tmp_path, capsys,
                                                       monkeypatch, override):
         import driftbc.offline as offline_mod
@@ -363,6 +365,46 @@ class TestVerify:
                      "--out", str(out)]) == EXIT_USAGE
         assert "not a directory" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+
+class TestNegativeSeed:
+    """A negative seed exits 2 before any named stream is drawn or any
+    output path is made."""
+
+    @pytest.fixture
+    def no_streams(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a named stream was drawn")
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("driftbc") \
+                    and hasattr(module, "named_generator"):
+                monkeypatch.setattr(module, "named_generator", refuse)
+
+    @pytest.mark.parametrize("command", ["gen-data", "gen-refs", "train-offline",
+                                         "run-online", "evaluate", "grid-kth",
+                                         "tier-ablation", "verify"])
+    def test_exits_2_before_any_output(self, ws, tmp_path, capsys, no_streams,
+                                       command):
+        out = tmp_path / "out"
+        art, refs, config = str(ws["art"]), str(ws["refs"]), str(ws["config"])
+        argv = {
+            "gen-data": ["--env", ENV, "--tier", "expert", "--seed", "-1"],
+            "gen-refs": ["--env", ENV, "--seed", "-1"],
+            "train-offline": ["--config", config, "--set", "seed=-1"],
+            "run-online": ["--artifacts", art, "--sigma", "0.1", "--episodes", "2",
+                           "--seed", "-1"],
+            "evaluate": ["--artifacts", art, "--refs", refs, "--seed", "-1"],
+            "grid-kth": ["--artifacts", art, "--refs", refs, "--sigma", "0.1",
+                         "--seed", "-1"],
+            "tier-ablation": ["--config", config, "--mix", f"me={ws['medium']}",
+                              "--refs", refs, "--seed", "-1"],
+            "verify": ["--seed", "-1"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.manifest").exists()
 
 
 class TestParserContract:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbc import envs
-from driftbc.errors import ConfigError, NumericError
+from driftbc.errors import ConfigError, NumericError, ShapeError
 from oracles import env_step_oracle
 
 
@@ -182,6 +182,14 @@ def test_step_rejects_non_finite_state():
     spec = pm_spec()
     with pytest.raises(NumericError):
         envs.step(spec, np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("env_id,state_len,action_len", [
+    ("pointmass2d", 4, 1), ("pointmass2d", 4, 3), ("pointmass2d", 3, 2),
+    ("pendulum1", 3, 2), ("pendulum1", 4, 1)])
+def test_step_rejects_wrong_lengths(env_id, state_len, action_len):
+    with pytest.raises(ShapeError, match=f"{env_id} steps"):
+        envs.step(envs.make_spec(env_id), np.zeros(state_len), np.zeros(action_len))
 
 
 def random_step_inputs(env_id, n, rng):

@@ -99,6 +99,8 @@ BAD_CONFIG_VALUES = [
     ({"learning_rate": -1.0}, "learning_rate"),
     ({"learning_rate": 0.0}, "learning_rate"),
     ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"reg_cutoff": -5}, "reg_cutoff"),
+    ({"seed": -1}, "seed"),
 ]
 
 
@@ -120,6 +122,11 @@ def test_bad_config_values_rejected_before_training(demo_paths, nothing_trained,
 def test_equal_ratio_bounds_accepted(demo_paths):
     cfg = small_config(demo_paths, ratio_min=2.0, ratio_max=2.0)
     assert cfg.ratio_min == cfg.ratio_max == 2.0
+
+
+def test_zero_seed_and_reg_cutoff_accepted(demo_paths):
+    cfg = small_config(demo_paths, seed=0, reg_cutoff=0)
+    assert cfg.seed == cfg.reg_cutoff == 0
 
 
 # ------------------------------------------------------------------ stages
