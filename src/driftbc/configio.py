@@ -75,26 +75,25 @@ def apply_overrides(cfg: dict, overrides) -> dict[str, str]:
 # --------------------------------------------------------------- coercions
 
 
-def as_int(cfg: dict, key: str, default: int | None = None) -> int:
+def _coerce(cfg: dict, key: str, default, convert, what: str):
+    """convert(cfg[key]), else default; a missing key without a default, or
+    a value convert rejects, raises ConfigError."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        return convert(cfg[key])
     except ValueError:
-        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not an integer") from None
+        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not {what}") from None
+
+
+def as_int(cfg: dict, key: str, default: int | None = None) -> int:
+    return _coerce(cfg, key, default, int, "an integer")
 
 
 def as_float(cfg: dict, key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a number") from None
+    return _coerce(cfg, key, default, float, "a number")
 
 
 def as_bool(cfg: dict, key: str, default: bool = False) -> bool:
@@ -109,11 +108,7 @@ def as_bool(cfg: dict, key: str, default: bool = False) -> bool:
 
 
 def as_str(cfg: dict, key: str, default: str | None = None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    return cfg[key]
+    return _coerce(cfg, key, default, str, "a string")
 
 
 # --------------------------------------------------------------- manifests

@@ -306,13 +306,6 @@ def clamped_ratio(log_ratio, r_min: float = DEFAULT_RATIO_MIN,
     return np.exp(np.clip(log_ratio, np.log(r_min), np.log(r_max)))
 
 
-def density_ratio(p_expert: JointDensityModel, p_supp: JointDensityModel, s, a,
-                  r_min: float = DEFAULT_RATIO_MIN, r_max: float = DEFAULT_RATIO_MAX):
-    """Supplementary-over-expert joint density ratio, clamped in log space."""
-    return clamped_ratio(joint_log_density(p_supp, s, a)
-                         - joint_log_density(p_expert, s, a), r_min, r_max)
-
-
 def save_gmm(path, model: GmmModel, extra: dict | None = None) -> None:
     fields = {**(extra or {}), "n_components": model.n_components, "dim": model.dim,
               "provenance": model.provenance or "-"}

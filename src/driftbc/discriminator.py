@@ -1,7 +1,8 @@
 """Discriminator over (state, action) pairs: clipped logistic output, the
 offline importance-weighted loss, the squared-error posterior regularizer with
-its decaying weight schedule, the online variant weighted by shift scores, BC
-weight extraction, and the pointwise-optimum solver used by the theory checks.
+its decaying weight schedule, the online variant weighted by shift scores, the
+one minibatch trainer both phases run, BC weight extraction, and the
+pointwise-optimum solver used by the theory checks.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from .numeric import (
     MlpNetwork,
     MlpWorkspace,
     RecordReader,
+    adam_step,
     backprop,
     check_finite,
     forward,
     forward_cache,
+    init_adam,
     init_mlp,
     mlp_params,
     net_fields,
@@ -73,8 +76,7 @@ def _concat_sa(states, actions, out=None) -> tuple[np.ndarray, bool]:
 
 
 def join_rows(states, actions, what: str = "loss batch") -> np.ndarray:
-    """The (N, ds + da) rows [s, a] of a non-empty 2-D batch; the losses'
-    input check, which the trainers run once over their whole data."""
+    """The (N, ds + da) rows [s, a] of a non-empty 2-D batch."""
     x, single = _concat_sa(states, actions)
     if single:
         raise ShapeError(f"{what} must be 2-D")
@@ -148,6 +150,18 @@ def check_weights(values, rows: int, what: str) -> np.ndarray:
     if np.any(values < 0):
         raise DataError(f"negative {what}")
     return values
+
+
+def two_class_rows(expert_batch, other_batch, weights):
+    """The two-class losses' input check: the joined rows of the expert and
+    other (states, actions) batches, which must be equally wide, and the
+    checked weights of the other rows. The trainers run it once over their
+    whole data."""
+    xe = join_rows(*expert_batch)
+    xo = join_rows(*other_batch)
+    if xo.shape[1] != xe.shape[1]:
+        raise ShapeError(f"other rows are {xo.shape[1]} wide, expert rows {xe.shape[1]}")
+    return xe, xo, check_weights(weights, xo.shape[0], "per-sample weight")
 
 
 def check_scores(scores) -> np.ndarray:
@@ -228,12 +242,8 @@ def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratio
     constants.
     Returns (loss, grads) with grads aligned to mlp_params(model.net): views
     into one flat vector in the model.net.params layout, out when given.
-    The trainers run this function's input check once over their whole data
-    and two_class_core at every step.
     """
-    xe = join_rows(*expert_batch)
-    xs = join_rows(*supp_batch)
-    w = check_weights(ratios, xs.shape[0], "per-sample weight")
+    xe, xs, w = two_class_rows(expert_batch, supp_batch, ratios)
     ws = MlpWorkspace(model.net.layer_dims, xe.shape[0] + xs.shape[0], out)
     loss = two_class_core(model, np.vstack([xe, xs]), xe.shape[0], w, ws)
     return loss, ws.grad_views
@@ -243,8 +253,6 @@ def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=
     """Expert term plus shift-score-weighted term over online experience.
 
     online_batch is (states, actions, shift_scores) with scores in [0, 1].
-    online_update runs this function's input check once per update and
-    two_class_core at every step.
     """
     if len(online_batch) != 3:
         raise ShapeError("online_batch must be (states, actions, shift_scores)")
@@ -272,17 +280,13 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
 
     reg_weight = 0 short-circuits to offline_disc_loss exactly (the ablation
     path); otherwise reg_weight must lie in (0, 1]. One forward runs over the
-    stacked [expert; supp; mixed] rows (see combined_core). The offline
-    trainer runs this function's input check once over its whole data and
-    two_class_core or combined_core at every step.
+    stacked [expert; supp; mixed] rows (see combined_core).
     """
     if reg_weight == 0.0:
         return offline_disc_loss(model, expert_batch, supp_batch, ratios, out=out)
     if not (0.0 < reg_weight <= 1.0):
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
-    xe = join_rows(*expert_batch)
-    xs = join_rows(*supp_batch)
-    w = check_weights(ratios, xs.shape[0], "per-sample weight")
+    xe, xs, w = two_class_rows(expert_batch, supp_batch, ratios)
     xm = join_rows(*mixed_batch, what="regularizer batch")
     t = check_targets(targets, xm.shape[0])
     nb = xe.shape[0] + xs.shape[0]
@@ -290,6 +294,61 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
     loss = combined_core(model, np.vstack([xe, xs, xm]), xe.shape[0], nb, w, t,
                          reg_weight, ws, np.empty_like(ws.grad))
     return loss, ws.grad_views
+
+
+def train_discriminator(model: DiscriminatorModel, x_e: np.ndarray, x_s: np.ndarray,
+                        w: np.ndarray, steps: int, batch_size: int,
+                        learning_rate: float, rng: np.random.Generator,
+                        workspace: MlpWorkspace, targets=None, reg_cutoff: int = 0,
+                        on_step=None) -> None:
+    """Adam steps on the expert-vs-other loss, in place on model: the one
+    trainer of the offline stage and of every online update. x_e, x_s and w
+    are the checked rows and weights that two_class_rows returns.
+
+    Step t draws batch_size indices into x_e, then batch_size into x_s, from
+    rng, and gathers the rows [expert; other] into workspace.inputs. With
+    targets=None it runs two_class_core on them, at reg_weight 0. With
+    targets=(t_e, t_s), checked regularizer targets of the x_e and x_s rows,
+    the first batch_size // 2 rows of each class batch follow as the mixed
+    rows, and it runs combined_core at reg_weight_at(t, reg_cutoff); the
+    workspace then needs 2 * batch_size + 2 * (batch_size // 2) rows.
+    A NumericError of the core or a non-finite loss raises NumericError
+    naming the step; on_step(t, loss, reg_weight) runs after each Adam step.
+    """
+    b, half = batch_size, batch_size // 2
+    params = [model.net.params]
+    opt = init_adam(params, learning_rate=learning_rate)
+    rows = workspace.inputs[:2 * (b + half)]
+    rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
+    mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]
+    w_batch, t = np.empty(b), np.empty(2 * half)
+    scratch = None if targets is None else np.empty_like(workspace.grad)
+    for step in range(1, steps + 1):
+        idx_e = rng.integers(0, x_e.shape[0], size=b)
+        idx_s = rng.integers(0, x_s.shape[0], size=b)
+        # the drawn indices are in range, so mode="clip" changes nothing
+        x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
+        x_s.take(idx_s, axis=0, out=rows_s, mode="clip")
+        w.take(idx_s, out=w_batch, mode="clip")
+        lam = 0.0 if targets is None else reg_weight_at(step, reg_cutoff)
+        try:
+            if targets is None:
+                loss = two_class_core(model, class_rows, b, w_batch, workspace)
+            else:
+                mixed_e[...] = rows_e[:half]
+                mixed_s[...] = rows_s[:half]
+                targets[0].take(idx_e[:half], out=t[:half], mode="clip")
+                targets[1].take(idx_s[:half], out=t[half:], mode="clip")
+                loss = combined_core(model, rows, b, 2 * b, w_batch, t, lam,
+                                     workspace, scratch)
+        except NumericError as exc:
+            raise NumericError(
+                f"discriminator training aborted at step {step}: {exc}") from exc
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite discriminator loss at step {step}")
+        adam_step(params, [workspace.grad], opt)
+        if on_step is not None:
+            on_step(step, loss, lam)
 
 
 def _pooled_inputs(states, actions, labels) -> tuple[np.ndarray, np.ndarray]:

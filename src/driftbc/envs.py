@@ -179,10 +179,9 @@ def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
 @dataclass
 class EpisodeRecord:
     """Per-step arrays for one episode; states are those the actions were taken
-    at (pre-step), with their observed counterparts."""
+    at (pre-step)."""
 
     true_states: np.ndarray      # (T, state_dim)
-    observed_states: np.ndarray  # (T, state_dim)
     actions: np.ndarray          # (T, action_dim)
     rewards: np.ndarray          # (T,)
     final_state: np.ndarray
@@ -228,20 +227,19 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     return total, state, done
 
 
-def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator,
-            wrapper: NoiseWrapper | None = None) -> EpisodeRecord:
-    """Run one episode and record every step, actions clamped to bounds."""
+def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator) -> EpisodeRecord:
+    """Run one noise-free episode and record every step, actions clamped to
+    bounds."""
     steps = []
 
     def record(t, state, obs, action, reward):
         a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
-        steps.append((state, obs, a, reward))
+        steps.append((state, a, reward))
 
-    _, final_state, terminated = run_episode(spec, action_fn, env_rng, wrapper, record)
-    true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
+    _, final_state, terminated = run_episode(spec, action_fn, env_rng, None, record)
+    true_states, actions, rewards = map(np.array, zip(*steps))
     return EpisodeRecord(
         true_states=true_states,
-        observed_states=observed_states,
         actions=actions,
         rewards=rewards,
         final_state=final_state,

@@ -519,8 +519,11 @@ class RecordReader:
 
     def __init__(self, path, kind: str):
         self.path = path
-        with open(path, "rb") as f:
-            raw = f.read()
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except OSError as e:
+            raise DataError(f"{path}: cannot read: {e.strerror}") from None
         nl = raw.find(b"\n")
         if nl < 0:
             raise DataError(f"{path}: no header line found")

@@ -24,12 +24,11 @@ from .density import (DEFAULT_ALPHA, DEFAULT_COV_FLOOR, DEFAULT_K,
                       JointDensityModel, clamped_ratio, fit_gmm,
                       joint_log_density, load_gmm, save_gmm)
 from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
-                            check_weights, combined_core, eval_bce,
-                            init_discriminator, join_rows, load_discriminator,
-                            reg_weight_at, save_discriminator, sigmoid,
-                            two_class_core)
-from .errors import ConfigError, DataError, NumericError
-from .numeric import MlpWorkspace, adam_step, init_adam, named_generator
+                            eval_bce, init_discriminator, load_discriminator,
+                            save_discriminator, sigmoid, train_discriminator,
+                            two_class_rows)
+from .errors import ConfigError, DataError
+from .numeric import MlpWorkspace, named_generator
 from .policy import (GaussianPolicy, PolicyTrainConfig, init_policy, load_policy,
                      run_weighted_bc, save_policy, train_reference_policy)
 
@@ -134,13 +133,6 @@ class OfflineArtifacts:
     gmm_supp: GmmModel | None = None
     metrics: str = ""
 
-    def joint_models(self) -> tuple[JointDensityModel, JointDensityModel]:
-        if self.ref_expert is None or self.gmm_expert is None \
-                or self.ref_supp is None or self.gmm_supp is None:
-            raise ConfigError("density artifacts are missing (plain_bc run?)")
-        return (JointDensityModel(self.ref_expert, self.gmm_expert),
-                JointDensityModel(self.ref_supp, self.gmm_supp))
-
 
 def load_demo_file(path: str, env_id: str) -> DemoSet:
     """The demo set at path, which must exist and be for env_id."""
@@ -151,15 +143,6 @@ def load_demo_file(path: str, env_id: str) -> DemoSet:
         raise DataError(f"demo file {path!r} is for env {ds.env_id!r}, "
                         f"config says {env_id!r}")
     return ds
-
-
-def compute_bc_weights(disc: DiscriminatorModel | None, states, actions) -> np.ndarray:
-    """Per-sample odds weights for weighted BC; requires a trained
-    discriminator."""
-    if disc is None:
-        raise ConfigError("weighted BC requires a trained discriminator "
-                          "(use plain_bc for the unweighted ablation)")
-    return np.asarray(bc_weight(disc, states, actions), dtype=np.float64)
 
 
 def eval_discriminator(disc: DiscriminatorModel, held_out_expert, held_out_supp) -> float:
@@ -193,58 +176,25 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
                          expert_train: DemoSet, supp_train: DemoSet,
                          ratios: np.ndarray, targets_e: np.ndarray,
                          targets_s: np.ndarray, holdout: tuple, log: _MetricsLog) -> None:
-    """Adam steps on combined_offline_loss. Its input check runs once over
-    the whole training data; each step gathers [expert; supp; mixed] rows
-    into the input block of one workspace and runs the loss core on it."""
-    x_e = join_rows(expert_train.states, expert_train.actions)
-    x_s = join_rows(supp_train.states, supp_train.actions)
-    ratios = check_weights(ratios, x_s.shape[0], "per-sample weight")
-    if not config.disable_reg:
-        targets_e = check_targets(targets_e, x_e.shape[0])
-        targets_s = check_targets(targets_s, x_s.shape[0])
-    n_e, n_s = x_e.shape[0], x_s.shape[0]
+    """train_discriminator on the expert and supplementary training rows,
+    with the regularizer unless disable_reg; logs every step's loss and the
+    held-out loss at DISC_EVAL_POINTS steps."""
+    x_e, x_s, ratios = two_class_rows((expert_train.states, expert_train.actions),
+                                      (supp_train.states, supp_train.actions), ratios)
+    targets = None if config.disable_reg else (check_targets(targets_e, x_e.shape[0]),
+                                               check_targets(targets_s, x_s.shape[0]))
     b = config.batch_size
-    half = b // 2
-    rng = named_generator(config.seed, "disc_batch")
-    params = [disc.net.params]
-    opt = init_adam(params, learning_rate=config.learning_rate)
     eval_every = max(1, config.disc_steps // DISC_EVAL_POINTS)
-    # rows [expert; supp; mixed], the mixed rows being the leading halves of
-    # both class batches; a step without the regularizer uses the first 2b
-    ws = MlpWorkspace(disc.net.layer_dims, 2 * b + 2 * half)
-    scratch = np.empty_like(ws.grad)
-    rows = ws.inputs
-    rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
-    mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]
-    w = np.empty(b)
-    t = np.empty(2 * half)
 
-    for step in range(1, config.disc_steps + 1):
-        idx_e = rng.integers(0, n_e, size=b)
-        idx_s = rng.integers(0, n_s, size=b)
-        # the drawn indices are in range, so mode="clip" changes nothing
-        x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
-        x_s.take(idx_s, axis=0, out=rows_s, mode="clip")
-        ratios.take(idx_s, out=w, mode="clip")
-        lam = 0.0 if config.disable_reg else reg_weight_at(step, config.reg_cutoff)
-        try:
-            if lam == 0.0:
-                loss = two_class_core(disc, class_rows, b, w, ws)
-            else:
-                mixed_e[...] = rows_e[:half]
-                mixed_s[...] = rows_s[:half]
-                targets_e.take(idx_e[:half], out=t[:half], mode="clip")
-                targets_s.take(idx_s[:half], out=t[half:], mode="clip")
-                loss = combined_core(disc, rows, b, 2 * b, w, t, lam, ws, scratch)
-        except NumericError as exc:
-            raise NumericError(
-                f"discriminator training aborted at step {step}: {exc}") from exc
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite discriminator loss at step {step}")
-        adam_step(params, [ws.grad], opt)
+    def record(step, loss, lam):
         log.add("disc", step, loss, lam)
         if step % eval_every == 0 or step == config.disc_steps:
             log.add("disc_eval", step, eval_discriminator(disc, *holdout), lam)
+
+    train_discriminator(disc, x_e, x_s, ratios, config.disc_steps, b,
+                        config.learning_rate, named_generator(config.seed, "disc_batch"),
+                        MlpWorkspace(disc.net.layer_dims, 2 * b + 2 * (b // 2)),
+                        targets, config.reg_cutoff, record)
 
 
 def run_offline(config: OfflineConfig) -> OfflineArtifacts:
@@ -314,7 +264,7 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
 
         bc_states = np.concatenate([expert_train.states, supp_train.states])
         bc_actions = np.concatenate([expert_train.actions, supp_train.actions])
-        weights = compute_bc_weights(disc, bc_states, bc_actions)
+        weights = bc_weight(disc, bc_states, bc_actions)
 
     policy = init_policy(spec.state_dim, spec.action_dim, spec.action_low,
                          spec.action_high,

@@ -20,11 +20,10 @@ from . import envs
 from .configio import Stopwatch
 from .demos import DemoSet
 from .density import GmmModel, membership_score
-from .discriminator import (bc_weight, check_scores, check_weights, join_rows,
-                            two_class_core)
+from .discriminator import (bc_weight, check_scores, train_discriminator,
+                            two_class_rows)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numeric import (MlpWorkspace, NormalRows, adam_step, init_adam, mapped_empty,
-                      named_generator)
+from .numeric import MlpWorkspace, NormalRows, mapped_empty, named_generator
 from .offline import OfflineArtifacts
 from .policy import bc_workspace, run_weighted_bc, sample_action
 
@@ -175,49 +174,25 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     if artifacts.discriminator is None:
         raise ConfigError("online updates need the discriminator artifact")
     # online_disc_loss's input check, run once over the whole snapshot
-    x_e = join_rows(expert_demos.states, expert_demos.actions)
-    x_x = join_rows(states_x, actions_x)
-    if x_x.shape[1] != x_e.shape[1]:
-        raise ShapeError(f"online rows are {x_x.shape[1]} wide, expert rows {x_e.shape[1]}")
-    scores_x = check_weights(check_scores(scores_x), x_x.shape[0], "per-sample weight")
-
-    n_e, n_x = x_e.shape[0], x_x.shape[0]
-    n_all = n_e + n_x
+    x_e, x_x, scores_x = two_class_rows((expert_demos.states, expert_demos.actions),
+                                        (states_x, actions_x), check_scores(scores_x))
+    n_all = x_e.shape[0] + x_x.shape[0]
     if workspace is None:
         workspace = UpdateWorkspace(artifacts, n_all)
     elif n_all > workspace.rows:
         raise ShapeError(f"{n_all} expert and online rows do not fit a "
                          f"workspace of {workspace.rows}")
-    joined = workspace.joined[:n_all]
-    joined[:n_e] = x_e
-    joined[n_e:] = x_x
-    x_e, x_x = joined[:n_e], joined[n_e:]
+    joined = np.concatenate([x_e, x_x], out=workspace.joined[:n_all])
     ds = np.shape(expert_demos.states)[1]
     s_all, a_all = joined[:, :ds], joined[:, ds:]
     disc = copy.deepcopy(artifacts.discriminator)
     policy = copy.deepcopy(artifacts.policy)
     try:
-        rng = named_generator(seed, f"online_update{update_index}_disc")
-        params = [disc.net.params]
-        opt = init_adam(params, learning_rate=UPDATE_LEARNING_RATE)
-        # each step gathers [expert; online] rows into one stacked buffer;
-        # the drawn indices are in range, so mode="clip" changes nothing
-        rows = workspace.disc.inputs[:2 * UPDATE_BATCH_SIZE]
-        rows_e, rows_x = rows[:UPDATE_BATCH_SIZE], rows[UPDATE_BATCH_SIZE:]
-        w = np.empty(UPDATE_BATCH_SIZE)
-        for step in range(1, config.disc_steps + 1):
-            idx_e = rng.integers(0, n_e, size=UPDATE_BATCH_SIZE)
-            idx_x = rng.integers(0, n_x, size=UPDATE_BATCH_SIZE)
-            x_e.take(idx_e, axis=0, out=rows_e, mode="clip")
-            x_x.take(idx_x, axis=0, out=rows_x, mode="clip")
-            scores_x.take(idx_x, out=w, mode="clip")
-            loss = two_class_core(disc, rows, UPDATE_BATCH_SIZE, w, workspace.disc)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite online disc loss at step {step}")
-            adam_step(params, [workspace.disc.grad], opt)
-
-        weights = np.asarray(bc_weight(disc, s_all, a_all, workspace.disc),
-                             dtype=np.float64)
+        train_discriminator(disc, x_e, x_x, scores_x, config.disc_steps,
+                            UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
+                            named_generator(seed, f"online_update{update_index}_disc"),
+                            workspace.disc)
+        weights = bc_weight(disc, s_all, a_all, workspace.disc)
         run_weighted_bc(policy, s_all, a_all, weights, config.policy_steps,
                         UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
                         named_generator(seed, f"online_update{update_index}_policy"),

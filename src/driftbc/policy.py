@@ -86,7 +86,6 @@ class GaussianPolicy:
 
 @dataclass
 class PolicyTrainConfig:
-    hidden_dims: tuple[int, ...] = (64, 64)
     learning_rate: float = 5e-4
     batch_size: int = 64
     steps: int = 5000
@@ -271,7 +270,7 @@ def train_reference_policy(demos, config: PolicyTrainConfig, seed: int,
     init_rng = named_generator(seed, f"ref_policy_init_{config.label}")
     pol = init_policy(
         states.shape[1], actions.shape[1], config.action_low, config.action_high,
-        hidden_dims=config.hidden_dims, rng=init_rng, provenance=provenance,
+        rng=init_rng, provenance=provenance,
     )
     train_rng = named_generator(seed, f"ref_policy_train_{config.label}")
     run_weighted_bc(pol, states, actions, np.ones(len(states)), config.steps,

@@ -8,12 +8,13 @@ that the first steps would not sample.
 """
 
 import copy
+import sys
 
 import numpy as np
 import pytest
 
-from driftbc import envs, offline, online, policy
-from driftbc.demos import generate_tier
+from driftbc import discriminator, envs, offline, online, policy
+from driftbc.demos import generate_tier, save_demoset
 from driftbc.discriminator import (bc_weight, combined_offline_loss,
                                    init_discriminator, online_disc_loss,
                                    reg_weight_at)
@@ -129,7 +130,7 @@ def no_optimizer_step(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an optimizer step ran before the inputs were checked")
 
-    for module in (online, offline, policy):
+    for module in (discriminator, policy):
         monkeypatch.setattr(module, "adam_step", refuse)
 
 
@@ -228,3 +229,42 @@ def test_nonfinite_density_ratio_raises_before_any_step(data, no_optimizer_step,
         offline._train_discriminator(config, disc, expert, supp, ratios,
                                      data["targets_e"], data["targets_s"], holdout,
                                      offline._MetricsLog())
+
+
+# ------------------------------------------------------ the one trainer
+
+
+@pytest.mark.filterwarnings("ignore::driftbc.density.CovarianceFloorWarning")
+def test_every_core_call_runs_inside_train_discriminator(data, tmp_path, monkeypatch):
+    """The offline stage, with and without the regularizer, and every online
+    update step the discriminator through train_discriminator only."""
+    trainer = discriminator.train_discriminator.__code__
+    calls = {"two_class_core": [], "combined_core": []}
+    for name in calls:
+        core = getattr(discriminator, name)
+
+        def counted(*args, _core=core, _name=name, **kwargs):
+            calls[_name].append(sys._getframe(1).f_code is trainer)
+            return _core(*args, **kwargs)
+
+        # every module attribute bound to the core, however it was imported
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("driftbc") \
+                    and getattr(module, name, None) is core:
+                monkeypatch.setattr(module, name, counted)
+    paths = {name: str(tmp_path / f"{name}.demos") for name in ("expert", "supp")}
+    for name, path in paths.items():
+        save_demoset(path, data[name])
+    for disable_reg in (False, True):
+        art = offline.run_offline(offline.OfflineConfig(
+            env_id=ENV, expert_demos=paths["expert"], supp_demos=paths["supp"],
+            ref_steps=10, disc_steps=15, bc_steps=10, reg_cutoff=5,
+            disable_reg=disable_reg))
+    assert calls == {"two_class_core": [True] * 15, "combined_core": [True] * 15}
+    result = online.run_online(art, data["expert"], sigma=0.1, episodes=2,
+                               adapt="always", seed=1, patience=20,
+                               update_config=online.OnlineUpdateConfig(disc_steps=3,
+                                                                       policy_steps=2))
+    assert result.update_invocations > 0 and result.failed_updates == 0
+    assert calls["two_class_core"] == [True] * (15 + 3 * result.update_invocations)
+    assert calls["combined_core"] == [True] * 15

@@ -367,6 +367,38 @@ class TestVerify:
         assert out.read_text() == "kept\n"
 
 
+class TestMissingInputFile:
+    """A missing input file exits 2 with an error naming it, before any
+    output path is made."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "grid-kth", "tier-ablation"])
+    def test_missing_refs_exit_2(self, ws, tmp_path, capsys, command):
+        out, ghost = tmp_path / "out", str(tmp_path / "ghost.refs")
+        argv = {
+            "evaluate": ["--artifacts", str(ws["art"])],
+            "grid-kth": ["--artifacts", str(ws["art"]), "--sigma", "0.1"],
+            "tier-ablation": ["--config", str(ws["config"]),
+                              "--mix", f"me={ws['medium']}"],
+        }[command]
+        assert main([command, *argv, "--refs", ghost, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ghost in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_moved_expert_demos_exit_2(self, ws, tmp_path, capsys):
+        out, moved = tmp_path / "out", tmp_path / "moved.demos"
+        os.replace(ws["expert"], moved)
+        try:
+            code = main(["run-online", "--artifacts", str(ws["art"]), "--sigma", "0.1",
+                         "--episodes", "2", "--out", str(out)])
+        finally:
+            os.replace(moved, ws["expert"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ws["expert"]) in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     """A negative seed exits 2 before any named stream is drawn or any
     output path is made."""

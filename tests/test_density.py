@@ -332,10 +332,16 @@ class TestJointDensity:
         assert density.joint_log_density(model, s, good) > density.joint_log_density(model, s, bad)
 
 
+def density_ratio(p_expert, p_supp, s, a, **bounds):
+    """The clamped supplementary-over-expert ratio, as run_offline forms it."""
+    return density.clamped_ratio(density.joint_log_density(p_supp, s, a)
+                                 - density.joint_log_density(p_expert, s, a), **bounds)
+
+
 class TestDensityRatio:
     def test_identical_models_give_one(self):
         model, states, actions = fit_joint_1d(seed=9)
-        r = density.density_ratio(model, model, states[0], actions[0])
+        r = density_ratio(model, model, states[0], actions[0])
         assert r == pytest.approx(1.0, abs=0)
 
     def test_clamp_active_at_max(self):
@@ -357,9 +363,9 @@ class TestDensityRatio:
         m_s = density.JointDensityModel(policy_ref=pol, gmm=shifted)
         s = np.zeros(1)
         a = policy.action_mean(pol, s)
-        assert density.density_ratio(m_e, m_s, s, a, r_max=10.0) == pytest.approx(10.0, rel=1e-12)
+        assert density_ratio(m_e, m_s, s, a, r_max=10.0) == pytest.approx(10.0, rel=1e-12)
         # swap roles: big negative log difference hits the lower clamp
-        assert density.density_ratio(m_s, m_e, s, a, r_min=0.1) == pytest.approx(0.1, rel=1e-12)
+        assert density_ratio(m_s, m_e, s, a, r_min=0.1) == pytest.approx(0.1, rel=1e-12)
 
     def test_moderate_log_difference(self):
         pol = policy.init_policy(1, 1, np.array([-5.0]), np.array([5.0]),
@@ -374,7 +380,7 @@ class TestDensityRatio:
         m_s = density.JointDensityModel(policy_ref=pol, gmm=g2)
         s = np.zeros(1)
         a = policy.action_mean(pol, s)
-        r = density.density_ratio(m_e, m_s, s, a, r_min=1e-6, r_max=1e6)
+        r = density_ratio(m_e, m_s, s, a, r_min=1e-6, r_max=1e6)
         assert r == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_ratio_invariant_to_common_shift(self):

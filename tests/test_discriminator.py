@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbc import discriminator as disc
-from driftbc.errors import ConfigError, DataError
+from driftbc.errors import ConfigError, DataError, ShapeError
 from oracles import fd_grads, grads_close
 
 
@@ -271,6 +271,20 @@ class TestOnlineLoss:
 
         fd = fd_grads(loss, params, step=1e-5)
         assert grads_close(grads, fd, tol=1e-4)
+
+
+@pytest.mark.parametrize("loss", [
+    lambda m, eb, ob, w: disc.offline_disc_loss(m, eb, ob, w),
+    lambda m, eb, ob, w: disc.combined_offline_loss(m, eb, ob, eb, w, np.full(3, 0.5), 0.5),
+    lambda m, eb, ob, w: disc.online_disc_loss(m, eb, (*ob, w)),
+], ids=["offline", "combined", "online"])
+def test_two_class_losses_reject_mismatched_widths(loss):
+    rng = np.random.default_rng(19)
+    m = disc.init_discriminator(4, 2, hidden_dims=(4,), rng=rng)
+    expert = rand_batch(rng, 3, ds=4, da=2)   # 6 wide
+    other = rand_batch(rng, 3, ds=3, da=2)    # 5 wide
+    with pytest.raises(ShapeError, match="5 wide, expert rows 6"):
+        loss(m, expert, other, np.full(3, 0.5))
 
 
 class TestPooledBce:

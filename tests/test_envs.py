@@ -337,11 +337,8 @@ def test_rollout_shapes_and_return():
                        np.random.default_rng(9))
     assert len(rec) == 200 and not rec.terminated_early
     assert rec.true_states.shape == (200, 3)
-    assert rec.observed_states.shape == (200, 3)
     assert rec.actions.shape == (200, 1)
     assert rec.total_return == pytest.approx(rec.rewards.sum())
-    # no wrapper: observations are the true states
-    assert np.array_equal(rec.true_states, rec.observed_states)
 
 
 def test_rollout_horizon_override():
@@ -370,17 +367,21 @@ def test_rollout_deterministic():
 def test_noise_never_touches_true_trajectory():
     spec = pend_spec()
     wrapper = envs.NoiseWrapper(0.2, np.random.default_rng(99))
-    noisy = envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                         np.random.default_rng(13), wrapper=wrapper)
+    steps = []
+    _, final_state, _ = envs.run_episode(
+        spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(13),
+        wrapper, lambda t, state, obs, action, reward: steps.append(
+            (state, obs, action, reward)))
+    true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
     # replay the recorded actions with no wrapper: true states must match
     state = envs.reset(spec, np.random.default_rng(13))
-    for t in range(len(noisy)):
-        assert np.array_equal(state, noisy.true_states[t])
-        state, reward, _ = envs.step(spec, state, noisy.actions[t])
-        assert reward == noisy.rewards[t]
-    assert np.array_equal(state, noisy.final_state)
+    for t in range(len(steps)):
+        assert np.array_equal(state, true_states[t])
+        state, reward, _ = envs.step(spec, state, actions[t])
+        assert reward == rewards[t]
+    assert np.array_equal(state, final_state)
     # and the noisy observations do differ from the true states
-    assert not np.array_equal(noisy.observed_states, noisy.true_states)
+    assert not np.array_equal(observed_states, true_states)
 
 
 def test_pointmass_return_bound():

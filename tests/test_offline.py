@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from driftbc import configio, demos, envs, offline, policy
-from driftbc.discriminator import init_discriminator, load_discriminator, reg_weight_at
+from driftbc import configio, demos, density, envs, offline, policy
+from driftbc.discriminator import (bc_weight, init_discriminator, load_discriminator,
+                                   reg_weight_at)
 from driftbc.errors import ConfigError, DataError, NumericError
 from driftbc.numeric import adam_step, named_generator
 from driftbc.policy import init_policy, load_policy, run_weighted_bc
@@ -137,7 +138,8 @@ def test_run_produces_all_models(small_run):
     assert art.policy is not None and art.discriminator is not None
     assert art.ref_expert is not None and art.ref_supp is not None
     assert art.gmm_expert is not None and art.gmm_supp is not None
-    je, js = art.joint_models()
+    je = density.JointDensityModel(art.ref_expert, art.gmm_expert)
+    js = density.JointDensityModel(art.ref_supp, art.gmm_supp)
     assert je.gmm is art.gmm_expert and js.gmm is art.gmm_supp
 
 
@@ -223,8 +225,8 @@ def test_weight_sanity_expert_over_random(demo_paths):
     art = offline.run_offline(cfg)
     exp_train, _ = demos.split_holdout(demos.load_demoset(demo_paths["expert"]), 0.1)
     rnd_train, _ = demos.split_holdout(demos.load_demoset(demo_paths["random"]), 0.1)
-    w_e = offline.compute_bc_weights(art.discriminator, exp_train.states, exp_train.actions)
-    w_r = offline.compute_bc_weights(art.discriminator, rnd_train.states, rnd_train.actions)
+    w_e = bc_weight(art.discriminator, exp_train.states, exp_train.actions)
+    w_r = bc_weight(art.discriminator, rnd_train.states, rnd_train.actions)
     assert w_e.mean() > w_r.mean()
 
 
@@ -238,8 +240,6 @@ def test_plain_bc_bit_exact_vanilla(demo_paths):
                                 plain_bc=True, seed=7, bc_steps=250)
     art = offline.run_offline(cfg)
     assert art.discriminator is None and art.gmm_expert is None
-    with pytest.raises(ConfigError, match="density artifacts"):
-        art.joint_models()
 
     train, _ = demos.split_holdout(demos.load_demoset(demo_paths["expert"]),
                                    cfg.holdout_fraction)
@@ -317,11 +317,6 @@ def test_eval_discriminator_empty_side_raises():
 
 
 # -------------------------------------------------------------- error paths
-
-
-def test_stage_ordering_guard():
-    with pytest.raises(ConfigError, match="discriminator"):
-        offline.compute_bc_weights(None, np.zeros((3, 4)), np.zeros((3, 2)))
 
 
 def test_missing_demo_file(demo_paths, tmp_path):

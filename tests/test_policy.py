@@ -192,11 +192,11 @@ class TestTraining:
     def test_one_sample_overfit(self):
         s = np.array([[0.3, -0.2, 0.5]])
         a = np.array([[0.6, -0.6]])
-        cfg = policy.PolicyTrainConfig(
-            hidden_dims=(16,), steps=4000, learning_rate=3e-3,
-            action_low=-np.ones(2), action_high=np.ones(2),
-        )
-        pol = policy.train_reference_policy(DemoStub(s, a), cfg, seed=0)
+        # train_reference_policy's streams for seed 0 and label "ref"
+        pol = policy.init_policy(3, 2, -np.ones(2), np.ones(2), hidden_dims=(16,),
+                                 rng=numeric.named_generator(0, "ref_policy_init_ref"))
+        policy.run_weighted_bc(pol, s, a, np.ones(1), 4000, 64, 3e-3,
+                               numeric.named_generator(0, "ref_policy_train_ref"))
         np.testing.assert_allclose(policy.action_mean(pol, s[0]), a[0], atol=0.01)
 
     def test_loss_decreases_over_training(self):
