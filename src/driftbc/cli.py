@@ -15,7 +15,7 @@ from pathlib import Path
 from . import envs
 from .configio import (RunManifest, Stopwatch, apply_overrides, config_hash,
                        load_config, write_manifest, write_text_atomic)
-from .demos import (TIERS, generate_tier, load_demoset, load_reference_returns,
+from .demos import (TIERS, generate_tier, load_reference_returns,
                     measure_reference_returns, mix_supplementary, save_demoset,
                     save_reference_returns)
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -25,8 +25,8 @@ from .evaluation import (DEFAULT_RUNS, DEFAULT_SIGMAS, SCORE_EPISODES,
                          format_sweep_summary, grid_plot_data, grid_records,
                          grid_search_kth, noise_sweep, normalizer_from_reference,
                          sweep_plot_data, sweep_records, tier_ablation)
-from .offline import (OfflineConfig, load_offline_artifacts, run_offline,
-                      save_offline_artifacts)
+from .offline import (OfflineConfig, load_demo_file, load_offline_artifacts,
+                      run_offline, save_offline_artifacts)
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
                      format_trigger_log, run_online)
 from .verify import all_passed, format_results, run_checks
@@ -54,7 +54,8 @@ def _check_parents(path: Path) -> None:
 
 
 def _prepare_dir(arg_out, subcommand: str, force: bool) -> Path:
-    """The output directory: --out, else <DRIFTBC_OUT_ROOT or runs>/<subcommand>."""
+    """The output directory: --out, else <DRIFTBC_OUT_ROOT or runs>/<subcommand>.
+    It is checked here and made when its first file is written."""
     path = (Path(arg_out) if arg_out
             else Path(os.environ.get(OUT_ROOT_ENV, DEFAULT_OUT_ROOT)) / subcommand)
     _check_parents(path)
@@ -63,7 +64,6 @@ def _prepare_dir(arg_out, subcommand: str, force: bool) -> Path:
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(
             f"output directory {path} is not empty; pass --force to overwrite")
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -84,6 +84,7 @@ def _write_run(subcommand: str, manifest_path: Path, params: dict, seed: int,
     the manifest over those files and the already written ones, then print
     message."""
     out = manifest_path.parent
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         write_text_atomic(out / name, text)
     write_manifest(manifest_path, RunManifest(
@@ -171,7 +172,7 @@ def cmd_train_offline(args) -> int:
 
 def cmd_run_online(args) -> int:
     artifacts = load_offline_artifacts(args.artifacts)
-    expert = load_demoset(artifacts.config.expert_demos)
+    expert = load_demo_file(artifacts.config.expert_demos, artifacts.config.env_id)
     out = _prepare_dir(args.out, "run-online", args.force)
     watch = Stopwatch()
     result = run_online(artifacts, expert, sigma=args.sigma,
@@ -198,7 +199,8 @@ def cmd_evaluate(args) -> int:
     need_full = args.adapt != "off"
     artifacts = load_offline_artifacts(args.artifacts, require_full=need_full)
     normalizer = _load_normalizer(args.refs, artifacts.config.env_id)
-    expert = load_demoset(artifacts.config.expert_demos) if need_full else None
+    expert = (load_demo_file(artifacts.config.expert_demos, artifacts.config.env_id)
+              if need_full else None)
     out = _prepare_dir(args.out, "evaluate", args.force)
     watch = Stopwatch()
     report = noise_sweep(artifacts, normalizer, sigmas=_parse_sigmas(args.sigmas),
@@ -220,7 +222,7 @@ def cmd_evaluate(args) -> int:
 def cmd_grid_kth(args) -> int:
     artifacts = load_offline_artifacts(args.artifacts)
     normalizer = _load_normalizer(args.refs, artifacts.config.env_id)
-    expert = load_demoset(artifacts.config.expert_demos)
+    expert = load_demo_file(artifacts.config.expert_demos, artifacts.config.env_id)
     out = _prepare_dir(args.out, "grid-kth", args.force)
     watch = Stopwatch()
     report = grid_search_kth(artifacts, expert, normalizer, sigma=args.sigma,

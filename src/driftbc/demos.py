@@ -15,14 +15,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .numeric import RecordReader, named_generator, write_record_file
-from .policy import PolicyTrainConfig, sample_action, train_reference_policy
+from .policy import sample_action, train_reference_policy
 from . import envs
 
 TIERS = ("expert", "medium", "medium_replay_like", "random")
 MEDIUM_ACTION_NOISE = 0.3
-# medium_replay_like rolls out a BC policy stopped at this fraction of the
-# reference-policy budget
-MRL_BUDGET_FRACTION = 0.2
+# medium_replay_like rolls out a BC policy stopped after this many steps, a
+# fifth of the default reference-policy budget
+MRL_STEPS = 1000
 MRL_SOURCE_EPISODES = 10
 
 DEMO_KIND = "demoset"
@@ -80,12 +80,7 @@ def _check_consistent(demos: DemoSet) -> None:
 def _mrl_policy(spec: envs.EnvSpec, seed: int):
     """Under-trained BC policy used as the medium_replay_like behavior."""
     source = generate_tier(spec, "expert", MRL_SOURCE_EPISODES, seed)
-    steps = max(1, int(PolicyTrainConfig.__dataclass_fields__["steps"].default
-                       * MRL_BUDGET_FRACTION))
-    config = PolicyTrainConfig(steps=steps, action_low=spec.action_low,
-                               action_high=spec.action_high,
-                               label=f"mrl_{spec.env_id}")
-    return train_reference_policy(source, config, seed)
+    return train_reference_policy(source, spec, f"mrl_{spec.env_id}", seed, MRL_STEPS)
 
 
 def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> DemoSet:
@@ -117,12 +112,17 @@ def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> De
         else:
             act = lambda s: sample_action(mrl, s, act_rng)
 
-        rec = envs.rollout(spec, act, env_rng)
-        states.append(rec.true_states)
-        actions.append(rec.actions)
-        ep_ids.append(np.full(len(rec), ep, dtype=np.int32))
-        step_ids.append(np.arange(len(rec), dtype=np.int32))
-        returns.append(rec.total_return)
+        # every tier's actions are already in bounds, so they are stored as drawn
+        steps = []
+        envs.run_episode(spec, act, env_rng, on_step=lambda t, state, obs, action, reward:
+                         steps.append((state, action, reward)))
+        ep_states, ep_actions, rewards = map(np.array, zip(*steps))
+        states.append(ep_states)
+        actions.append(ep_actions)
+        ep_ids.append(np.full(len(rewards), ep, dtype=np.int32))
+        step_ids.append(np.arange(len(rewards), dtype=np.int32))
+        # np.sum, not run_episode's running +=: gen-refs averages these returns
+        returns.append(float(np.sum(rewards)))
 
     all_states = np.concatenate(states)
     return DemoSet(

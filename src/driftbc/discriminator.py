@@ -288,6 +288,8 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
     xe, xs, w = two_class_rows(expert_batch, supp_batch, ratios)
     xm = join_rows(*mixed_batch, what="regularizer batch")
+    if xm.shape[1] != xe.shape[1]:
+        raise ShapeError(f"regularizer rows are {xm.shape[1]} wide, expert rows {xe.shape[1]}")
     t = check_targets(targets, xm.shape[0])
     nb = xe.shape[0] + xs.shape[0]
     ws = MlpWorkspace(model.net.layer_dims, nb + xm.shape[0], out)

@@ -7,6 +7,10 @@ the upright target sits at pi; reward penalizes distance from upright.
 
 Noise only ever perturbs what the agent observes; true dynamics evolve on the
 unperturbed state.
+
+run_episode is the one episode loop. Its two callers are online.play_episodes,
+which steps every evaluation and online episode, and demos.generate_tier, which
+records each demonstration step through on_step.
 """
 
 from __future__ import annotations
@@ -176,25 +180,6 @@ def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
     return np.clip(np.array([torque]), spec.action_low, spec.action_high)
 
 
-@dataclass
-class EpisodeRecord:
-    """Per-step arrays for one episode; states are those the actions were taken
-    at (pre-step)."""
-
-    true_states: np.ndarray      # (T, state_dim)
-    actions: np.ndarray          # (T, action_dim)
-    rewards: np.ndarray          # (T,)
-    final_state: np.ndarray
-    terminated_early: bool
-
-    @property
-    def total_return(self) -> float:
-        return float(np.sum(self.rewards))
-
-    def __len__(self) -> int:
-        return self.rewards.shape[0]
-
-
 def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
                 wrapper: NoiseWrapper | None = None,
                 on_step=None) -> tuple[float, np.ndarray, bool]:
@@ -225,23 +210,3 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
         if done:
             break
     return total, state, done
-
-
-def rollout(spec: EnvSpec, action_fn, env_rng: np.random.Generator) -> EpisodeRecord:
-    """Run one noise-free episode and record every step, actions clamped to
-    bounds."""
-    steps = []
-
-    def record(t, state, obs, action, reward):
-        a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
-        steps.append((state, a, reward))
-
-    _, final_state, terminated = run_episode(spec, action_fn, env_rng, None, record)
-    true_states, actions, rewards = map(np.array, zip(*steps))
-    return EpisodeRecord(
-        true_states=true_states,
-        actions=actions,
-        rewards=rewards,
-        final_state=final_state,
-        terminated_early=terminated,
-    )

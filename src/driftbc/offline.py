@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
                             two_class_rows)
 from .errors import ConfigError, DataError
 from .numeric import MlpWorkspace, named_generator
-from .policy import (GaussianPolicy, PolicyTrainConfig, init_policy, load_policy,
-                     run_weighted_bc, save_policy, train_reference_policy)
+from .policy import (GaussianPolicy, init_policy, load_policy, run_weighted_bc,
+                     save_policy, train_reference_policy)
 
 DEFAULT_REF_STEPS = 5000
 DEFAULT_DISC_STEPS = 20000
@@ -218,15 +218,12 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
             bc_states, bc_actions = expert_train.states, expert_train.actions
         weights = np.ones(bc_states.shape[0])
     else:
-        ref_cfg = PolicyTrainConfig(steps=config.ref_steps,
-                                    learning_rate=config.learning_rate,
-                                    batch_size=config.batch_size,
-                                    action_low=spec.action_low,
-                                    action_high=spec.action_high, label="expert")
-        ref_expert = train_reference_policy(expert_train, ref_cfg, config.seed,
-                                            functools.partial(log.add, "ref_expert"))
-        ref_supp = train_reference_policy(supp_train, replace(ref_cfg, label="supp"),
-                                          config.seed, functools.partial(log.add, "ref_supp"))
+        ref_expert = train_reference_policy(
+            expert_train, spec, "expert", config.seed, config.ref_steps, config.batch_size,
+            config.learning_rate, functools.partial(log.add, "ref_expert"))
+        ref_supp = train_reference_policy(
+            supp_train, spec, "supp", config.seed, config.ref_steps, config.batch_size,
+            config.learning_rate, functools.partial(log.add, "ref_supp"))
 
         gmm_expert = fit_gmm(
             expert_train.states, n_components=config.gmm_k,

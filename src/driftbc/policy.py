@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envs import EnvSpec
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
@@ -82,16 +83,6 @@ class GaussianPolicy:
         return (GaussianPolicy, (self.mean_net, self.log_std, self.state_dim,
                                  self.action_dim, self.action_low, self.action_high,
                                  self.provenance))
-
-
-@dataclass
-class PolicyTrainConfig:
-    learning_rate: float = 5e-4
-    batch_size: int = 64
-    steps: int = 5000
-    action_low: np.ndarray | None = None
-    action_high: np.ndarray | None = None
-    label: str = "ref"
 
 
 def init_policy(state_dim: int, action_dim: int, action_low, action_high,
@@ -252,29 +243,28 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
             on_step(step, loss)
 
 
-def train_reference_policy(demos, config: PolicyTrainConfig, seed: int,
+def train_reference_policy(demos, spec: EnvSpec, label: str, seed: int, steps: int,
+                           batch_size: int = 64, learning_rate: float = 5e-4,
                            on_step=None) -> GaussianPolicy:
     """BC with unit weights on one demonstration set; the result is only used
     as a conditional-density surrogate, so the budget is modest.
 
     demos must expose .states (N,ds) and .actions (N,da) arrays plus a
-    provenance_label() string. on_step is passed to run_weighted_bc.
+    provenance_label() string; the policy takes spec's action bounds and the
+    streams ref_policy_{init,train}_{label}. on_step goes to run_weighted_bc.
     """
     states = np.asarray(demos.states, dtype=np.float64)
     actions = np.asarray(demos.actions, dtype=np.float64)
     if states.size == 0:
         raise ConfigError("reference policy needs a non-empty demonstration set")
-    if config.action_low is None or config.action_high is None:
-        raise ConfigError("config must carry action bounds")
-    provenance = demos.provenance_label() if hasattr(demos, "provenance_label") else ""
-    init_rng = named_generator(seed, f"ref_policy_init_{config.label}")
+    init_rng = named_generator(seed, f"ref_policy_init_{label}")
     pol = init_policy(
-        states.shape[1], actions.shape[1], config.action_low, config.action_high,
-        rng=init_rng, provenance=provenance,
+        states.shape[1], actions.shape[1], spec.action_low, spec.action_high,
+        rng=init_rng, provenance=demos.provenance_label(),
     )
-    train_rng = named_generator(seed, f"ref_policy_train_{config.label}")
-    run_weighted_bc(pol, states, actions, np.ones(len(states)), config.steps,
-                    config.batch_size, config.learning_rate, train_rng, on_step)
+    train_rng = named_generator(seed, f"ref_policy_train_{label}")
+    run_weighted_bc(pol, states, actions, np.ones(len(states)), steps,
+                    batch_size, learning_rate, train_rng, on_step)
     return pol
 
 

@@ -439,6 +439,88 @@ class TestNegativeSeed:
         assert not Path(f"{out}.manifest").exists()
 
 
+class TestOutputDirOnFirstWrite:
+    """A run that fails on its arguments or config leaves no output
+    directory: the directory is made when its first file is written."""
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("evaluate", ["--runs", "0"], "runs"),
+        ("evaluate", ["--jobs", "0"], "jobs"),
+        ("evaluate", ["--episodes", "1"], "episodes"),
+        ("evaluate", ["--sigmas", "-0.5"], "sigma"),
+        ("grid-kth", ["--runs", "0"], "runs"),
+        ("run-online", ["--episodes", "0"], "episodes"),
+        ("tier-ablation", ["--mix", "me=MEDIUM"], "unique"),
+        ("train-offline", ["--set", "holdout_fraction=1.5"], "holdout fraction"),
+    ], ids=["evaluate-runs", "evaluate-jobs", "evaluate-episodes", "evaluate-sigmas",
+            "grid-kth-runs", "run-online-episodes", "tier-ablation-labels",
+            "train-offline-holdout"])
+    def test_bad_argument_leaves_no_directory(self, ws, tmp_path, capsys, command,
+                                              extra, message):
+        out = tmp_path / "out"
+        art, refs, config = str(ws["art"]), str(ws["refs"]), str(ws["config"])
+        argv = {
+            "evaluate": ["--artifacts", art, "--refs", refs, "--sigmas", "0.1",
+                         "--runs", "2", "--episodes", "2"],
+            "grid-kth": ["--artifacts", art, "--refs", refs, "--sigma", "0.1",
+                         "--episodes", "2"],
+            "run-online": ["--artifacts", art, "--sigma", "0.1", "--episodes", "2"],
+            "tier-ablation": ["--config", config, "--mix", f"me={ws['medium']}",
+                              "--refs", refs],
+            "train-offline": ["--config", config],
+        }[command]
+        extra = [arg.replace("MEDIUM", str(ws["medium"])) for arg in extra]
+        assert main([command, *argv, *extra, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestWrongEnvExpertDemos:
+    """The trained expert_demos path holding another env's demo file exits 2
+    naming the file, before any episode is stepped or output path made."""
+
+    @pytest.fixture
+    def pendulum_expert(self, ws, tmp_path, monkeypatch):
+        import driftbc.evaluation as evaluation_mod
+        import driftbc.online as online_mod
+
+        def refuse(*args, **kw):
+            raise AssertionError("an episode was stepped")
+
+        monkeypatch.setattr(online_mod, "play_episodes", refuse)
+        monkeypatch.setattr(evaluation_mod, "play_episodes", refuse)
+        other, kept = tmp_path / "pendulum.demos", tmp_path / "kept.demos"
+        run_ok(["gen-data", "--env", "pendulum1", "--tier", "expert",
+                "--episodes", "2", "--seed", "5", "--out", str(other)])
+        os.replace(ws["expert"], kept)
+        os.replace(other, ws["expert"])
+        yield
+        os.replace(kept, ws["expert"])
+
+    @pytest.mark.parametrize("command,extra", [
+        ("run-online", ["--sigma", "0.1", "--episodes", "2", "--adapt", "off"]),
+        ("run-online", ["--sigma", "0.1", "--episodes", "2", "--adapt", "on"]),
+        ("evaluate", ["--refs", "REFS", "--sigmas", "0.1", "--runs", "2",
+                      "--episodes", "2", "--adapt", "on"]),
+        ("evaluate", ["--refs", "REFS", "--sigmas", "0.1", "--runs", "2",
+                      "--episodes", "2", "--adapt", "always"]),
+        ("grid-kth", ["--refs", "REFS", "--sigma", "0.1", "--runs", "1",
+                      "--episodes", "2"]),
+    ], ids=["run-online-off", "run-online-on", "evaluate-on", "evaluate-always",
+            "grid-kth"])
+    def test_exits_2_naming_the_file(self, ws, tmp_path, capsys, pendulum_expert,
+                                     command, extra):
+        out = tmp_path / "out"
+        extra = [arg.replace("REFS", str(ws["refs"])) for arg in extra]
+        code = main([command, "--artifacts", str(ws["art"]), *extra, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ws["expert"]) in err and "pendulum1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestParserContract:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -10,6 +10,7 @@ from driftbc import demos, envs
 from driftbc.demos import DemoSet, TierRun
 from driftbc.errors import ConfigError, DataError
 from driftbc.numeric import format_header, named_generator
+from driftbc.policy import sample_action
 
 
 def pm_spec():
@@ -189,27 +190,49 @@ def test_split_holdout_bad_fraction():
         demos.split_holdout(ds, 1.0)
 
 
-@pytest.mark.parametrize("tier", ["expert", "random"])
+@pytest.mark.parametrize("tier", demos.TIERS)
 def test_episode_returns_are_np_sum_of_rewards(tier):
     # the reference returns of gen-refs are means of these, so their sum
-    # stays np.sum over each episode's rewards, not a step-by-step +=
-    spec = envs.make_spec("pendulum1")
-    ds = demos.generate_tier(spec, tier, 4, 3)
-    expected = []
-    for ep in range(4):
-        env_rng = named_generator(3, f"ep{ep}_env")
-        act_rng = named_generator(3, f"{tier}_ep{ep}_act")
-        state = envs.reset(spec, env_rng)
-        rewards = []
-        for _ in range(spec.horizon):
-            action = (envs.scripted_expert(spec, state) if tier == "expert"
-                      else act_rng.uniform(spec.action_low, spec.action_high))
-            state, reward, done = envs.step(spec, state, action)
-            rewards.append(reward)
-            if done:
-                break
-        expected.append(np.sum(rewards))
-    assert ds.episode_returns.tobytes() == np.array(expected).tobytes()
+    # stays np.sum over each episode's rewards, not a step-by-step +=; the
+    # columns equal an independent loop's bit for bit, and every action is
+    # stored as its tier drew it, which lies within the bounds
+    for env_id in envs.ENV_IDS:
+        spec = envs.make_spec(env_id)
+        ds = demos.generate_tier(spec, tier, 4, 3)
+        mrl = demos._mrl_policy(spec, 3) if tier == "medium_replay_like" else None
+        expected, states, actions, ep_ids, step_ids = [], [], [], [], []
+        for ep in range(4):
+            env_rng = named_generator(3, f"ep{ep}_env")
+            act_rng = named_generator(3, f"{tier}_ep{ep}_act")
+            state = envs.reset(spec, env_rng)
+            rewards = []
+            for t in range(spec.horizon):
+                if tier == "expert":
+                    action = envs.scripted_expert(spec, state)
+                elif tier == "medium":
+                    action = np.clip(envs.scripted_expert(spec, state)
+                                     + act_rng.standard_normal(spec.action_dim)
+                                     * demos.MEDIUM_ACTION_NOISE,
+                                     spec.action_low, spec.action_high)
+                elif tier == "random":
+                    action = act_rng.uniform(spec.action_low, spec.action_high)
+                else:
+                    action = sample_action(mrl, state, act_rng)
+                states.append(state)
+                actions.append(action)
+                ep_ids.append(ep)
+                step_ids.append(t)
+                state, reward, done = envs.step(spec, state, action)
+                rewards.append(reward)
+                if done:
+                    break
+            expected.append(np.sum(rewards))
+        assert ds.episode_returns.tobytes() == np.array(expected).tobytes()
+        assert ds.states.tobytes() == np.array(states).tobytes()
+        assert ds.actions.tobytes() == np.array(actions).tobytes()
+        assert ds.episode_ids.tobytes() == np.array(ep_ids, dtype=np.int32).tobytes()
+        assert ds.step_indices.tobytes() == np.array(step_ids, dtype=np.int32).tobytes()
+        assert np.all(ds.actions >= spec.action_low) and np.all(ds.actions <= spec.action_high)
 
 
 # ----------------------------------------------------------------- storage

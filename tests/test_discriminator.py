@@ -277,7 +277,8 @@ class TestOnlineLoss:
     lambda m, eb, ob, w: disc.offline_disc_loss(m, eb, ob, w),
     lambda m, eb, ob, w: disc.combined_offline_loss(m, eb, ob, eb, w, np.full(3, 0.5), 0.5),
     lambda m, eb, ob, w: disc.online_disc_loss(m, eb, (*ob, w)),
-], ids=["offline", "combined", "online"])
+    lambda m, eb, ob, w: disc.combined_offline_loss(m, eb, eb, ob, w, np.full(3, 0.5), 0.5),
+], ids=["offline", "combined", "online", "combined_mixed"])
 def test_two_class_losses_reject_mismatched_widths(loss):
     rng = np.random.default_rng(19)
     m = disc.init_discriminator(4, 2, hidden_dims=(4,), rng=rng)

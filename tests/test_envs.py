@@ -285,10 +285,10 @@ def test_pointmass_expert_reaches_goal():
     spec = pm_spec()
     reached = 0
     for seed in range(500):
-        rec = envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                           np.random.default_rng(seed))
-        dist = np.linalg.norm(rec.final_state[:2] - envs.POINTMASS_GOAL)
-        if rec.terminated_early and dist < 0.05:
+        _, final_state, done = envs.run_episode(
+            spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+        dist = np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL)
+        if done and dist < 0.05:
             reached += 1
     assert reached >= 495  # >= 99% of 500
 
@@ -302,8 +302,8 @@ def test_expert_zero_at_goal():
 def test_pendulum_expert_mean_return():
     spec = pend_spec()
     returns = [
-        envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                     np.random.default_rng(seed)).total_return
+        envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+                         np.random.default_rng(seed))[0]
         for seed in range(100)
     ]
     assert np.mean(returns) > -200.0
@@ -312,10 +312,10 @@ def test_pendulum_expert_mean_return():
 def test_pendulum_expert_ends_upright():
     spec = pend_spec()
     for seed in range(20):
-        rec = envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                           np.random.default_rng(seed))
-        assert abs(angle_from_upright(rec.final_state)) < 0.1
-        assert abs(rec.final_state[2]) < 0.5
+        _, final_state, _ = envs.run_episode(
+            spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+        assert abs(angle_from_upright(final_state)) < 0.1
+        assert abs(final_state[2]) < 0.5
 
 
 def test_expert_in_bounds():
@@ -328,40 +328,55 @@ def test_expert_in_bounds():
             assert np.all(a >= spec.action_low) and np.all(a <= spec.action_high)
 
 
-# ----------------------------------------------------------------- rollout
+# ------------------------------------------------------------- run_episode
+
+
+def step_recorder():
+    """An on_step hook for run_episode and the list of (state, action,
+    reward) it appends to."""
+    steps = []
+    return steps, lambda t, state, obs, action, reward: steps.append((state, action, reward))
 
 
 def test_rollout_shapes_and_return():
     spec = pend_spec()
-    rec = envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                       np.random.default_rng(9))
-    assert len(rec) == 200 and not rec.terminated_early
-    assert rec.true_states.shape == (200, 3)
-    assert rec.actions.shape == (200, 1)
-    assert rec.total_return == pytest.approx(rec.rewards.sum())
+    steps, record = step_recorder()
+    total, _, done = envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+                                      np.random.default_rng(9), on_step=record)
+    states, actions, rewards = map(np.array, zip(*steps))
+    assert len(rewards) == 200 and not done
+    assert states.shape == (200, 3)
+    assert actions.shape == (200, 1)
+    assert total == pytest.approx(rewards.sum())
 
 
 def test_rollout_horizon_override():
     spec = pend_spec(horizon=7)
-    rec = envs.rollout(spec, lambda s: np.zeros(1), np.random.default_rng(10))
-    assert len(rec) == 7
+    steps, record = step_recorder()
+    envs.run_episode(spec, lambda s: np.zeros(1), np.random.default_rng(10), on_step=record)
+    assert len(steps) == 7
 
 
 def test_rollout_early_termination():
     spec = pm_spec()
-    rec = envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                       np.random.default_rng(11))
-    assert rec.terminated_early and len(rec) < 200
-    assert np.linalg.norm(rec.final_state[:2] - envs.POINTMASS_GOAL) < 0.05
+    steps, record = step_recorder()
+    _, final_state, done = envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+                                            np.random.default_rng(11), on_step=record)
+    assert done and len(steps) < 200
+    assert np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL) < 0.05
 
 
 def test_rollout_deterministic():
     spec = pm_spec()
-    recs = [envs.rollout(spec, lambda s: envs.scripted_expert(spec, s),
-                         np.random.default_rng(12)) for _ in range(2)]
-    assert np.array_equal(recs[0].true_states, recs[1].true_states)
-    assert np.array_equal(recs[0].actions, recs[1].actions)
-    assert np.array_equal(recs[0].rewards, recs[1].rewards)
+    recs = []
+    for _ in range(2):
+        steps, record = step_recorder()
+        envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+                         np.random.default_rng(12), on_step=record)
+        recs.append(tuple(map(np.array, zip(*steps))))
+    assert np.array_equal(recs[0][0], recs[1][0])
+    assert np.array_equal(recs[0][1], recs[1][1])
+    assert np.array_equal(recs[0][2], recs[1][2])
 
 
 def test_noise_never_touches_true_trajectory():
@@ -389,6 +404,6 @@ def test_pointmass_return_bound():
     bound = -spec.horizon * np.sqrt(8.0)
     rng = np.random.default_rng(14)
     for seed in range(10):
-        rec = envs.rollout(spec, lambda s: rng.uniform(-1, 1, 2),
-                           np.random.default_rng(seed))
-        assert bound <= rec.total_return <= 0.0
+        total, _, _ = envs.run_episode(spec, lambda s: rng.uniform(-1, 1, 2),
+                                       np.random.default_rng(seed))
+        assert bound <= total <= 0.0

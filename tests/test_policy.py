@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbc import numeric, policy
+from driftbc import envs, numeric, policy
 from driftbc.errors import ConfigError, DataError, NumericError, ShapeError
 
 from oracles import fd_grads, grads_close
@@ -236,9 +236,10 @@ class TestTraining:
                                    rng=np.random.default_rng(27))
 
     def test_empty_demos_raise(self):
-        cfg = policy.PolicyTrainConfig(action_low=-np.ones(2), action_high=np.ones(2))
+        spec = envs.make_spec("pointmass2d")
         with pytest.raises(ConfigError):
-            policy.train_reference_policy(DemoStub(np.zeros((0, 3)), np.zeros((0, 2))), cfg, 0)
+            policy.train_reference_policy(DemoStub(np.zeros((0, 3)), np.zeros((0, 2))),
+                                          spec, "ref", 0, 5000)
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(26)
