@@ -73,7 +73,6 @@ def _prepare_file(path: Path, force: bool) -> Path:
         raise ConfigError(f"output file {path} is a directory")
     if path.exists() and not force:
         raise ConfigError(f"output file {path} exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -84,7 +83,6 @@ def _write_run(subcommand: str, manifest_path: Path, params: dict, seed: int,
     the manifest over those files and the already written ones, then print
     message."""
     out = manifest_path.parent
-    out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         write_text_atomic(out / name, text)
     write_manifest(manifest_path, RunManifest(

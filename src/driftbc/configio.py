@@ -75,40 +75,27 @@ def apply_overrides(cfg: dict, overrides) -> dict[str, str]:
 # --------------------------------------------------------------- coercions
 
 
-def _coerce(cfg: dict, key: str, default, convert, what: str):
-    """convert(cfg[key]), else default; a missing key without a default, or
-    a value convert rejects, raises ConfigError."""
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+# type name -> (conversion of the stored string, what a bad value is not)
+_CONVERSIONS = {"int": (int, "an integer"), "float": (float, "a number"),
+                "str": (str, "a string"),
+                "bool": (lambda v: _BOOLS[v.strip().lower()], "a boolean")}
+
+
+def coerce(cfg: dict, key: str, type_name: str, default=None):
+    """cfg[key] converted to type_name ("int", "float", "str" or "bool"),
+    else default; a missing key without a default, or a value the
+    conversion rejects, raises ConfigError."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
+    convert, what = _CONVERSIONS[type_name]
     try:
         return convert(cfg[key])
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not {what}") from None
-
-
-def as_int(cfg: dict, key: str, default: int | None = None) -> int:
-    return _coerce(cfg, key, default, int, "an integer")
-
-
-def as_float(cfg: dict, key: str, default: float | None = None) -> float:
-    return _coerce(cfg, key, default, float, "a number")
-
-
-def as_bool(cfg: dict, key: str, default: bool = False) -> bool:
-    if key not in cfg:
-        return default
-    value = cfg[key].strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a boolean")
-
-
-def as_str(cfg: dict, key: str, default: str | None = None) -> str:
-    return _coerce(cfg, key, default, str, "a string")
 
 
 # --------------------------------------------------------------- manifests
@@ -135,8 +122,10 @@ class RunManifest:
 
 def write_bytes_atomic(path, data: bytes) -> None:
     """Write a temp file beside path, fsync it and rename it over path, so
-    path holds the old bytes or the new ones, never a mix."""
+    path holds the old bytes or the new ones, never a mix. The directory of
+    path is made here, so no output directory exists before its first file."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:

@@ -144,8 +144,8 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     """EM fit with farthest-point seeding and per-dimension variance flooring.
 
     Raises DataError for non-finite states, and ConfigError for a bad
-    component count, alpha or cov_floor, all before EM starts. Emits
-    CovarianceFloorWarning once if any component needed floor repair.
+    component count, alpha or cov_floor, all before EM starts. Emits one
+    CovarianceFloorWarning naming provenance and seed if any component was floored.
 
     The loop runs on buffers allocated once per fit and gives the same bits
     as the plain formulas of gmm_log_density and the M-step. Each row of
@@ -245,8 +245,8 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
 
     if floored_any:
         warnings.warn(
-            "variance floor repair applied during GMM fit", CovarianceFloorWarning,
-            stacklevel=2,
+            f"variance floor repair applied during GMM fit of {provenance or '-'} "
+            f"(seed {seed})", CovarianceFloorWarning, stacklevel=2,
         )
 
     model = GmmModel(

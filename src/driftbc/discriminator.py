@@ -301,8 +301,8 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
 def train_discriminator(model: DiscriminatorModel, x_e: np.ndarray, x_s: np.ndarray,
                         w: np.ndarray, steps: int, batch_size: int,
                         learning_rate: float, rng: np.random.Generator,
-                        workspace: MlpWorkspace, targets=None, reg_cutoff: int = 0,
-                        on_step=None) -> None:
+                        workspace: MlpWorkspace | None = None, targets=None,
+                        reg_cutoff: int = 0, on_step=None) -> None:
     """Adam steps on the expert-vs-other loss, in place on model: the one
     trainer of the offline stage and of every online update. x_e, x_s and w
     are the checked rows and weights that two_class_rows returns.
@@ -312,14 +312,16 @@ def train_discriminator(model: DiscriminatorModel, x_e: np.ndarray, x_s: np.ndar
     targets=None it runs two_class_core on them, at reg_weight 0. With
     targets=(t_e, t_s), checked regularizer targets of the x_e and x_s rows,
     the first batch_size // 2 rows of each class batch follow as the mixed
-    rows, and it runs combined_core at reg_weight_at(t, reg_cutoff); the
-    workspace then needs 2 * batch_size + 2 * (batch_size // 2) rows.
+    rows, and it runs combined_core at reg_weight_at(t, reg_cutoff).
+    workspace (new when None) holds 2 * batch_size + 2 * (batch_size // 2) rows.
     A NumericError of the core or a non-finite loss raises NumericError
     naming the step; on_step(t, loss, reg_weight) runs after each Adam step.
     """
     b, half = batch_size, batch_size // 2
     params = [model.net.params]
     opt = init_adam(params, learning_rate=learning_rate)
+    if workspace is None:
+        workspace = MlpWorkspace(model.net.layer_dims, 2 * (b + half))
     rows = workspace.inputs[:2 * (b + half)]
     rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
     mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]

@@ -7,6 +7,10 @@ precomputed over the training samples and treated as constants during
 discriminator training; the main policy's weights come from the finished
 discriminator. Every stage appends to one metrics log and all randomness
 derives from the single config seed through named streams.
+
+A run directory holds one checkpoint per row of CHECKPOINTS (file,
+OfflineArtifacts field, saver, loader), each stamped with the config hash,
+then the metrics log and the config.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .discriminator import (DiscriminatorModel, bc_weight, check_targets,
                             save_discriminator, sigmoid, train_discriminator,
                             two_class_rows)
 from .errors import ConfigError, DataError
-from .numeric import MlpWorkspace, named_generator
+from .numeric import named_generator
 from .policy import (GaussianPolicy, init_policy, load_policy, run_weighted_bc,
                      save_policy, train_reference_policy)
 
@@ -46,8 +50,15 @@ GMM_EXPERT_FILE = "gmm_expert.ckpt"
 GMM_SUPP_FILE = "gmm_supp.ckpt"
 METRICS_FILE = "metrics.log"
 CONFIG_FILE = "config.txt"
-CHECKPOINT_FILES = (POLICY_FILE, DISC_FILE, REF_EXPERT_FILE, REF_SUPP_FILE,
-                    GMM_EXPERT_FILE, GMM_SUPP_FILE)
+CHECKPOINTS = (
+    (POLICY_FILE, "policy", save_policy, load_policy),
+    (DISC_FILE, "discriminator", save_discriminator, load_discriminator),
+    (REF_EXPERT_FILE, "ref_expert", save_policy, load_policy),
+    (REF_SUPP_FILE, "ref_supp", save_policy, load_policy),
+    (GMM_EXPERT_FILE, "gmm_expert", save_gmm, load_gmm),
+    (GMM_SUPP_FILE, "gmm_supp", save_gmm, load_gmm),
+)
+CHECKPOINT_FILES = tuple(row[0] for row in CHECKPOINTS)
 
 
 @dataclass(frozen=True)
@@ -104,11 +115,9 @@ class OfflineConfig:
         unknown = set(cfg) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        coerce = {"str": configio.as_str, "int": configio.as_int,
-                  "float": configio.as_float, "bool": configio.as_bool}
         return cls(**{
-            f.name: coerce[f.type](cfg, f.name,
-                                   None if f.default is MISSING else f.default)
+            f.name: configio.coerce(cfg, f.name, f.type,
+                                    None if f.default is MISSING else f.default)
             for f in fields(cls)})
 
     def to_dict(self) -> dict[str, str]:
@@ -183,7 +192,6 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
                                       (supp_train.states, supp_train.actions), ratios)
     targets = None if config.disable_reg else (check_targets(targets_e, x_e.shape[0]),
                                                check_targets(targets_s, x_s.shape[0]))
-    b = config.batch_size
     eval_every = max(1, config.disc_steps // DISC_EVAL_POINTS)
 
     def record(step, loss, lam):
@@ -191,10 +199,9 @@ def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
         if step % eval_every == 0 or step == config.disc_steps:
             log.add("disc_eval", step, eval_discriminator(disc, *holdout), lam)
 
-    train_discriminator(disc, x_e, x_s, ratios, config.disc_steps, b,
+    train_discriminator(disc, x_e, x_s, ratios, config.disc_steps, config.batch_size,
                         config.learning_rate, named_generator(config.seed, "disc_batch"),
-                        MlpWorkspace(disc.net.layer_dims, 2 * b + 2 * (b // 2)),
-                        targets, config.reg_cutoff, record)
+                        targets=targets, reg_cutoff=config.reg_cutoff, on_step=record)
 
 
 def run_offline(config: OfflineConfig) -> OfflineArtifacts:
@@ -208,46 +215,38 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
     supp_train = supp_hold = None
     if supp_all is not None:
         supp_train, supp_hold = split_holdout(supp_all, config.holdout_fraction)
+    # (label, training rows) per pool, expert first; labels name stages and streams
+    pools = [("expert", expert_train)] + ([("supp", supp_train)] if supp_all else [])
+    bc_states = np.concatenate([pool.states for _, pool in pools])
+    bc_actions = np.concatenate([pool.actions for _, pool in pools])
 
     ref_expert = ref_supp = gmm_expert = gmm_supp = disc = None
     if config.plain_bc:
-        if supp_train is not None:
-            bc_states = np.concatenate([expert_train.states, supp_train.states])
-            bc_actions = np.concatenate([expert_train.actions, supp_train.actions])
-        else:
-            bc_states, bc_actions = expert_train.states, expert_train.actions
         weights = np.ones(bc_states.shape[0])
     else:
-        ref_expert = train_reference_policy(
-            expert_train, spec, "expert", config.seed, config.ref_steps, config.batch_size,
-            config.learning_rate, functools.partial(log.add, "ref_expert"))
-        ref_supp = train_reference_policy(
-            supp_train, spec, "supp", config.seed, config.ref_steps, config.batch_size,
-            config.learning_rate, functools.partial(log.add, "ref_supp"))
-
-        gmm_expert = fit_gmm(
-            expert_train.states, n_components=config.gmm_k,
-            seed=int(named_generator(config.seed, "gmm_expert").integers(2 ** 31)),
-            alpha=config.gmm_alpha, cov_floor=config.gmm_cov_floor,
-            provenance=expert_train.provenance_label())
-        gmm_supp = fit_gmm(
-            supp_train.states, n_components=config.gmm_k,
-            seed=int(named_generator(config.seed, "gmm_supp").integers(2 ** 31)),
-            alpha=config.gmm_alpha, cov_floor=config.gmm_cov_floor,
-            provenance=supp_train.provenance_label())
-        for stage, gmm in (("gmm_expert", gmm_expert), ("gmm_supp", gmm_supp)):
+        ref_expert, ref_supp = (
+            train_reference_policy(pool, spec, label, config.seed, config.ref_steps,
+                                   config.batch_size, config.learning_rate,
+                                   functools.partial(log.add, f"ref_{label}"))
+            for label, pool in pools)
+        gmm_expert, gmm_supp = (
+            fit_gmm(pool.states, n_components=config.gmm_k,
+                    seed=int(named_generator(config.seed, f"gmm_{label}").integers(2 ** 31)),
+                    alpha=config.gmm_alpha, cov_floor=config.gmm_cov_floor,
+                    provenance=pool.provenance_label())
+            for label, pool in pools)
+        for (label, _), gmm in zip(pools, (gmm_expert, gmm_supp)):
             for step, ll in enumerate(gmm.ll_history, start=1):
-                log.add(stage, step, ll)
+                log.add(f"gmm_{label}", step, ll)
 
         joint_e = JointDensityModel(ref_expert, gmm_expert)
         joint_s = JointDensityModel(ref_supp, gmm_supp)
         # frozen per-sample quantities: posterior targets sigma(log pE - log pS)
         # and supplementary-over-expert ratios exp(log pS - log pE), where
         # -(a - b) and b - a are the same float
-        diff_e = (joint_log_density(joint_e, expert_train.states, expert_train.actions)
-                  - joint_log_density(joint_s, expert_train.states, expert_train.actions))
-        diff_s = (joint_log_density(joint_e, supp_train.states, supp_train.actions)
-                  - joint_log_density(joint_s, supp_train.states, supp_train.actions))
+        diff_e, diff_s = (joint_log_density(joint_e, pool.states, pool.actions)
+                          - joint_log_density(joint_s, pool.states, pool.actions)
+                          for _, pool in pools)
         ratios = clamped_ratio(-diff_s, config.ratio_min, config.ratio_max)
         targets_e = sigmoid(np.atleast_1d(diff_e))
         targets_s = sigmoid(np.atleast_1d(diff_s))
@@ -258,9 +257,6 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
                    (supp_hold.states, supp_hold.actions))
         _train_discriminator(config, disc, expert_train, supp_train, ratios,
                              targets_e, targets_s, holdout, log)
-
-        bc_states = np.concatenate([expert_train.states, supp_train.states])
-        bc_actions = np.concatenate([expert_train.actions, supp_train.actions])
         weights = bc_weight(disc, bc_states, bc_actions)
 
     policy = init_policy(spec.state_dim, spec.action_dim, spec.action_low,
@@ -282,21 +278,14 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
 
 
 def save_offline_artifacts(out_dir, artifacts: OfflineArtifacts) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    """Each checkpoint the artifacts hold, stamped with the config hash and
+    seed, then the metrics and the config; returns the names written."""
     extra = {"config_hash": artifacts.config.hash(), "seed": artifacts.config.seed}
     written = []
-
-    def emit(name, saver, model):
-        if model is not None:
-            saver(os.path.join(out_dir, name), model, extra)
+    for name, attr, saver, _ in CHECKPOINTS:
+        if getattr(artifacts, attr) is not None:
+            saver(os.path.join(out_dir, name), getattr(artifacts, attr), extra)
             written.append(name)
-
-    emit(POLICY_FILE, save_policy, artifacts.policy)
-    emit(DISC_FILE, save_discriminator, artifacts.discriminator)
-    emit(REF_EXPERT_FILE, save_policy, artifacts.ref_expert)
-    emit(REF_SUPP_FILE, save_policy, artifacts.ref_supp)
-    emit(GMM_EXPERT_FILE, save_gmm, artifacts.gmm_expert)
-    emit(GMM_SUPP_FILE, save_gmm, artifacts.gmm_supp)
 
     configio.write_text_atomic(os.path.join(out_dir, METRICS_FILE), artifacts.metrics)
     written.append(METRICS_FILE)
@@ -307,42 +296,36 @@ def save_offline_artifacts(out_dir, artifacts: OfflineArtifacts) -> list[str]:
 
 
 def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifacts:
+    """Every checkpoint in out_dir must carry its config's hash; with
+    require_full every CHECKPOINT_FILES entry must be there, else the policy."""
     cfg_path = os.path.join(out_dir, CONFIG_FILE)
     if not os.path.exists(cfg_path):
         raise DataError(f"missing artifact {CONFIG_FILE!r} in {out_dir}")
     config = OfflineConfig.from_dict(configio.load_config(cfg_path))
+    want = config.hash()
 
-    required = CHECKPOINT_FILES if require_full else (POLICY_FILE,)
-    missing = [name for name in required
-               if not os.path.exists(os.path.join(out_dir, name))]
+    present = [name for name in CHECKPOINT_FILES
+               if os.path.exists(os.path.join(out_dir, name))]
+    missing = [name for name in (CHECKPOINT_FILES if require_full else (POLICY_FILE,))
+               if name not in present]
     if missing:
         raise DataError(f"incomplete artifacts in {out_dir}: missing "
                         f"{', '.join(sorted(missing))}")
 
-    def maybe(name, loader):
-        path = os.path.join(out_dir, name)
-        if not os.path.exists(path):
-            return None
-        model, extras = loader(path)
-        stamp = extras.get("config_hash")
-        if stamp is not None and stamp != config.hash():
-            raise DataError(f"artifact {name!r} carries config hash {stamp}, "
-                            f"directory config hashes to {config.hash()}")
-        return model
+    models = {}
+    for name, attr, _, loader in CHECKPOINTS:
+        if name in present:
+            models[attr], extras = loader(os.path.join(out_dir, name))
+            stamp = extras.get("config_hash")
+            if stamp is None:
+                raise DataError(f"artifact {name!r} carries no config hash")
+            if stamp != want:
+                raise DataError(f"artifact {name!r} carries config hash {stamp}, "
+                                f"directory config hashes to {want}")
 
     metrics_path = os.path.join(out_dir, METRICS_FILE)
     metrics = ""
     if os.path.exists(metrics_path):
         with open(metrics_path, encoding="utf-8") as fh:
             metrics = fh.read()
-
-    return OfflineArtifacts(
-        config=config,
-        policy=maybe(POLICY_FILE, load_policy),
-        discriminator=maybe(DISC_FILE, load_discriminator),
-        ref_expert=maybe(REF_EXPERT_FILE, load_policy),
-        ref_supp=maybe(REF_SUPP_FILE, load_policy),
-        gmm_expert=maybe(GMM_EXPERT_FILE, load_gmm),
-        gmm_supp=maybe(GMM_SUPP_FILE, load_gmm),
-        metrics=metrics,
-    )
+    return OfflineArtifacts(config=config, metrics=metrics, **models)

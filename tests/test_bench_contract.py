@@ -5,8 +5,10 @@ them. A rename would otherwise fail only under `driftbench/run.py --trace 1`."""
 import importlib
 import importlib.util
 import inspect
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "driftbench" / "spans.py"
@@ -49,3 +51,36 @@ def test_measured_arguments_keep_their_positions(spans):
     for key, (position, name) in MEASURED_ARGS.items():
         params = list(inspect.signature(resolve(key)).parameters)
         assert params[position] == name, f"{key}: {params}"
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "policy-only"])
+def test_saved_bytes_cover_exactly_the_files_written(spans, tmp_path, full):
+    """offline.save_offline_artifacts.bytes sums the sizes of the names
+    save_offline_artifacts returns, read under its out_dir argument: those
+    names must be every file it wrote there, each once."""
+    from driftbc import density, discriminator, envs, offline, policy
+
+    spec = envs.make_spec("pointmass2d")
+    rng = np.random.default_rng(0)
+
+    def pol():
+        return policy.init_policy(spec.state_dim, spec.action_dim, spec.action_low,
+                                  spec.action_high, rng=rng)
+
+    def gmm():
+        return density.fit_gmm(rng.normal(size=(40, spec.state_dim)), n_components=2)
+
+    config = offline.OfflineConfig(env_id="pointmass2d", expert_demos="e.demos",
+                                   supp_demos="s.demos", plain_bc=not full)
+    art = offline.OfflineArtifacts(config=config, policy=pol(), metrics="m\n")
+    if full:
+        art.discriminator = discriminator.init_discriminator(
+            spec.state_dim, spec.action_dim, rng=rng)
+        art.ref_expert, art.ref_supp = pol(), pol()
+        art.gmm_expert, art.gmm_supp = gmm(), gmm()
+    out = tmp_path / "run"
+    written = offline.save_offline_artifacts(out, art)
+    assert len(written) == len(set(written))
+    assert sorted(written) == sorted(os.listdir(out))
+    total = sum(p.stat().st_size for p in out.iterdir())
+    assert spans._saved_bytes((out, art), {}, written) == total

@@ -475,6 +475,24 @@ class TestOutputDirOnFirstWrite:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,argv", [
+        ("gen-data", ["--env", ENV, "--tier", "expert", "--episodes", "0"]),
+        ("gen-refs", ["--env", ENV, "--episodes", "0"]),
+    ], ids=["gen-data-episodes", "gen-refs-episodes"])
+    def test_bad_argument_leaves_no_parent(self, tmp_path, capsys, command, argv):
+        parent = tmp_path / "a" / "b"
+        assert main([command, *argv, "--out", str(parent / "x.out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "episodes" in err and "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
+    def test_first_file_makes_parent(self, tmp_path):
+        out = tmp_path / "a" / "b" / "x.demos"
+        run_ok(["gen-data", "--env", ENV, "--tier", "expert", "--episodes", "1",
+                "--out", str(out)])
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "x.demos", "x.demos.manifest"]
+
 
 class TestWrongEnvExpertDemos:
     """The trained expert_demos path holding another env's demo file exits 2

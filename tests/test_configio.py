@@ -58,18 +58,18 @@ def test_parse_format_round_trip(cfg):
 
 def test_coercions():
     cfg = {"n": "5", "x": "2.5", "flag": "true", "name": "abc"}
-    assert configio.as_int(cfg, "n") == 5
-    assert configio.as_int(cfg, "missing", 7) == 7
-    assert configio.as_float(cfg, "x") == 2.5
-    assert configio.as_bool(cfg, "flag") is True
-    assert configio.as_bool(cfg, "missing") is False
-    assert configio.as_str(cfg, "name") == "abc"
+    assert configio.coerce(cfg, "n", "int") == 5
+    assert configio.coerce(cfg, "missing", "int", 7) == 7
+    assert configio.coerce(cfg, "x", "float") == 2.5
+    assert configio.coerce(cfg, "flag", "bool") is True
+    assert configio.coerce(cfg, "missing", "bool", False) is False
+    assert configio.coerce(cfg, "name", "str") == "abc"
     with pytest.raises(ConfigError):
-        configio.as_int(cfg, "x")
+        configio.coerce(cfg, "x", "int")
     with pytest.raises(ConfigError):
-        configio.as_bool({"flag": "maybe"}, "flag")
+        configio.coerce({"flag": "maybe"}, "flag", "bool")
     with pytest.raises(ConfigError):
-        configio.as_int(cfg, "absent")
+        configio.coerce(cfg, "absent", "int")
 
 
 def test_manifest_round_trip(tmp_path):

@@ -1,6 +1,9 @@
 """Offline trainer: staging, ablation flags, artifact storage, error paths."""
 
+import dataclasses
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +266,20 @@ def test_plain_bc_pools_supp_when_given(demo_paths):
     assert not policies_equal(only_expert.policy, pooled.policy)
 
 
+def test_each_floored_gmm_fit_warns(demo_paths):
+    """Both GMM fits floored: two warnings under the default filter, which
+    shows a warning once per message and call line, even when both pools
+    have the same provenance."""
+    cfg = small_config(demo_paths, supp_demos=demo_paths["expert"], ref_steps=1,
+                       disc_steps=1, bc_steps=1, gmm_cov_floor=1e3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        offline.run_offline(cfg)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, density.CovarianceFloorWarning)]
+    assert len(messages) == 2 and messages[0] != messages[1]
+
+
 def test_disable_reg_zeroes_lambda(demo_paths):
     art = offline.run_offline(small_config(demo_paths, disable_reg=True,
                                            ref_steps=50, disc_steps=40, bc_steps=40))
@@ -355,6 +372,20 @@ def test_nonfinite_loss_aborts_with_step(demo_paths):
 # ----------------------------------------------------------------- storage
 
 
+def stored_bits(model):
+    """Everything a checkpoint stores of model, arrays as raw bytes."""
+    if isinstance(model, policy.GaussianPolicy):
+        return (model.mean_net.layer_dims, model.mean_net.activation,
+                model.params.tobytes(), model.action_low.tobytes(),
+                model.action_high.tobytes(), model.provenance)
+    if isinstance(model, density.GmmModel):
+        return (model.mixture_weights.tobytes(), model.means.tobytes(),
+                model.variances.tobytes(), repr(model.calibration_log_quantile),
+                repr(model.alpha), repr(model.cov_floor), model.provenance)
+    return (model.net.layer_dims, model.net.activation, model.net.params.tobytes(),
+            repr(model.clip_lo), repr(model.clip_hi))
+
+
 def test_save_load_round_trip(small_run, tmp_path):
     cfg, art = small_run
     out = tmp_path / "run"
@@ -371,6 +402,47 @@ def test_save_load_round_trip(small_run, tmp_path):
     assert np.array_equal(back.gmm_supp.calibration_log_quantile,
                           art.gmm_supp.calibration_log_quantile)
     assert back.metrics == art.metrics
+    # every OfflineArtifacts field, bit for bit
+    for name in ("policy", "discriminator", "ref_expert", "ref_supp",
+                 "gmm_expert", "gmm_supp"):
+        assert stored_bits(getattr(back, name)) == stored_bits(getattr(art, name)), name
+    assert {f.name for f in dataclasses.fields(offline.OfflineArtifacts)} == {
+        "config", "metrics", "policy", "discriminator", "ref_expert", "ref_supp",
+        "gmm_expert", "gmm_supp"}
+
+
+def restamp(path, stamp):
+    """Set the config_hash field of a checkpoint's header line to stamp, or
+    drop the field when stamp is None; the payload stays as it is."""
+    with open(path, "rb") as fh:
+        header, payload = fh.read().split(b"\n", 1)
+    fields = [f for f in header.split(b" ") if not f.startswith(b"config_hash=")]
+    if stamp is not None:
+        fields.append(b"config_hash=" + stamp.encode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(fields) + b"\n" + payload)
+
+
+@pytest.mark.parametrize("name", offline.CHECKPOINT_FILES)
+def test_load_detects_stamp_mismatch(small_run, tmp_path, name):
+    _, art = small_run
+    out = tmp_path / "run"
+    offline.save_offline_artifacts(out, art)
+    restamp(os.path.join(out, name), "0" * 64)
+    with pytest.raises(DataError, match=rf"{re.escape(name)}.*config hash 0{{64}}"):
+        offline.load_offline_artifacts(out)
+
+
+@pytest.mark.parametrize("name", offline.CHECKPOINT_FILES)
+def test_load_requires_stamp(small_run, tmp_path, name):
+    """A checkpoint with no config hash, dropped into a trained directory,
+    is refused, not loaded as that directory's model."""
+    _, art = small_run
+    out = tmp_path / "run"
+    offline.save_offline_artifacts(out, art)
+    restamp(os.path.join(out, name), None)
+    with pytest.raises(DataError, match=rf"{re.escape(name)}.*no config hash"):
+        offline.load_offline_artifacts(out)
 
 
 def test_checkpoints_carry_hash_and_seed(small_run, tmp_path):
