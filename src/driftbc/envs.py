@@ -8,9 +8,20 @@ the upright target sits at pi; reward penalizes distance from upright.
 Noise only ever perturbs what the agent observes; true dynamics evolve on the
 unperturbed state.
 
-run_episode is the one episode loop. Its two callers are online.play_episodes,
-which steps every evaluation and online episode, and demos.generate_tier, which
-records each demonstration step through on_step.
+There are two episode loops, each with its own step function:
+- run_episode plays one episode a step at a time with step. Its callers are
+  online.play_episodes, which steps every online episode, and
+  demos.generate_tier, which records each demonstration step through on_step.
+  A policy that an online update replaces mid-episode, or an observer that
+  scores every step, needs this loop.
+- run_lockstep plays all episodes of a frozen policy together with step_rows,
+  one row per episode, dropping each row whose task has ended. Its caller is
+  evaluation.score_policy. Every row has the bits run_episode would give it.
+The per-step loop stays because step_rows on one row costs four to five
+times what step does (32-52 us against 8-10 us on a 2-core x86-64 VM with
+numpy 2.4), while a 20-episode evaluation cell takes about a quarter of the
+per-step loop's time in the lock-step loop. Both loops name an episode's
+streams through episode_streams.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numeric import NormalRows
+from .numeric import NormalRows, named_generator
 
 ENV_IDS = ("pointmass2d", "pendulum1")
 
@@ -134,6 +145,55 @@ def step(spec: EnvSpec, state, action) -> tuple[np.ndarray, float, bool]:
     return next_state, float(reward), False
 
 
+def step_rows(spec: EnvSpec, states, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step on every row: states (E, state_dim) with actions (E, action_dim)
+    give next states (E, state_dim), rewards (E,) and done (E,), row i with
+    the bits step(spec, states[i], actions[i]) gives.
+
+    Each operation is the one step makes, on whole columns. Two are not what
+    the plain array expression would be: step squares Python floats with
+    libm's pow, which np.float_power calls and numpy's ** 2 (x * x) does not
+    match, and the goal-gap dot product is a stacked matmul, whose rows
+    round as the 1-D gap.dot(gap) does.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != spec.state_dim \
+            or actions.shape != (states.shape[0], spec.action_dim):
+        raise ShapeError(f"{spec.env_id} steps rows of {spec.state_dim}-states with "
+                         f"{spec.action_dim}-actions, got {states.shape} and "
+                         f"{actions.shape}")
+    if not np.isfinite(states).all():
+        bad = states[~np.isfinite(states).all(axis=1)][0]
+        raise NumericError(f"non-finite state passed to step: {bad}")
+    a = np.minimum(np.maximum(actions, spec.action_low), spec.action_high)
+
+    if spec.env_id == "pointmass2d":
+        vel = POINTMASS_DAMPING * states[:, 2:] + a * spec.dt
+        pos = np.minimum(np.maximum(states[:, :2] + vel * spec.dt, -1.0), 1.0)
+        gap = (pos - POINTMASS_GOAL)[:, None, :]
+        dist = np.sqrt(np.matmul(gap, gap.transpose(0, 2, 1))[:, 0, 0])
+        return np.concatenate([pos, vel], axis=1), -dist, dist < POINTMASS_DONE_DIST
+
+    theta = np.arctan2(states[:, 1], states[:, 0])
+    torque = a[:, 0]
+    theta_acc = (-PENDULUM_G / PENDULUM_L) * np.sin(theta) + torque / (PENDULUM_M * PENDULUM_L ** 2)
+    theta_dot = np.minimum(np.maximum(states[:, 2] + theta_acc * spec.dt,
+                                      -PENDULUM_MAX_SPEED), PENDULUM_MAX_SPEED)
+    theta = theta + theta_dot * spec.dt
+    from_upright = _wrap_angle(theta - np.pi)
+    reward = -(np.float_power(from_upright, 2.0) + 0.1 * np.float_power(theta_dot, 2.0)
+               + 0.001 * np.float_power(torque, 2.0))
+    next_states = np.stack([np.cos(theta), np.sin(theta), theta_dot], axis=1)
+    return next_states, reward, np.zeros(states.shape[0], dtype=bool)
+
+
+def check_sigma(sigma: float) -> None:
+    """The observation-noise level must be finite and >= 0."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
+
+
 @dataclass
 class NoiseWrapper:
     """Adds N(0, sigma^2 I) to observations; sigma = 0 is the identity.
@@ -183,10 +243,11 @@ def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
 def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
                 wrapper: NoiseWrapper | None = None,
                 on_step=None) -> tuple[float, np.ndarray, bool]:
-    """The one episode loop: reset, then observe, act and step until the task
-    ends or the spec's horizon. act sees the observed state only (the true state
-    when there is no wrapper). on_step(t, state, obs, action, reward), if
-    given, runs after each step with the state the action was taken at.
+    """The per-step episode loop: reset, then observe, act and step until the
+    task ends or the spec's horizon. act sees the observed state only (the
+    true state when there is no wrapper). on_step(t, state, obs, action,
+    reward), if given, runs after each step with the state the action was
+    taken at.
 
     Step t calls observe once and act once. When the wrapper's rng and the
     generator act samples from are NormalRows blocks, as play_episodes makes
@@ -210,3 +271,56 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
         if done:
             break
     return total, state, done
+
+
+def episode_streams(seed: int, ep: int) -> tuple[np.random.Generator, ...]:
+    """Episode ep's generators online_ep{ep}_env, _obs and _act: its reset,
+    its observation noise and its action noise."""
+    return tuple(named_generator(seed, f"online_ep{ep}_{part}")
+                 for part in ("env", "obs", "act"))
+
+
+def run_lockstep(spec: EnvSpec, act_rows, sigma: float, episodes: int,
+                 seed: int) -> np.ndarray:
+    """The lock-step loop: play episodes 0 .. episodes-1 of a frozen policy
+    together and return their returns.
+
+    Each episode resets from its own episode_streams and draws its noise once,
+    as (horizon, d) blocks from its obs and act streams (no observation block
+    at sigma 0). Step t observes every running episode's state plus sigma
+    times row t of its observation block, calls act_rows(obs, noise) once
+    with the observations (n, state_dim) and the rows t (n, action_dim) of
+    the action blocks, and steps all n rows with step_rows. An episode whose
+    task ends leaves the rows after that step.
+
+    run_episode, driven as online.play_episodes drives it, gives each episode
+    the same bits when act_rows maps every row as that loop's act does: the
+    noise blocks hold the values the per-step draws take, and every returns
+    entry is summed step by step with +=.
+    """
+    if episodes < 1:
+        raise ConfigError("episodes must be positive")
+    streams = [episode_streams(seed, ep) for ep in range(episodes)]
+    state_rows = np.array([reset(spec, env_rng) for env_rng, _, _ in streams])
+    # (horizon, episodes, d), so that step t of every episode is one slice
+    act_noise = np.stack([act_rng.standard_normal((spec.horizon, spec.action_dim))
+                          for _, _, act_rng in streams], axis=1)
+    obs_noise = None
+    if sigma != 0.0:
+        # sigma times each row, as observe scales it, once for the whole block
+        obs_noise = np.stack([obs_rng.standard_normal((spec.horizon, spec.state_dim))
+                              for _, obs_rng, _ in streams], axis=1) * sigma
+    returns = np.zeros(episodes)
+    live = slice(None)  # the running episodes, as an index into 0 .. episodes-1
+    for t in range(spec.horizon):
+        obs = state_rows if obs_noise is None else state_rows + obs_noise[t, live]
+        state_rows, rewards, done = step_rows(spec, state_rows,
+                                              act_rows(obs, act_noise[t, live]))
+        returns[live] += rewards
+        if done.any():
+            keep = ~done
+            live = np.arange(episodes)[live][keep]
+            state_rows = state_rows[keep]
+            if live.size == 0:
+                break
+    return returns

@@ -14,11 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import envs
 from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
+from .numeric import forward_rows
 from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
-                     OnlineUpdateConfig, play_episodes, run_online)
+                     OnlineUpdateConfig, run_online)
 
 # EMA smoothing coefficient for the stability metric; recorded in every
 # report so the number can be recomputed from raw returns
@@ -85,9 +87,19 @@ def stability_metric(returns, ema_coefficient: float = EMA_COEFFICIENT) -> float
 
 def score_policy(policy, env_id: str, sigma: float, episodes: int,
                  seed: int) -> np.ndarray:
-    """Per-episode raw returns of the frozen policy under observation noise:
-    an adapt-off online run, played by the same episode driver."""
-    return play_episodes(lambda: policy, env_id, sigma, episodes, seed)
+    """Per-episode raw returns of the frozen policy under observation noise,
+    with every episode stepped together by the lock-step loop
+    (envs.run_lockstep). They have the bits of an adapt-off online run of
+    the same seed: each row's action is sample_action's for that row, mean
+    from forward_rows, the same noise row scaled by exp(log_std), and the
+    same clamp."""
+    scale = np.exp(policy.log_std)
+
+    def act_rows(obs, noise):
+        mu = forward_rows(policy.mean_net, obs) + noise * scale
+        return np.minimum(np.maximum(mu, policy.action_low), policy.action_high)
+
+    return envs.run_lockstep(envs.make_spec(env_id), act_rows, sigma, episodes, seed)
 
 
 @dataclass(frozen=True)
@@ -104,8 +116,7 @@ class SweepCell:
 
 
 def _check_cell(sigma: float, episodes: int, adapt: str) -> None:
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    envs.check_sigma(sigma)
     if episodes < 2:
         raise ConfigError("episodes must be >= 2 so the stability metric is defined")
     if adapt not in ADAPT_MODES:

@@ -224,9 +224,10 @@ class MlpWorkspace:
 
 def _forward_into(net: MlpNetwork, x: np.ndarray, outputs) -> list[np.ndarray]:
     """Post-activation value of every layer, starting with the input itself.
-    x is a batch (n, in_dim), or one row (in_dim,) when outputs is None.
-    Layer i is written into the leading n rows of outputs[i], or into a new
-    array when outputs is None (for one row that is the cheaper of the two)."""
+    x is a batch (n, in_dim), or, when outputs is None, one row (in_dim,) or
+    a stack of rows (n, 1, in_dim). Layer i is written into the leading n
+    rows of outputs[i], or into a new array when outputs is None (for one
+    row that is the cheaper of the two)."""
     hs = [x]
     h = x
     last = len(net.weights) - 1
@@ -260,6 +261,21 @@ def forward(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> np.nda
     workspace.check_rows(xb.shape[0])
     out = _forward_into(net, xb, workspace.outputs)[-1]
     return out if x.ndim == 2 else out[0]
+
+
+def forward_rows(net: MlpNetwork, rows) -> np.ndarray:
+    """forward on every row of a batch (E, in_dim): row i of the (E, out_dim)
+    result has the bits of forward(net, rows[i]).
+
+    Each layer multiplies the stack (E, 1, width) of rows, and a stacked
+    matmul runs one single-row product per row, the product forward makes
+    for one input. The plain GEMM of an (E, width) batch rounds its rows
+    otherwise for every E >= 2.
+    """
+    x = _as_input(rows, net.in_dim, "input")
+    if x.ndim != 2:
+        raise ShapeError("forward_rows needs a 2-D batch")
+    return _forward_into(net, x[:, None, :], None)[-1][:, 0]
 
 
 def forward_cache(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> list[np.ndarray]:

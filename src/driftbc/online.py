@@ -232,13 +232,14 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
                   on_step=None) -> np.ndarray:
     """Per-episode returns of policy_of() acting under observation noise sigma.
 
-    Episode ep draws from its own streams online_ep{ep}_{env,obs,act}, so a
-    frozen-policy evaluation and an adaptive run with the same seed see the
-    same episodes. The observation and action noise of an episode are drawn
-    once, as (horizon, d) blocks of standard normals from online_ep{ep}_obs
-    and online_ep{ep}_act (see NormalRows): step t observes with row t of
-    the first and acts with row t of the second, the values a draw of d per
-    step from each stream gives. policy_of is called at every step, so a
+    Episode ep draws from its own streams online_ep{ep}_{env,obs,act}
+    (envs.episode_streams), so a frozen-policy evaluation and an adaptive
+    run with the same seed see the same episodes. The observation and
+    action noise of an episode are drawn once, as (horizon, d) blocks of
+    standard normals from online_ep{ep}_obs and online_ep{ep}_act (see
+    NormalRows): step t observes with row t of the first and acts with row
+    t of the second, the values a draw of d per step from each stream
+    gives. policy_of is called at every step, so a
     policy replaced mid-episode acts from the next step on, on the same
     rows. on_step(ep, t, state, obs, action, reward), if given, runs after
     every step.
@@ -246,11 +247,9 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
     spec = envs.make_spec(env_id)
     returns = np.zeros(episodes)
     for ep in range(episodes):
-        env_rng = named_generator(seed, f"online_ep{ep}_env")
-        obs_noise = NormalRows(named_generator(seed, f"online_ep{ep}_obs"),
-                               spec.horizon, spec.state_dim)
-        act_noise = NormalRows(named_generator(seed, f"online_ep{ep}_act"),
-                               spec.horizon, spec.action_dim)
+        env_rng, obs_rng, act_rng = envs.episode_streams(seed, ep)
+        obs_noise = NormalRows(obs_rng, spec.horizon, spec.state_dim)
+        act_noise = NormalRows(act_rng, spec.horizon, spec.action_dim)
         returns[ep], _, _ = envs.run_episode(
             spec, lambda obs: sample_action(policy_of(), obs, act_noise), env_rng,
             envs.NoiseWrapper(sigma=sigma, rng=obs_noise),
@@ -270,6 +269,7 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
     starts fresh each episode since a reset breaks any ongoing shift run.
     Mutates artifacts.policy / artifacts.discriminator under on/always.
     """
+    envs.check_sigma(sigma)
     if adapt not in ADAPT_MODES:
         raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
     if episodes < 1:

@@ -494,20 +494,49 @@ class TestOutputDirOnFirstWrite:
             "x.demos", "x.demos.manifest"]
 
 
+@pytest.fixture
+def no_episodes(monkeypatch):
+    """Both episode loops, patched to fail if an episode is stepped."""
+    import driftbc.envs as envs_mod
+    import driftbc.online as online_mod
+
+    def refuse(*args, **kw):
+        raise AssertionError("an episode was stepped")
+
+    monkeypatch.setattr(online_mod, "play_episodes", refuse)
+    monkeypatch.setattr(envs_mod, "run_lockstep", refuse)
+
+
+class TestBadSigma:
+    """A negative or non-finite sigma exits 2 naming it, before any episode
+    is stepped or output path made."""
+
+    @pytest.mark.parametrize("command,extra,shown", [
+        ("run-online", ["--sigma", "-1", "--episodes", "3", "--adapt", "on"], "-1.0"),
+        ("run-online", ["--sigma", "inf", "--episodes", "2", "--adapt", "off"], "inf"),
+        ("evaluate", ["--refs", "REFS", "--sigmas", "0.1,nan", "--runs", "2",
+                      "--episodes", "2", "--adapt", "off"], "nan"),
+        ("grid-kth", ["--refs", "REFS", "--sigma", "nan", "--runs", "1",
+                      "--episodes", "2"], "nan"),
+    ], ids=["run-online-negative", "run-online-inf", "evaluate-nan", "grid-kth-nan"])
+    def test_exits_2_naming_sigma(self, ws, tmp_path, capsys, no_episodes,
+                                  command, extra, shown):
+        out = tmp_path / "out"
+        extra = [arg.replace("REFS", str(ws["refs"])) for arg in extra]
+        code = main([command, "--artifacts", str(ws["art"]), *extra, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"sigma must be finite and >= 0, got {shown}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestWrongEnvExpertDemos:
     """The trained expert_demos path holding another env's demo file exits 2
     naming the file, before any episode is stepped or output path made."""
 
     @pytest.fixture
-    def pendulum_expert(self, ws, tmp_path, monkeypatch):
-        import driftbc.evaluation as evaluation_mod
-        import driftbc.online as online_mod
-
-        def refuse(*args, **kw):
-            raise AssertionError("an episode was stepped")
-
-        monkeypatch.setattr(online_mod, "play_episodes", refuse)
-        monkeypatch.setattr(evaluation_mod, "play_episodes", refuse)
+    def pendulum_expert(self, ws, tmp_path, monkeypatch, no_episodes):
         other, kept = tmp_path / "pendulum.demos", tmp_path / "kept.demos"
         run_ok(["gen-data", "--env", "pendulum1", "--tier", "expert",
                 "--episodes", "2", "--seed", "5", "--out", str(other)])

@@ -238,6 +238,91 @@ def test_step_still_rejects_non_finite_state(env_id, bad):
             env_step_oracle(spec, state, np.zeros(spec.action_dim))
 
 
+def squares_deciding_reward(states, actions):
+    """(3, n) masks, one per square in pendulum's reward (from_upright,
+    theta_dot, torque): the rows whose reward changes when that square is
+    x * x (numpy's ** 2) in place of Python's x ** 2 (C pow, which
+    np.float_power calls). The terms are recomputed here with numpy, column
+    by column, as step computes them."""
+    theta = np.arctan2(states[:, 1], states[:, 0])
+    torque = np.clip(actions[:, 0], -2.0, 2.0)
+    theta_dot = np.clip(states[:, 2] + (-10.0 * np.sin(theta) + torque) * 0.1, -8.0, 8.0)
+    from_upright = (theta + theta_dot * 0.1 - np.pi + np.pi) % (2.0 * np.pi) - np.pi
+    terms = (from_upright, theta_dot, torque)
+    by_pow = [np.float_power(x, 2.0) for x in terms]
+
+    def reward(squares):
+        return squares[0] + 0.1 * squares[1] + 0.001 * squares[2]
+
+    return np.array([reward([x * x if k == i else by_pow[k] for k, x in enumerate(terms)])
+                     != reward(by_pow) for i in range(3)])
+
+
+def step_rows_inputs(env_id, rng):
+    """random_step_inputs' 10,000 rows, plus for pendulum angles within a
+    few ulps of +-pi (sin of either sign and zero), and the rows whose
+    reward the rounding of a square decides, out of 200,000 more random
+    rows and 200,000 near upright rest, where the torque term counts."""
+    spec, states, actions = random_step_inputs(env_id, 10_000, rng)
+    if env_id == "pendulum1":
+        near_pi = np.pi - np.concatenate([np.zeros(2), rng.integers(1, 8, 98) * 2.0 ** -51,
+                                          rng.uniform(0.0, 1e-6, 100)])
+        theta = near_pi * rng.choice([-1.0, 1.0], near_pi.size)
+        edge = np.column_stack([np.cos(theta), np.sin(theta),
+                                rng.uniform(-12.0, 12.0, theta.size)])
+        edge[:2, :2] = [[-1.0, 0.0], [-1.0, -0.0]]
+        _, pool_states, pool_actions = random_step_inputs(env_id, 200_000, rng)
+        rest = np.column_stack([np.full(200_000, -1.0), rng.uniform(-1e-3, 1e-3, 200_000),
+                                rng.uniform(-0.1, 0.1, 200_000)])
+        pool_states = np.concatenate([pool_states, rest])
+        pool_actions = np.concatenate([pool_actions, rng.uniform(-2.0, 2.0, (200_000, 1))])
+        decided = squares_deciding_reward(pool_states, pool_actions).any(axis=0)
+        states = np.concatenate([states, edge, pool_states[decided]])
+        actions = np.concatenate([actions, rng.uniform(-3.0, 3.0, (theta.size, 1)),
+                                  pool_actions[decided]])
+    return spec, states, actions
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+def test_step_rows_have_the_bits_of_step(env_id):
+    spec, states, actions = step_rows_inputs(env_id, np.random.default_rng(91))
+    want = [envs.step(spec, s, a) for s, a in zip(states, actions)]
+    for chunk in (1, 7, states.shape[0]):
+        for start in range(0, states.shape[0], chunk)[:400]:
+            rows = slice(start, start + chunk)
+            got = envs.step_rows(spec, states[rows], actions[rows])
+            assert got[0].shape == (len(states[rows]), spec.state_dim)
+            for i, (next_state, reward, done) in enumerate(want[rows]):
+                assert got[0][i].tobytes() == next_state.tobytes(), (states[rows][i],)
+                assert got[1][i].tobytes() == np.float64(reward).tobytes(), (states[rows][i],)
+                assert got[2][i] == done
+    if env_id == "pointmass2d":
+        assert any(done for _, _, done in want)
+    else:
+        assert np.all(np.count_nonzero(squares_deciding_reward(states, actions), axis=1) > 10)
+
+
+@pytest.mark.parametrize("env_id,state_shape,action_shape", [
+    ("pointmass2d", (3, 4), (3, 1)), ("pointmass2d", (3, 3), (3, 2)),
+    ("pointmass2d", (3, 4), (2, 2)), ("pointmass2d", (4,), (2,)),
+    ("pendulum1", (2, 3), (2, 2)), ("pendulum1", (2, 4), (2, 1)),
+    ("pendulum1", (2, 3), (2,))])
+def test_step_rows_reject_wrong_widths(env_id, state_shape, action_shape):
+    with pytest.raises(ShapeError, match=f"{env_id} steps"):
+        envs.step_rows(envs.make_spec(env_id), np.zeros(state_shape), np.zeros(action_shape))
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rows_reject_a_non_finite_row(env_id, bad):
+    spec = envs.make_spec(env_id)
+    for i in range(spec.state_dim):
+        states = np.zeros((5, spec.state_dim))
+        states[3, i] = bad
+        with pytest.raises(NumericError, match="non-finite state"):
+            envs.step_rows(spec, states, np.zeros((5, spec.action_dim)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(theta=st.floats(-np.pi, np.pi), speed=st.floats(-8, 8),
        torque=st.floats(-2, 2))

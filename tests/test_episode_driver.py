@@ -11,7 +11,7 @@ import pytest
 from driftbc import demos, envs, numeric, online
 from driftbc.configio import mask_wall_times
 from driftbc.demos import generate_tier, save_demoset
-from driftbc.errors import ShapeError
+from driftbc.errors import ConfigError, ShapeError
 from driftbc.evaluation import score_policy
 from driftbc.numeric import NormalRows, init_mlp, named_generator
 from driftbc.offline import OfflineConfig, run_offline
@@ -97,6 +97,13 @@ def test_one_input_forward_has_the_bits_of_a_batch_of_one(dims, activation):
         want = mlp_forward_row_oracle(net.weights, net.biases, activation, x)
         assert numeric.forward(net, x).tobytes() == want.tobytes()
         assert numeric.forward(net, x[None, :])[0].tobytes() == want.tobytes()
+    for e in (1, 2, 7, 20, 200):
+        rows = rng.standard_normal((e, dims[0])) * rng.choice([1e-3, 1.0, 30.0], (e, 1))
+        got = numeric.forward_rows(net, rows)
+        assert got.shape == (e, dims[-1])
+        for x, row in zip(rows, got):
+            want = mlp_forward_row_oracle(net.weights, net.biases, activation, x)
+            assert row.tobytes() == want.tobytes(), e
 
 
 def test_one_input_forward_sees_in_place_weight_edits():
@@ -130,13 +137,31 @@ def test_pendulum_episodes_match_the_per_step_loop(sigma):
     assert len(got[1]) == 6 * envs.HORIZON
 
 
-@pytest.mark.parametrize("env_id,sigma", [("pendulum1", 0.0), ("pendulum1", 0.2),
-                                          ("pointmass2d", 0.0), ("pointmass2d", 0.2)])
-def test_score_policy_matches_the_per_step_loop(pointmass, env_id, sigma):
+@pytest.mark.parametrize("env_id,sigma,episodes", [
+    pytest.param(env_id, sigma, 6, id=f"{env_id}-{sigma}")
+    for env_id in ("pendulum1", "pointmass2d") for sigma in (0.0, 0.2)]
+    + [pytest.param("pointmass2d", 0.1, 24, id="pointmass2d-0.1-24-episodes")])
+def test_score_policy_matches_the_per_step_loop(pointmass, env_id, sigma, episodes):
+    """The lock-step loop against a per-step loop; on the 24 pointmass
+    episodes the active set shrinks at several steps before the horizon."""
     policy = pendulum_policy() if env_id == "pendulum1" else pointmass[0].policy
-    returns = score_policy(policy, env_id, sigma, 6, seed=2)
+    lengths = {}
+
+    def record(ep, t, *_):
+        lengths[ep] = t + 1
+
+    returns = score_policy(policy, env_id, sigma, episodes, seed=2)
     assert returns.tobytes() == play_episodes_oracle(
-        lambda: policy, env_id, sigma, 6, 2).tobytes()
+        lambda: policy, env_id, sigma, episodes, 2, record).tobytes()
+    if episodes > 6:
+        early = [n for n in lengths.values() if n < envs.HORIZON]
+        assert len(set(early)) >= 3, sorted(lengths.values())
+        assert max(lengths.values()) == envs.HORIZON, sorted(lengths.values())
+
+
+def test_score_policy_needs_an_episode():
+    with pytest.raises(ConfigError, match="episodes must be positive"):
+        score_policy(pendulum_policy(), "pendulum1", 0.1, 0, seed=2)
 
 
 def test_mid_episode_policy_swaps_match_the_per_step_loop(pointmass, monkeypatch):
@@ -166,28 +191,39 @@ def test_mid_episode_policy_swaps_match_the_per_step_loop(pointmass, monkeypatch
 
 def test_every_env_step_runs_inside_run_episode(pointmass, monkeypatch):
     """Each envs.step call of score_policy, run_online and generate_tier
-    comes from envs.run_episode: no second episode loop."""
+    comes from envs.run_episode, and each envs.step_rows call from
+    envs.run_lockstep; score_policy makes no envs.step call. Two episode
+    loops, each with its own step function, and no third."""
     artifacts, expert = pointmass
-    step = envs.step
-    counts = {"all": 0, "driver": 0}
+    counts = {}
 
-    def counted(*args, **kwargs):
-        counts["all"] += 1
-        if sys._getframe(1).f_code is envs.run_episode.__code__:
-            counts["driver"] += 1
-        return step(*args, **kwargs)
+    def count_calls(name, loop):
+        fn = getattr(envs, name)
+        counts[name] = {"all": 0, "loop": 0}
 
-    # every module attribute bound to envs.step, however it was imported
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("driftbc") \
-                and getattr(module, "step", None) is step:
-            monkeypatch.setattr(module, "step", counted)
+        def counted(*args, **kwargs):
+            counts[name]["all"] += 1
+            if sys._getframe(1).f_code is loop.__code__:
+                counts[name]["loop"] += 1
+            return fn(*args, **kwargs)
+
+        # every module attribute bound to fn, however it was imported
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("driftbc") \
+                    and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+
+    count_calls("step", envs.run_episode)
+    count_calls("step_rows", envs.run_lockstep)
     score_policy(artifacts.policy, "pointmass2d", 0.1, 3, seed=1)
+    assert counts["step"]["all"] == 0
+    assert counts["step_rows"]["all"] > 0
     run_online(copy.deepcopy(artifacts), expert, sigma=0.1, episodes=2,
                adapt="always", seed=1, patience=50,
                update_config=OnlineUpdateConfig(disc_steps=2, policy_steps=2))
     for env_id in envs.ENV_IDS:
         for tier in demos.TIERS:
             demos.generate_tier(envs.make_spec(env_id), tier, 2, seed=1)
-    assert counts["all"] > 1000
-    assert counts["driver"] == counts["all"]
+    assert counts["step"]["all"] > 1000
+    assert counts["step"]["loop"] == counts["step"]["all"]
+    assert counts["step_rows"]["loop"] == counts["step_rows"]["all"]

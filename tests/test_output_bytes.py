@@ -2,12 +2,14 @@
 
 On pointmass2d, two `train-offline` runs (one with the regularizer, one with
 `disable_reg=true`), a `run-online --adapt on` call with seven triggered
-updates and a `run-online --adapt always` call are run from a relative
-layout. On pendulum1, a `train-offline` run feeds `gen-refs` and an
-`evaluate --adapt off` sweep. The sha256 of every file these and the
-`gen-data` calls write is compared, with `wall_ms` masked, against the
-digests below. A speed change that claims byte-identical outputs must keep
-this test green as it stands.
+updates, a `run-online --adapt always` call, and a `gen-refs` run feeding an
+`evaluate --adapt off` sweep whose 20-episode cells end episodes at many
+different steps, some at the horizon, are run from a relative layout. On
+pendulum1, where no episode ends early, a `train-offline` run feeds
+`gen-refs` and an `evaluate --adapt off` sweep. The sha256 of every file
+these and the `gen-data` calls write is compared, with `wall_ms` masked,
+against the digests below. A speed change that claims byte-identical
+outputs must keep this test green as it stands.
 
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently. A change that means to alter these bytes
@@ -43,6 +45,11 @@ COMMANDS = (
      "--adapt", "on", "--kth", "0.6", "--seed", "1", "--out", "online"],
     ["run-online", "--artifacts", "art", "--sigma", "0.2", "--episodes", "2",
      "--adapt", "always", "--seed", "2", "--out", "online_always"],
+    ["gen-refs", "--env", "pointmass2d", "--episodes", "3", "--seed", "5",
+     "--out", "refs.txt"],
+    ["evaluate", "--artifacts", "art", "--refs", "refs.txt", "--adapt", "off",
+     "--sigmas", "0.0,0.2", "--runs", "2", "--episodes", "20", "--seed", "7",
+     "--out", "sweep"],
 )
 
 DIGESTS = {
@@ -74,6 +81,12 @@ DIGESTS = {
     "online_always/manifest.txt": "96826d189b6def6f0c7fdbdf1331efa34cc3f7d2b3424f1dc9576792188d6f44",
     "online_always/returns.log": "250d33e9b98fd9d40cd8394422561b342b08617e04a0499712ce0a8e18376400",
     "online_always/triggers.log": "ca299ded5e9f0083663dd134fb6f4d4c3711cc27b2e1eb5412741ac0df0f3022",
+    "refs.txt": "25f6fd4db92825ee30004e2ac6865d5ebe01478a2920f51aae73fbf1236ae659",
+    "refs.txt.manifest": "a981d2b4d3a3b1bdcbf469c6a689781b349d4706574e3d5acad99d39ef926f38",
+    "sweep/manifest.txt": "2c1796db3cef8941ae67af9bf8023fb31717f88d76c7fa57b62af0e608515b0c",
+    "sweep/plot.txt": "14f16416740ba26839caed3328b41ed54f354b4a545670eab59d3f3dba2e50dd",
+    "sweep/records.txt": "ef39129f06662356fbe1a2d56de530e7b2ce32cd72472448dd823acb4d2f9056",
+    "sweep/summary.txt": "bd8e0450bda00946022595e5340731824979471254b319b962052abcf72c0b30",
     "train.cfg": "5178fb7ba44c19660c0a724fb8121b5ceb7c6cd492c2f2ae5c869cd0f5498c1f",
 }
 
