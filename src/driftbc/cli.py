@@ -15,7 +15,7 @@ from pathlib import Path
 from . import envs
 from .configio import (RunManifest, Stopwatch, apply_overrides, config_hash,
                        load_config, write_manifest, write_text_atomic)
-from .demos import (TIERS, generate_tier, load_reference_returns,
+from .demos import (TIERS, check_tier, generate_tier, load_reference_returns,
                     measure_reference_returns, mix_supplementary, save_demoset,
                     save_reference_returns)
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -128,6 +128,8 @@ def cmd_gen_data(args) -> int:
     tiers = [t.strip() for t in args.tier.split(",") if t.strip()]
     if not tiers:
         raise ConfigError(f"no tier named in {args.tier!r}; valid: {', '.join(TIERS)}")
+    for tier in tiers:
+        check_tier(tier)
     out = _prepare_file(Path(args.out), args.force)
     watch = Stopwatch()
     sets = [generate_tier(spec, tier, args.episodes, args.seed) for tier in tiers]
@@ -264,11 +266,11 @@ def cmd_verify(args) -> int:
     names = None
     if args.checks:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    out = _prepare_dir(args.out, "verify", args.force) if args.out else None
     results = run_checks(names=names, seed=args.seed)
     text = format_results(results)
     print(text, end="")
-    if args.out:
-        out = _prepare_dir(args.out, "verify", args.force)
+    if out is not None:
         watch = Stopwatch()
         params = {"checks": args.checks or "all", "seed": args.seed}
         _write_run("verify", out / "manifest.txt", params, args.seed, watch,

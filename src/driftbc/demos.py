@@ -83,11 +83,15 @@ def _mrl_policy(spec: envs.EnvSpec, seed: int):
     return train_reference_policy(source, spec, f"mrl_{spec.env_id}", seed, MRL_STEPS)
 
 
+def check_tier(tier: str) -> None:
+    if tier not in TIERS:
+        raise ConfigError(f"unknown tier {tier!r}; valid: {', '.join(TIERS)}")
+
+
 def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> DemoSet:
     """Roll out one tier's behavior policy; true states only, no observation
     noise. Deterministic given (spec, tier, episodes, seed)."""
-    if tier not in TIERS:
-        raise ConfigError(f"unknown tier {tier!r}; valid: {', '.join(TIERS)}")
+    check_tier(tier)
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
 
@@ -100,17 +104,18 @@ def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> De
         env_rng = named_generator(seed, f"ep{ep}_env")
         act_rng = named_generator(seed, f"{tier}_ep{ep}_act")
 
+        # run_episode passes no noise rows: each tier draws from act_rng
         if tier == "expert":
-            act = lambda s: envs.scripted_expert(spec, s)
+            act = lambda s, _: envs.scripted_expert(spec, s)
         elif tier == "medium":
-            act = lambda s: np.clip(
+            act = lambda s, _: np.clip(
                 envs.scripted_expert(spec, s)
                 + act_rng.standard_normal(spec.action_dim) * MEDIUM_ACTION_NOISE,
                 spec.action_low, spec.action_high)
         elif tier == "random":
-            act = lambda s: act_rng.uniform(spec.action_low, spec.action_high)
+            act = lambda s, _: act_rng.uniform(spec.action_low, spec.action_high)
         else:
-            act = lambda s: sample_action(mrl, s, act_rng)
+            act = lambda s, _: sample_action(mrl, s, act_rng.standard_normal(spec.action_dim))
 
         # every tier's actions are already in bounds, so they are stored as drawn
         steps = []

@@ -1,5 +1,5 @@
 """Two deterministic toy continuous-control tasks with scripted experts, plus
-the Gaussian observation-noise wrapper that induces distribution shift.
+the Gaussian observation noise that induces distribution shift.
 
 pointmass2d: damped double integrator on [-1,1]^2 driving to a fixed goal.
 pendulum1: torque-limited rigid pendulum, angle measured from hanging down so
@@ -20,8 +20,10 @@ There are two episode loops, each with its own step function:
 The per-step loop stays because step_rows on one row costs four to five
 times what step does (32-52 us against 8-10 us on a 2-core x86-64 VM with
 numpy 2.4), while a 20-episode evaluation cell takes about a quarter of the
-per-step loop's time in the lock-step loop. Both loops name an episode's
-streams through episode_streams.
+per-step loop's time in the lock-step loop. Both loops take an online
+episode's noise from episode_noise, drawn once as (horizon, d) blocks, and
+at step t observe through observe with row t of the first and act with row
+t of the second (policy.sample_action, for a policy).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numeric import NormalRows, named_generator
+from .numeric import named_generator
 
 ENV_IDS = ("pointmass2d", "pendulum1")
 
@@ -194,24 +196,12 @@ def check_sigma(sigma: float) -> None:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma!r}")
 
 
-@dataclass
-class NoiseWrapper:
-    """Adds N(0, sigma^2 I) to observations; sigma = 0 is the identity.
-    rng is a Generator, or a NormalRows block drawn from one (see observe)."""
-
-    sigma: float
-    rng: np.random.Generator | NormalRows
-
-
-def observe(wrapper: NoiseWrapper, state) -> np.ndarray:
-    """state plus sigma times wrapper.rng.standard_normal(state_dim); no draw
-    at sigma 0. play_episodes sets rng to a NormalRows block of the
-    episode's online_ep{ep}_obs stream, so the observation of step t takes
-    row t, the values a Generator would draw at that step."""
+def observe(state, noise) -> np.ndarray:
+    """What the agent sees of state, as a new array: state + noise, or a copy
+    of state when noise is None (no observation noise). state is one state
+    with one noise row, or rows of states with a row of noise each."""
     state = np.asarray(state, dtype=np.float64)
-    if wrapper.sigma == 0.0:
-        return state.copy()
-    return state + wrapper.rng.standard_normal(state.shape[0]) * wrapper.sigma
+    return state.copy() if noise is None else state + noise
 
 
 def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
@@ -241,18 +231,17 @@ def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
 
 
 def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
-                wrapper: NoiseWrapper | None = None,
+                noise: tuple[np.ndarray | None, np.ndarray] | None = None,
                 on_step=None) -> tuple[float, np.ndarray, bool]:
     """The per-step episode loop: reset, then observe, act and step until the
-    task ends or the spec's horizon. act sees the observed state only (the
-    true state when there is no wrapper). on_step(t, state, obs, action,
-    reward), if given, runs after each step with the state the action was
-    taken at.
+    task ends or the spec's horizon. on_step(t, state, obs, action, reward),
+    if given, runs after each step with the state the action was taken at.
 
-    Step t calls observe once and act once. When the wrapper's rng and the
-    generator act samples from are NormalRows blocks, as play_episodes makes
-    them, step t therefore uses row t of each, and an episode that ends
-    early leaves its later rows unused.
+    noise is an online episode's (observation, action) blocks from
+    episode_noise: step t observes through observe with row t of the first
+    (None at sigma 0) and calls act(obs, row t of the second); an episode
+    that ends early leaves later rows unused. Without noise (generate_tier's
+    tiers) act(obs, None) sees a copy of the true state.
 
     Returns the return summed step by step with +=, the final state, and
     whether the task ended before the horizon.
@@ -261,8 +250,12 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     total = 0.0
     done = False
     for t in range(spec.horizon):
-        obs = state.copy() if wrapper is None else observe(wrapper, state)
-        action = act(obs)
+        if noise is None:
+            obs, act_noise = state.copy(), None
+        else:
+            obs_noise, act_noise = noise[0], noise[1][t]
+            obs = observe(state, None if obs_noise is None else obs_noise[t])
+        action = act(obs, act_noise)
         next_state, reward, done = step(spec, state, action)
         total += reward
         if on_step is not None:
@@ -273,11 +266,22 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     return total, state, done
 
 
-def episode_streams(seed: int, ep: int) -> tuple[np.random.Generator, ...]:
-    """Episode ep's generators online_ep{ep}_env, _obs and _act: its reset,
-    its observation noise and its action noise."""
-    return tuple(named_generator(seed, f"online_ep{ep}_{part}")
-                 for part in ("env", "obs", "act"))
+def episode_noise(spec: EnvSpec, seed: int, ep: int, sigma: float
+                  ) -> tuple[np.random.Generator, np.ndarray | None, np.ndarray]:
+    """Online episode ep's reset generator online_ep{ep}_env, its observation
+    noise, sigma times a (horizon, state_dim) block of standard normals from
+    online_ep{ep}_obs (None at sigma 0, with no draw), and its action noise,
+    a (horizon, action_dim) block from online_ep{ep}_act.
+
+    Generator.standard_normal fills a block element by element from one
+    stream, so row t holds the values a draw of d per step takes at step t.
+    """
+    env_rng, obs_rng, act_rng = (named_generator(seed, f"online_ep{ep}_{part}")
+                                 for part in ("env", "obs", "act"))
+    obs_noise = None
+    if sigma != 0.0:
+        obs_noise = obs_rng.standard_normal((spec.horizon, spec.state_dim)) * sigma
+    return env_rng, obs_noise, act_rng.standard_normal((spec.horizon, spec.action_dim))
 
 
 def run_lockstep(spec: EnvSpec, act_rows, sigma: float, episodes: int,
@@ -285,35 +289,30 @@ def run_lockstep(spec: EnvSpec, act_rows, sigma: float, episodes: int,
     """The lock-step loop: play episodes 0 .. episodes-1 of a frozen policy
     together and return their returns.
 
-    Each episode resets from its own episode_streams and draws its noise once,
-    as (horizon, d) blocks from its obs and act streams (no observation block
-    at sigma 0). Step t observes every running episode's state plus sigma
-    times row t of its observation block, calls act_rows(obs, noise) once
-    with the observations (n, state_dim) and the rows t (n, action_dim) of
-    the action blocks, and steps all n rows with step_rows. An episode whose
-    task ends leaves the rows after that step.
+    Each episode resets and draws its noise through episode_noise. Step t
+    observes the n running episodes' states through observe with rows t of
+    their observation blocks, calls act_rows(obs, noise) once with the
+    observations (n, state_dim) and rows t (n, action_dim) of the action
+    blocks, and steps all n rows with step_rows. An episode whose task ends
+    leaves the rows after that step.
 
     run_episode, driven as online.play_episodes drives it, gives each episode
     the same bits when act_rows maps every row as that loop's act does: the
-    noise blocks hold the values the per-step draws take, and every returns
-    entry is summed step by step with +=.
+    blocks are the same, and every returns entry is summed step by step
+    with +=.
     """
     if episodes < 1:
         raise ConfigError("episodes must be positive")
-    streams = [episode_streams(seed, ep) for ep in range(episodes)]
-    state_rows = np.array([reset(spec, env_rng) for env_rng, _, _ in streams])
+    env_rngs, obs_blocks, act_blocks = zip(*(episode_noise(spec, seed, ep, sigma)
+                                             for ep in range(episodes)))
+    state_rows = np.array([reset(spec, env_rng) for env_rng in env_rngs])
     # (horizon, episodes, d), so that step t of every episode is one slice
-    act_noise = np.stack([act_rng.standard_normal((spec.horizon, spec.action_dim))
-                          for _, _, act_rng in streams], axis=1)
-    obs_noise = None
-    if sigma != 0.0:
-        # sigma times each row, as observe scales it, once for the whole block
-        obs_noise = np.stack([obs_rng.standard_normal((spec.horizon, spec.state_dim))
-                              for _, obs_rng, _ in streams], axis=1) * sigma
+    act_noise = np.stack(act_blocks, axis=1)
+    obs_noise = None if sigma == 0.0 else np.stack(obs_blocks, axis=1)
     returns = np.zeros(episodes)
     live = slice(None)  # the running episodes, as an index into 0 .. episodes-1
     for t in range(spec.horizon):
-        obs = state_rows if obs_noise is None else state_rows + obs_noise[t, live]
+        obs = observe(state_rows, None if obs_noise is None else obs_noise[t, live])
         state_rows, rewards, done = step_rows(spec, state_rows,
                                               act_rows(obs, act_noise[t, live]))
         returns[live] += rewards

@@ -11,16 +11,17 @@ from __future__ import annotations
 import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import envs
 from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
-from .numeric import forward_rows
 from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
                      OnlineUpdateConfig, run_online)
+from .policy import sample_action
 
 # EMA smoothing coefficient for the stability metric; recorded in every
 # report so the number can be recomputed from raw returns
@@ -90,16 +91,9 @@ def score_policy(policy, env_id: str, sigma: float, episodes: int,
     """Per-episode raw returns of the frozen policy under observation noise,
     with every episode stepped together by the lock-step loop
     (envs.run_lockstep). They have the bits of an adapt-off online run of
-    the same seed: each row's action is sample_action's for that row, mean
-    from forward_rows, the same noise row scaled by exp(log_std), and the
-    same clamp."""
-    scale = np.exp(policy.log_std)
-
-    def act_rows(obs, noise):
-        mu = forward_rows(policy.mean_net, obs) + noise * scale
-        return np.minimum(np.maximum(mu, policy.action_low), policy.action_high)
-
-    return envs.run_lockstep(envs.make_spec(env_id), act_rows, sigma, episodes, seed)
+    the same seed: each row's action is sample_action's for that row."""
+    return envs.run_lockstep(envs.make_spec(env_id), partial(sample_action, policy),
+                             sigma, episodes, seed)
 
 
 @dataclass(frozen=True)

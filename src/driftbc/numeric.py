@@ -466,29 +466,6 @@ def named_generator(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-class NormalRows:
-    """Standard normals drawn from rng once, as one (rows, width) block, and
-    handed out a row per standard_normal(width) call: call t returns row t.
-    It stands in for rng where a loop would draw width values per step.
-    Generator.standard_normal fills its output element by element from one
-    stream, so row t holds the values rng's own t-th standard_normal(width)
-    call would have returned, for one call instead of rows."""
-
-    __slots__ = ("width", "_next_row")
-
-    def __init__(self, rng: np.random.Generator, rows: int, width: int):
-        self.width = width
-        self._next_row = iter(rng.standard_normal((rows, width))).__next__
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        if size != self.width:
-            raise ShapeError(f"rows hold {self.width} standard normals, {size} asked for")
-        try:
-            return self._next_row()
-        except StopIteration:
-            raise ShapeError("every drawn row is used") from None
-
-
 # ---------------------------------------------------------------------------
 # Record files: one ASCII header line of key=value fields, then a little-endian
 # payload. Every file kind (policy, disc, gmm, demoset, refret) is written by

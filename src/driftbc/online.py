@@ -23,7 +23,7 @@ from .density import GmmModel, membership_score
 from .discriminator import (bc_weight, check_scores, train_discriminator,
                             two_class_rows)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numeric import MlpWorkspace, NormalRows, mapped_empty, named_generator
+from .numeric import MlpWorkspace, mapped_empty, named_generator
 from .offline import OfflineArtifacts
 from .policy import bc_workspace, run_weighted_bc, sample_action
 
@@ -232,27 +232,20 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
                   on_step=None) -> np.ndarray:
     """Per-episode returns of policy_of() acting under observation noise sigma.
 
-    Episode ep draws from its own streams online_ep{ep}_{env,obs,act}
-    (envs.episode_streams), so a frozen-policy evaluation and an adaptive
-    run with the same seed see the same episodes. The observation and
-    action noise of an episode are drawn once, as (horizon, d) blocks of
-    standard normals from online_ep{ep}_obs and online_ep{ep}_act (see
-    NormalRows): step t observes with row t of the first and acts with row
-    t of the second, the values a draw of d per step from each stream
-    gives. policy_of is called at every step, so a
-    policy replaced mid-episode acts from the next step on, on the same
-    rows. on_step(ep, t, state, obs, action, reward), if given, runs after
-    every step.
+    Episode ep resets and draws its noise through envs.episode_noise, from
+    its own streams online_ep{ep}_*, so a frozen-policy evaluation and an
+    adaptive run with the same seed see the same episodes. policy_of is
+    called at every step, so a policy replaced mid-episode acts from the
+    next step on, on the same noise rows. on_step(ep, t, state, obs,
+    action, reward), if given, runs after every step.
     """
     spec = envs.make_spec(env_id)
     returns = np.zeros(episodes)
     for ep in range(episodes):
-        env_rng, obs_rng, act_rng = envs.episode_streams(seed, ep)
-        obs_noise = NormalRows(obs_rng, spec.horizon, spec.state_dim)
-        act_noise = NormalRows(act_rng, spec.horizon, spec.action_dim)
+        env_rng, obs_noise, act_noise = envs.episode_noise(spec, seed, ep, sigma)
         returns[ep], _, _ = envs.run_episode(
-            spec, lambda obs: sample_action(policy_of(), obs, act_noise), env_rng,
-            envs.NoiseWrapper(sigma=sigma, rng=obs_noise),
+            spec, lambda obs, noise: sample_action(policy_of(), obs, noise), env_rng,
+            (obs_noise, act_noise),
             None if on_step is None else functools.partial(on_step, ep))
     return returns
 

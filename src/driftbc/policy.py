@@ -14,13 +14,13 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import (
     MlpNetwork,
     MlpWorkspace,
-    NormalRows,
     RecordReader,
     adam_step,
     backprop,
     check_finite,
     forward,
     forward_cache,
+    forward_rows,
     gaussian_log_prob,
     init_adam,
     init_mlp,
@@ -109,14 +109,14 @@ def action_mean(policy: GaussianPolicy, s) -> np.ndarray:
     return forward(policy.mean_net, s)
 
 
-def sample_action(policy: GaussianPolicy, s, rng: np.random.Generator | NormalRows) -> np.ndarray:
+def sample_action(policy: GaussianPolicy, s, noise) -> np.ndarray:
     """Draw a ~ N(mu(s), diag sigma^2), clamped to bounds, as mu(s) plus
-    sigma times rng.standard_normal(action_dim). play_episodes passes a
-    NormalRows block of the episode's online_ep{ep}_act stream, so the
-    action of step t takes row t, the values a Generator would draw at that
-    step."""
-    mu = forward(policy.mean_net, s)
-    mu = mu + rng.standard_normal(policy.action_dim) * np.exp(policy.log_std)
+    sigma times noise, a row of action_dim standard normals. Rows s
+    (E, state_dim) take a noise block (E, action_dim) and give (E,
+    action_dim); their means come from forward_rows, so row i has the bits
+    of sample_action(policy, s[i], noise[i])."""
+    mu = forward(policy.mean_net, s) if np.ndim(s) == 1 else forward_rows(policy.mean_net, s)
+    mu = mu + noise * np.exp(policy.log_std)
     # np.clip's bits at a third of its call cost, on every control step
     return np.minimum(np.maximum(mu, policy.action_low), policy.action_high)
 

@@ -101,6 +101,21 @@ class TestGenData:
         assert code == EXIT_USAGE
         assert "expert" in capsys.readouterr().err
 
+    def test_every_tier_is_checked_before_any_is_generated(self, capsys, tmp_path,
+                                                            monkeypatch):
+        import driftbc.cli as cli_mod
+
+        def refuse(*args, **kw):
+            raise AssertionError("generate_tier called")
+
+        monkeypatch.setattr(cli_mod, "generate_tier", refuse)
+        out = tmp_path / "x.demos"
+        code = main(["gen-data", "--env", ENV, "--tier", "expert,medium,bogus",
+                     "--episodes", "200", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown tier 'bogus'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_comma_list_mixes_tiers(self, ws):
         demos = load_demoset(ws["rich"])
         assert [r.tier for r in demos.tier_runs] == ["medium", "random"]
@@ -357,6 +372,19 @@ class TestVerify:
         assert "9/9 checks passed" in (out / "results.txt").read_text()
         manifest = read_manifest(out / "manifest.txt")
         assert manifest.artifacts == ["results.txt"]
+
+    def test_non_empty_out_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
+        import driftbc.cli as cli_mod
+
+        def refuse(names=None, seed=0):
+            raise AssertionError("run_checks called")
+
+        monkeypatch.setattr(cli_mod, "run_checks", refuse)
+        (tmp_path / "kept.txt").write_text("kept\n")
+        assert main(["verify", "--out", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not empty" in captured.err
 
     def test_file_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "results.txt"

@@ -217,7 +217,8 @@ def test_episode_returns_are_np_sum_of_rewards(tier):
                 elif tier == "random":
                     action = act_rng.uniform(spec.action_low, spec.action_high)
                 else:
-                    action = sample_action(mrl, state, act_rng)
+                    action = sample_action(mrl, state,
+                                           act_rng.standard_normal(spec.action_dim))
                 states.append(state)
                 actions.append(action)
                 ep_ids.append(ep)

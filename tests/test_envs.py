@@ -338,29 +338,38 @@ def test_pendulum_step_deterministic(theta, speed, torque):
 
 
 def test_observe_sigma_zero_identity():
-    wrapper = envs.NoiseWrapper(0.0, np.random.default_rng(0))
     state = np.array([0.2, -0.7, 1.0])
-    obs = envs.observe(wrapper, state)
+    assert envs.episode_noise(pend_spec(), 0, 0, 0.0)[1] is None
+    obs = envs.observe(state, None)
     assert np.array_equal(obs, state)
     assert obs is not state
 
 
 def test_observe_noise_std():
-    wrapper = envs.NoiseWrapper(0.1, np.random.default_rng(5))
+    spec = pm_spec()
     state = np.array([0.5, -0.5, 0.0, 1.0])
-    draws = np.array([envs.observe(wrapper, state) for _ in range(10000)])
+    # 50 episodes of 200 rows each
+    blocks = [envs.episode_noise(spec, 5, ep, 0.1)[1] for ep in range(50)]
+    draws = np.array([envs.observe(state, row) for block in blocks for row in block])
+    assert draws.shape == (10000, 4)
     stds = draws.std(axis=0, ddof=1)
     assert np.all(stds >= 0.095) and np.all(stds <= 0.105)
     # unbiased around the true state
     assert np.all(np.abs(draws.mean(axis=0) - state) < 0.005)
+    # all rows at once, as the lock-step loop observes
+    rows = envs.observe(np.tile(state, (200, 1)), blocks[0])
+    assert rows.tobytes() == draws[:200].tobytes()
 
 
 def test_observe_fresh_draws():
-    wrapper = envs.NoiseWrapper(0.2, np.random.default_rng(6))
+    spec = pend_spec()
     state = np.zeros(3)
-    a = envs.observe(wrapper, state)
-    b = envs.observe(wrapper, state)
+    block = envs.episode_noise(spec, 6, 0, 0.2)[1]
+    a = envs.observe(state, block[0])
+    b = envs.observe(state, block[1])
     assert not np.array_equal(a, b)
+    other = envs.episode_noise(spec, 6, 1, 0.2)[1]
+    assert not np.array_equal(a, envs.observe(state, other[0]))
 
 
 # ---------------------------------------------------------- scripted expert
@@ -371,7 +380,7 @@ def test_pointmass_expert_reaches_goal():
     reached = 0
     for seed in range(500):
         _, final_state, done = envs.run_episode(
-            spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+            spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(seed))
         dist = np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL)
         if done and dist < 0.05:
             reached += 1
@@ -387,7 +396,7 @@ def test_expert_zero_at_goal():
 def test_pendulum_expert_mean_return():
     spec = pend_spec()
     returns = [
-        envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+        envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
                          np.random.default_rng(seed))[0]
         for seed in range(100)
     ]
@@ -398,7 +407,7 @@ def test_pendulum_expert_ends_upright():
     spec = pend_spec()
     for seed in range(20):
         _, final_state, _ = envs.run_episode(
-            spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+            spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(seed))
         assert abs(angle_from_upright(final_state)) < 0.1
         assert abs(final_state[2]) < 0.5
 
@@ -426,7 +435,7 @@ def step_recorder():
 def test_rollout_shapes_and_return():
     spec = pend_spec()
     steps, record = step_recorder()
-    total, _, done = envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+    total, _, done = envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
                                       np.random.default_rng(9), on_step=record)
     states, actions, rewards = map(np.array, zip(*steps))
     assert len(rewards) == 200 and not done
@@ -438,14 +447,14 @@ def test_rollout_shapes_and_return():
 def test_rollout_horizon_override():
     spec = pend_spec(horizon=7)
     steps, record = step_recorder()
-    envs.run_episode(spec, lambda s: np.zeros(1), np.random.default_rng(10), on_step=record)
+    envs.run_episode(spec, lambda s, _: np.zeros(1), np.random.default_rng(10), on_step=record)
     assert len(steps) == 7
 
 
 def test_rollout_early_termination():
     spec = pm_spec()
     steps, record = step_recorder()
-    _, final_state, done = envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+    _, final_state, done = envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
                                             np.random.default_rng(11), on_step=record)
     assert done and len(steps) < 200
     assert np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL) < 0.05
@@ -456,7 +465,7 @@ def test_rollout_deterministic():
     recs = []
     for _ in range(2):
         steps, record = step_recorder()
-        envs.run_episode(spec, lambda s: envs.scripted_expert(spec, s),
+        envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
                          np.random.default_rng(12), on_step=record)
         recs.append(tuple(map(np.array, zip(*steps))))
     assert np.array_equal(recs[0][0], recs[1][0])
@@ -466,14 +475,14 @@ def test_rollout_deterministic():
 
 def test_noise_never_touches_true_trajectory():
     spec = pend_spec()
-    wrapper = envs.NoiseWrapper(0.2, np.random.default_rng(99))
+    _, obs_noise, act_noise = envs.episode_noise(spec, 99, 0, 0.2)
     steps = []
     _, final_state, _ = envs.run_episode(
-        spec, lambda s: envs.scripted_expert(spec, s), np.random.default_rng(13),
-        wrapper, lambda t, state, obs, action, reward: steps.append(
+        spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(13),
+        (obs_noise, act_noise), lambda t, state, obs, action, reward: steps.append(
             (state, obs, action, reward)))
     true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
-    # replay the recorded actions with no wrapper: true states must match
+    # replay the recorded actions with no noise: true states must match
     state = envs.reset(spec, np.random.default_rng(13))
     for t in range(len(steps)):
         assert np.array_equal(state, true_states[t])
@@ -484,11 +493,33 @@ def test_noise_never_touches_true_trajectory():
     assert not np.array_equal(observed_states, true_states)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_run_episode_hands_step_t_its_noise_rows(sigma):
+    spec = pend_spec(horizon=7)
+    _, obs_noise, act_noise = envs.episode_noise(spec, 3, 0, sigma)
+    seen = []
+
+    def act(obs, noise):
+        seen.append((obs, noise))
+        return np.zeros(1) if noise is None else noise
+
+    steps, record = step_recorder()
+    envs.run_episode(spec, act, np.random.default_rng(1), (obs_noise, act_noise), record)
+    assert len(seen) == 7
+    for t, ((obs, noise), (state, _, _)) in enumerate(zip(seen, steps)):
+        assert noise.tobytes() == act_noise[t].tobytes()
+        want = state if obs_noise is None else state + obs_noise[t]
+        assert obs.tobytes() == want.tobytes() and obs is not state
+    seen.clear()
+    envs.run_episode(spec, act, np.random.default_rng(1), on_step=record)
+    assert [noise for _, noise in seen] == [None] * 7
+
+
 def test_pointmass_return_bound():
     spec = pm_spec()
     bound = -spec.horizon * np.sqrt(8.0)
     rng = np.random.default_rng(14)
     for seed in range(10):
-        total, _, _ = envs.run_episode(spec, lambda s: rng.uniform(-1, 1, 2),
+        total, _, _ = envs.run_episode(spec, lambda s, _: rng.uniform(-1, 1, 2),
                                        np.random.default_rng(seed))
         assert bound <= total <= 0.0

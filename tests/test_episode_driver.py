@@ -1,6 +1,8 @@
-"""The one episode driver and its per-episode noise blocks: play_episodes
-draws each episode's observation and action noise once, as blocks, and must
-give the returns, actions and trigger logs of a loop that draws per step."""
+"""The two episode loops and their per-episode noise blocks: play_episodes
+(run_episode, a step at a time) and score_policy (run_lockstep, every
+episode at once) draw each episode's observation and action noise once, as
+blocks, through envs.episode_noise, and must give the returns, actions and
+trigger logs of a loop that draws per step."""
 
 import copy
 import sys
@@ -11,9 +13,9 @@ import pytest
 from driftbc import demos, envs, numeric, online
 from driftbc.configio import mask_wall_times
 from driftbc.demos import generate_tier, save_demoset
-from driftbc.errors import ConfigError, ShapeError
+from driftbc.errors import ConfigError
 from driftbc.evaluation import score_policy
-from driftbc.numeric import NormalRows, init_mlp, named_generator
+from driftbc.numeric import init_mlp, named_generator
 from driftbc.offline import OfflineConfig, run_offline
 from driftbc.online import (OnlineUpdateConfig, format_trigger_log,
                             play_episodes, run_online)
@@ -63,21 +65,33 @@ def played(play, policy, env_id, sigma, seed):
 
 @pytest.mark.parametrize("width", [1, 3, 4])
 def test_rows_are_the_per_step_draws(width):
-    rows = NormalRows(named_generator(9, "rows"), 200, width)
+    """The property episode_noise rests on: row t of one (200, width) block
+    holds a Generator's t-th standard_normal(width) draw."""
+    block = named_generator(9, "rows").standard_normal((200, width))
     per_step = named_generator(9, "rows")
-    for _ in range(200):
-        assert rows.standard_normal(width).tobytes() == \
-            per_step.standard_normal(width).tobytes()
+    for row in block:
+        assert row.tobytes() == per_step.standard_normal(width).tobytes()
 
 
-def test_rows_refuse_a_wrong_width_and_an_extra_row():
-    rows = NormalRows(np.random.default_rng(0), 2, 3)
-    with pytest.raises(ShapeError, match="3 standard normals"):
-        rows.standard_normal(2)
-    rows.standard_normal(3)
-    rows.standard_normal(3)
-    with pytest.raises(ShapeError, match="every drawn row"):
-        rows.standard_normal(3)
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_episode_noise_is_the_per_step_draws(env_id, sigma):
+    spec = envs.make_spec(env_id)
+    env_rng, obs_noise, act_noise = envs.episode_noise(spec, 4, 3, sigma)
+    assert envs.reset(spec, env_rng).tobytes() == \
+        envs.reset(spec, named_generator(4, "online_ep3_env")).tobytes()
+    obs_rng = named_generator(4, "online_ep3_obs")
+    act_rng = named_generator(4, "online_ep3_act")
+    assert act_noise.shape == (spec.horizon, spec.action_dim)
+    if sigma == 0.0:
+        assert obs_noise is None
+    else:
+        assert obs_noise.shape == (spec.horizon, spec.state_dim)
+    for t in range(spec.horizon):
+        assert act_noise[t].tobytes() == act_rng.standard_normal(spec.action_dim).tobytes()
+        if obs_noise is not None:
+            want = obs_rng.standard_normal(spec.state_dim) * sigma
+            assert obs_noise[t].tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------ batch-1 forward
@@ -186,7 +200,16 @@ def test_mid_episode_policy_swaps_match_the_per_step_loop(pointmass, monkeypatch
     assert any(r.triggered and 0 < r.step for r in got.records)
 
 
-# ------------------------------------------------- the one episode driver
+# -------------------------------------------------- the two episode loops
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace every driftbc module attribute bound to fn, however it was
+    imported."""
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("driftbc") \
+                and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
 
 
 def test_every_env_step_runs_inside_run_episode(pointmass, monkeypatch):
@@ -207,11 +230,7 @@ def test_every_env_step_runs_inside_run_episode(pointmass, monkeypatch):
                 counts[name]["loop"] += 1
             return fn(*args, **kwargs)
 
-        # every module attribute bound to fn, however it was imported
-        for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith("driftbc") \
-                    and getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted)
+        patch_everywhere(monkeypatch, fn, counted)
 
     count_calls("step", envs.run_episode)
     count_calls("step_rows", envs.run_lockstep)
@@ -227,3 +246,60 @@ def test_every_env_step_runs_inside_run_episode(pointmass, monkeypatch):
     assert counts["step"]["all"] > 1000
     assert counts["step"]["loop"] == counts["step"]["all"]
     assert counts["step_rows"]["loop"] == counts["step_rows"]["all"]
+
+
+class RecordedDraws:
+    """A Generator that records the size of every standard_normal draw."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def standard_normal(self, size):
+        self.draws.append(size)
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_every_online_noise_stream_is_drawn_inside_episode_noise(pointmass, monkeypatch):
+    """Each online_ep{ep}_* generator of score_policy and run_online is made
+    in envs.episode_noise, each draws its block once, and at sigma 0
+    neither loop draws from an observation stream."""
+    artifacts, expert = pointmass
+    spec = envs.make_spec("pointmass2d")
+    draws = {}
+    made_elsewhere = []
+
+    def recorded(seed, name):
+        rng = named_generator(seed, name)
+        if not name.startswith("online_ep"):
+            return rng
+        caller = sys._getframe(1).f_code
+        # episode_noise makes its generators in a generator expression
+        if caller.co_filename != envs.__file__ \
+                or not caller.co_qualname.startswith("episode_noise."):
+            made_elsewhere.append((name, caller.co_qualname))
+        draws[name] = []
+        return RecordedDraws(rng, draws[name])
+
+    patch_everywhere(monkeypatch, named_generator, recorded)
+    plays = ((3, lambda sigma: score_policy(artifacts.policy, "pointmass2d", sigma, 3,
+                                            seed=1)),
+             (2, lambda sigma: run_online(copy.deepcopy(artifacts), expert, sigma, 2,
+                                          adapt="off", seed=2)))
+    for sigma in (0.0, 0.1):
+        for episodes, play in plays:
+            draws.clear()
+            play(sigma)
+            assert sorted(draws) == sorted(f"online_ep{ep}_{part}" for ep in range(episodes)
+                                           for part in ("env", "obs", "act"))
+            for name, sizes in draws.items():
+                if name.endswith("_act"):
+                    assert sizes == [(spec.horizon, spec.action_dim)], name
+                elif name.endswith("_obs"):
+                    want = [] if sigma == 0.0 else [(spec.horizon, spec.state_dim)]
+                    assert sizes == want, (name, sigma)
+                else:
+                    assert sizes == [], name
+    assert made_elsewhere == []

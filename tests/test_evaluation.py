@@ -208,13 +208,14 @@ class TestScorePolicy:
         expected = []
         for ep in range(3):
             env_rng = named_generator(7, f"online_ep{ep}_env")
-            wrapper = envs.NoiseWrapper(0.1, named_generator(7, f"online_ep{ep}_obs"))
+            obs_rng = named_generator(7, f"online_ep{ep}_obs")
             act_rng = named_generator(7, f"online_ep{ep}_act")
             state = envs.reset(spec, env_rng)
             total = 0.0
             for _ in range(spec.horizon):
-                action = sample_action(trained.policy, envs.observe(wrapper, state),
-                                       rng=act_rng)
+                obs = envs.observe(state, obs_rng.standard_normal(spec.state_dim) * 0.1)
+                action = sample_action(trained.policy, obs,
+                                       act_rng.standard_normal(spec.action_dim))
                 state, reward, done = envs.step(spec, state, action)
                 total += reward
                 if done:

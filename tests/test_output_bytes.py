@@ -2,14 +2,15 @@
 
 On pointmass2d, two `train-offline` runs (one with the regularizer, one with
 `disable_reg=true`), a `run-online --adapt on` call with seven triggered
-updates, a `run-online --adapt always` call, and a `gen-refs` run feeding an
-`evaluate --adapt off` sweep whose 20-episode cells end episodes at many
-different steps, some at the horizon, are run from a relative layout. On
-pendulum1, where no episode ends early, a `train-offline` run feeds
-`gen-refs` and an `evaluate --adapt off` sweep. The sha256 of every file
-these and the `gen-data` calls write is compared, with `wall_ms` masked,
-against the digests below. A speed change that claims byte-identical
-outputs must keep this test green as it stands.
+updates, a `run-online --adapt always` call, `run-online --adapt on` (15
+triggered updates) and `--adapt off` calls at sigma 0, and a `gen-refs` run
+feeding an `evaluate --adapt off` sweep whose 20-episode cells end episodes
+at many different steps, some at the horizon, are run from a relative
+layout. On pendulum1, where no episode ends early, a `train-offline` run
+feeds `gen-refs` and an `evaluate --adapt off` sweep. The sha256 of every
+file these and the `gen-data` calls write is compared, with `wall_ms`
+masked, against the digests below. A speed change that claims
+byte-identical outputs must keep this test green as it stands.
 
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently. A change that means to alter these bytes
@@ -45,6 +46,10 @@ COMMANDS = (
      "--adapt", "on", "--kth", "0.6", "--seed", "1", "--out", "online"],
     ["run-online", "--artifacts", "art", "--sigma", "0.2", "--episodes", "2",
      "--adapt", "always", "--seed", "2", "--out", "online_always"],
+    ["run-online", "--artifacts", "art", "--sigma", "0", "--episodes", "3",
+     "--adapt", "on", "--kth", "0.6", "--seed", "1", "--out", "online_sigma0"],
+    ["run-online", "--artifacts", "art", "--sigma", "0", "--episodes", "3",
+     "--adapt", "off", "--kth", "0.6", "--seed", "1", "--out", "online_sigma0_off"],
     ["gen-refs", "--env", "pointmass2d", "--episodes", "3", "--seed", "5",
      "--out", "refs.txt"],
     ["evaluate", "--artifacts", "art", "--refs", "refs.txt", "--adapt", "off",
@@ -81,6 +86,12 @@ DIGESTS = {
     "online_always/manifest.txt": "96826d189b6def6f0c7fdbdf1331efa34cc3f7d2b3424f1dc9576792188d6f44",
     "online_always/returns.log": "250d33e9b98fd9d40cd8394422561b342b08617e04a0499712ce0a8e18376400",
     "online_always/triggers.log": "ca299ded5e9f0083663dd134fb6f4d4c3711cc27b2e1eb5412741ac0df0f3022",
+    "online_sigma0/manifest.txt": "96f5d44a39342cb5ab793b62c25d557f92230173c55c06b57f03ab9547654f10",
+    "online_sigma0/returns.log": "f4b67fff03bb24deb66f19944bcaaa2ac658776a6d3fbf58208580e7454494af",
+    "online_sigma0/triggers.log": "ca3e7297f39800bd2fac1fef6a25ccbce5edba2192d8817cecee11d2141f2beb",
+    "online_sigma0_off/manifest.txt": "98f0c5f42a34c70d1b3aa18805ebcbd8bffa27c73d9ffab9b2028ff454c5fb45",
+    "online_sigma0_off/returns.log": "716b584fbd7161ee4331238235ba4ce8393a0cd7f7563c5096b1f2d2552e639c",
+    "online_sigma0_off/triggers.log": "4caba24a94dca1d4b2b68959f986abf85be0c181a05b3db12827a47a23e69605",
     "refs.txt": "25f6fd4db92825ee30004e2ac6865d5ebe01478a2920f51aae73fbf1236ae659",
     "refs.txt.manifest": "a981d2b4d3a3b1bdcbf469c6a689781b349d4706574e3d5acad99d39ef926f38",
     "sweep/manifest.txt": "2c1796db3cef8941ae67af9bf8023fb31717f88d76c7fa57b62af0e608515b0c",

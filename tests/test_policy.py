@@ -26,7 +26,7 @@ class TestSampling:
         mu = policy.action_mean(pol, s)
         clamped = 0
         for seed in range(20):
-            a = policy.sample_action(pol, s, np.random.default_rng(seed))
+            a = policy.sample_action(pol, s, np.random.default_rng(seed).standard_normal(2))
             noise = np.random.default_rng(seed).standard_normal(2) * np.exp(pol.log_std)
             np.testing.assert_array_equal(a, np.clip(mu + noise, -1, 1))
             clamped += bool(np.any(np.abs(mu + noise) > 1))
@@ -41,7 +41,7 @@ class TestSampling:
         hits = 0
         n = 400
         for _ in range(n):
-            a = policy.sample_action(pol, s, rng)
+            a = policy.sample_action(pol, s, rng.standard_normal(2))
             if np.all(np.abs(a - mu) < 0.05):
                 hits += 1
         assert hits / n > 0.99
@@ -56,7 +56,8 @@ class TestSampling:
             pol.mean_net.biases[-1][:] -= mu
             mu = policy.action_mean(pol, s)
         rng = np.random.default_rng(4)
-        samples = np.array([policy.sample_action(pol, s, rng)[0] for _ in range(10000)])
+        samples = np.array([policy.sample_action(pol, s, rng.standard_normal(1))[0]
+                            for _ in range(10000)])
         sigma = np.exp(-1.0)
         assert abs(samples.mean() - mu[0]) < 3 * sigma / 100
 
@@ -65,8 +66,30 @@ class TestSampling:
         pol.log_std[:] = 2.0
         rng = np.random.default_rng(6)
         for _ in range(50):
-            a = policy.sample_action(pol, rng.standard_normal(3), rng)
+            a = policy.sample_action(pol, rng.standard_normal(3), rng.standard_normal(2))
             assert np.all(a >= -1.0) and np.all(a <= 1.0)
+
+
+    @pytest.mark.parametrize("env_id", envs.ENV_IDS)
+    def test_rows_have_the_bits_of_one_state(self, env_id):
+        """Row i of sample_action on rows is sample_action on row i, for
+        both envs' policy shapes, with actions past the bounds."""
+        spec = envs.make_spec(env_id)
+        rng = np.random.default_rng(12)
+        pol = policy.init_policy(spec.state_dim, spec.action_dim, spec.action_low,
+                                 spec.action_high, rng=rng, init_log_std=0.5)
+        for b in pol.mean_net.biases:
+            b[...] = rng.standard_normal(b.shape)
+        clamped = 0
+        for e in (1, 2, 7, 20):
+            rows = rng.standard_normal((e, spec.state_dim)) * rng.choice([0.01, 1.0, 5.0], (e, 1))
+            noise = rng.standard_normal((e, spec.action_dim)) * 2.0
+            got = policy.sample_action(pol, rows, noise)
+            assert got.shape == (e, spec.action_dim)
+            for i in range(e):
+                assert got[i].tobytes() == policy.sample_action(pol, rows[i], noise[i]).tobytes()
+            clamped += int(np.sum((got == spec.action_low) | (got == spec.action_high)))
+        assert clamped > 0
 
 
 class TestLogProb:
