@@ -41,7 +41,7 @@ def load_config(path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 

@@ -106,20 +106,24 @@ def _sum_last_axis(a: np.ndarray, out: np.ndarray) -> None:
     numpy reduces a contiguous last axis with its pairwise sum: fewer than 8
     terms are added left to right; from 8 to 128 terms, 8 accumulators take
     every 8th term and combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before
-    the tail is added left to right; longer axes split in two halves of a
-    multiple of 8 terms. The same adds run here column by column, which is
-    faster than numpy's short inner loop when the last axis is short and the
-    leading ones long. numpy starts from 0.0, which only turns a -0.0 sum
-    into +0.0; the callers here sum terms that are never negative. a must be
-    a scratch array: its columns hold the partial sums afterwards.
+    the tail is added left to right. The same adds run here column by
+    column, which is faster than numpy's short inner loop when the last axis
+    is short and the leading ones long. A longer axis (more than 128
+    components or state dimensions) is left to numpy's own sum. numpy starts
+    from 0.0, which only turns a -0.0 sum into +0.0; the callers here sum
+    terms that are never negative. a must be a scratch array: its columns
+    may hold the partial sums afterwards.
     """
     n = a.shape[-1]
+    if n > 128:
+        np.sum(a, axis=-1, out=out)
+        return
     col = [a[..., j] for j in range(n)]
     if n < 8:
         np.copyto(out, col[0])
         for j in range(1, n):
             np.add(out, col[j], out=out)
-    elif n <= 128:
+    else:
         tail = n - n % 8
         for i in range(8, tail, 8):
             for j in range(8):
@@ -131,11 +135,6 @@ def _sum_last_axis(a: np.ndarray, out: np.ndarray) -> None:
         np.add(col[0], col[4], out=out)
         for j in range(tail, n):
             np.add(out, col[j], out=out)
-    else:
-        half = n // 2 - (n // 2) % 8
-        _sum_last_axis(a[..., :half], out)
-        _sum_last_axis(a[..., half:], col[half])
-        np.add(out, col[half], out=out)
 
 
 def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
@@ -160,7 +159,8 @@ def fit_gmm(states, n_components: int = DEFAULT_K, seed: int = 0,
     (_sum_last_axis): numpy's .sum(axis=-1) runs one inner loop of d or K
     terms per row, which costs more than the adds. To keep the bits, the
     adds repeat numpy's own order: left to right below 8 terms, its
-    8-accumulator pairwise order from 8 terms on. A numpy that changes that
+    8-accumulator pairwise order from 8 to 128 terms; longer sums are
+    numpy's own. A numpy that changes that
     order fails tests/test_density.py::TestSumLastAxis by name, which pins
     the helper against .sum(axis=-1). The responsibilities stay (N, K) in C
     order, the operand layout of resp.sum(axis=0) and resp.T @ states.

@@ -104,7 +104,8 @@ def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
 
 def _forward_clipped(model: DiscriminatorModel, x: np.ndarray,
                      workspace: MlpWorkspace | None = None):
-    return _clip_logits(model, forward(model.net, x, workspace)[:, 0])
+    z = forward(model.net, x) if workspace is None else forward_cache(model.net, x, workspace)[-1]
+    return _clip_logits(model, z[:, 0])
 
 
 def _stacked_forward(model: DiscriminatorModel, x: np.ndarray,
@@ -127,7 +128,7 @@ def _backprop_logits(model: DiscriminatorModel, hs, dz: np.ndarray,
 def disc_forward(model: DiscriminatorModel, s, a, workspace: MlpWorkspace | None = None):
     """Clipped discriminator output in [clip_lo, clip_hi]; scalar for single
     inputs, (N,) for batches. A workspace takes the joined rows and the
-    layer outputs of a batch in place of new arrays."""
+    layer outputs of a batch (through forward_cache) in place of new arrays."""
     x, single = _concat_sa(s, a, None if workspace is None else workspace.inputs)
     d, _ = _forward_clipped(model, x, workspace)
     return float(d[0]) if single else d
@@ -233,32 +234,32 @@ def combined_core(model: DiscriminatorModel, x: np.ndarray, ne: int, nb: int,
     return base_loss + reg_weight * r_loss
 
 
-def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratios,
-                      out=None):
+def offline_disc_loss(model: DiscriminatorModel, expert_batch, supp_batch, ratios):
     """Expert term plus density-ratio-weighted supplementary term.
 
     expert_batch and supp_batch are (states, actions) pairs; ratios holds one
     precomputed ratio per supplementary row. Ratios are stop-gradient
     constants.
     Returns (loss, grads) with grads aligned to mlp_params(model.net): views
-    into one flat vector in the model.net.params layout, out when given.
+    into one new flat vector in the model.net.params layout.
     """
     xe, xs, w = two_class_rows(expert_batch, supp_batch, ratios)
-    ws = MlpWorkspace(model.net.layer_dims, xe.shape[0] + xs.shape[0], out)
+    ws = MlpWorkspace(model.net.layer_dims, xe.shape[0] + xs.shape[0])
     loss = two_class_core(model, np.vstack([xe, xs]), xe.shape[0], w, ws)
     return loss, ws.grad_views
 
 
-def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch, out=None):
+def online_disc_loss(model: DiscriminatorModel, expert_batch, online_batch):
     """Expert term plus shift-score-weighted term over online experience.
 
     online_batch is (states, actions, shift_scores) with scores in [0, 1].
+    Returns (loss, grads) as offline_disc_loss does.
     """
     if len(online_batch) != 3:
         raise ShapeError("online_batch must be (states, actions, shift_scores)")
     states, actions, scores = online_batch
     return offline_disc_loss(model, expert_batch, (states, actions),
-                             check_scores(scores), out=out)
+                             check_scores(scores))
 
 
 def reg_loss(model: DiscriminatorModel, mixed_batch, targets):
@@ -274,16 +275,16 @@ def reg_loss(model: DiscriminatorModel, mixed_batch, targets):
 
 
 def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
-                          mixed_batch, ratios, targets, reg_weight: float,
-                          out=None):
+                          mixed_batch, ratios, targets, reg_weight: float):
     """Offline loss plus reg_weight times the regularizer.
 
     reg_weight = 0 short-circuits to offline_disc_loss exactly (the ablation
     path); otherwise reg_weight must lie in (0, 1]. One forward runs over the
-    stacked [expert; supp; mixed] rows (see combined_core).
+    stacked [expert; supp; mixed] rows (see combined_core). Returns (loss,
+    grads) as offline_disc_loss does.
     """
     if reg_weight == 0.0:
-        return offline_disc_loss(model, expert_batch, supp_batch, ratios, out=out)
+        return offline_disc_loss(model, expert_batch, supp_batch, ratios)
     if not (0.0 < reg_weight <= 1.0):
         raise ConfigError(f"reg_weight must lie in (0, 1], got {reg_weight}")
     xe, xs, w = two_class_rows(expert_batch, supp_batch, ratios)
@@ -292,7 +293,7 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
         raise ShapeError(f"regularizer rows are {xm.shape[1]} wide, expert rows {xe.shape[1]}")
     t = check_targets(targets, xm.shape[0])
     nb = xe.shape[0] + xs.shape[0]
-    ws = MlpWorkspace(model.net.layer_dims, nb + xm.shape[0], out)
+    ws = MlpWorkspace(model.net.layer_dims, nb + xm.shape[0])
     loss = combined_core(model, np.vstack([xe, xs, xm]), xe.shape[0], nb, w, t,
                          reg_weight, ws, np.empty_like(ws.grad))
     return loss, ws.grad_views

@@ -107,8 +107,7 @@ def init_mlp(layer_dims, activation: str, rng: np.random.Generator) -> MlpNetwor
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ConfigError(f"layer_dims must be >= 2 positive entries, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
+    _check_activation(activation)
     weights = []
     biases = []
     for i in range(len(dims) - 1):
@@ -133,13 +132,11 @@ def _apply_act(z: np.ndarray, kind: str) -> None:
         _check_activation(kind)
 
 
-def _act_deriv_from_output(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation's derivative from its output, written into out (a new
-    array when None) and returned."""
+def _act_deriv_from_output(h: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
+    """The activation's derivative from its output, written into out, an
+    array shaped like h, and returned."""
     # tanh' = 1 - tanh^2; relu' from the output sign (h = max(z,0) so h>0 iff z>0)
     _check_activation(kind)
-    if out is None:
-        out = np.empty_like(h)
     if kind == "tanh":
         np.multiply(h, h, out=out)
         np.subtract(1.0, out, out=out)
@@ -184,11 +181,11 @@ class MlpWorkspace:
     activation derivative, and a flat gradient in the params layout with its
     [W0, b0, W1, b1, ...] views.
 
-    A forward or backprop over n rows uses the leading n rows of each
-    buffer. The next call overwrites every buffer, and the layer outputs a
-    forward returns alias them, so a caller copies what it keeps. grad, new
-    when None, may run past the net's parameters: the policy keeps its
-    log_std gradient after the mean net's.
+    A forward_cache or backprop over n rows uses the leading n rows of each
+    buffer. The next call overwrites every buffer, and the layer outputs
+    forward_cache returns alias them, so a caller copies what it keeps.
+    grad, new when None, may run past the net's parameters: the policy keeps
+    its log_std gradient after the mean net's.
 
     The row buffers share one block. With mapped set it is an anonymous
     memory map (see mapped_empty), for a workspace that serves a whole run:
@@ -245,22 +242,16 @@ def _forward_into(net: MlpNetwork, x: np.ndarray, outputs) -> list[np.ndarray]:
     return hs
 
 
-def forward(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> np.ndarray:
-    """Evaluate the net on one input (in_dim,) or a batch (B, in_dim).
+def forward(net: MlpNetwork, x) -> np.ndarray:
+    """Evaluate the net on one input (in_dim,) or a batch (B, in_dim); the
+    output is a new array.
 
-    With a workspace, the layers are written into its buffers and the output
-    aliases them (see MlpWorkspace); without one, the output is a new array.
-    One input without a workspace goes through matmul as a 1-D operand,
-    which matmul runs as a batch of one row with the same BLAS call, so the
-    output has the bits of forward(net, x[None, :])[0] for less call cost.
+    One input goes through matmul as a 1-D operand, which matmul runs as a
+    batch of one row with the same BLAS call, so the output has the bits of
+    forward(net, x[None, :])[0] for less call cost. forward_cache runs the
+    same layers into a workspace.
     """
-    x = _as_input(x, net.in_dim, "input")
-    if workspace is None:
-        return _forward_into(net, x, None)[-1]
-    xb = x if x.ndim == 2 else x[None, :]
-    workspace.check_rows(xb.shape[0])
-    out = _forward_into(net, xb, workspace.outputs)[-1]
-    return out if x.ndim == 2 else out[0]
+    return _forward_into(net, _as_input(x, net.in_dim, "input"), None)[-1]
 
 
 def forward_rows(net: MlpNetwork, rows) -> np.ndarray:
@@ -278,18 +269,15 @@ def forward_rows(net: MlpNetwork, rows) -> np.ndarray:
     return _forward_into(net, x[:, None, :], None)[-1][:, 0]
 
 
-def forward_cache(net: MlpNetwork, x, workspace: MlpWorkspace | None = None) -> list[np.ndarray]:
+def forward_cache(net: MlpNetwork, x, workspace: MlpWorkspace) -> list[np.ndarray]:
     """Forward pass over a batch (B, in_dim) that keeps every layer's output,
     input first and net output last, for backprop to consume. Losses run it
     once over all their row blocks and backprop row slices of it. The
-    outputs live in workspace, a new one sized to the batch when None."""
+    outputs live in workspace's buffers (see MlpWorkspace)."""
     xb, squeeze = _as_batch(x, net.in_dim, "input")
     if squeeze:
         raise ShapeError("forward_cache needs a 2-D batch")
-    if workspace is None:
-        workspace = MlpWorkspace(net.layer_dims, xb.shape[0])
-    else:
-        workspace.check_rows(xb.shape[0])
+    workspace.check_rows(xb.shape[0])
     return _forward_into(net, xb, workspace.outputs)
 
 

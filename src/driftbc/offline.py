@@ -297,7 +297,8 @@ def save_offline_artifacts(out_dir, artifacts: OfflineArtifacts) -> list[str]:
 
 def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifacts:
     """Every checkpoint in out_dir must carry its config's hash; with
-    require_full every CHECKPOINT_FILES entry must be there, else the policy."""
+    require_full every CHECKPOINT_FILES entry must be there, else the policy.
+    The metrics log is not read, so the loaded metrics are empty."""
     cfg_path = os.path.join(out_dir, CONFIG_FILE)
     if not os.path.exists(cfg_path):
         raise DataError(f"missing artifact {CONFIG_FILE!r} in {out_dir}")
@@ -322,10 +323,4 @@ def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifac
             if stamp != want:
                 raise DataError(f"artifact {name!r} carries config hash {stamp}, "
                                 f"directory config hashes to {want}")
-
-    metrics_path = os.path.join(out_dir, METRICS_FILE)
-    metrics = ""
-    if os.path.exists(metrics_path):
-        with open(metrics_path, encoding="utf-8") as fh:
-            metrics = fh.read()
-    return OfflineArtifacts(config=config, metrics=metrics, **models)
+    return OfflineArtifacts(config=config, **models)

@@ -153,7 +153,7 @@ class UpdateWorkspace:
 
 def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
                   config: OnlineUpdateConfig, seed: int, update_index: int,
-                  workspace: UpdateWorkspace | None = None) -> bool:
+                  workspace: UpdateWorkspace) -> bool:
     """One triggered refresh: discriminator steps on expert-vs-online batches
     with the stored shift scores, then policy steps over the union of expert
     demos and online experience, weighted by the refreshed discriminator.
@@ -162,9 +162,9 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     non-finite loss the deployed models are left untouched and False is
     returned. The state-density models are never modified.
 
-    workspace holds the update's buffers (see UpdateWorkspace); a new one
-    sized to this snapshot is built when None. The update overwrites all of
-    it, so a caller that reads a buffer afterwards copies what it keeps.
+    workspace holds the update's buffers (see UpdateWorkspace) and must
+    fit the expert plus snapshot rows. The update overwrites all of it, so
+    a caller that reads a buffer afterwards copies what it keeps.
     """
     states_x, actions_x, scores_x = snapshot
     states_x = np.atleast_2d(states_x)
@@ -177,9 +177,7 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     x_e, x_x, scores_x = two_class_rows((expert_demos.states, expert_demos.actions),
                                         (states_x, actions_x), check_scores(scores_x))
     n_all = x_e.shape[0] + x_x.shape[0]
-    if workspace is None:
-        workspace = UpdateWorkspace(artifacts, n_all)
-    elif n_all > workspace.rows:
+    if n_all > workspace.rows:
         raise ShapeError(f"{n_all} expert and online rows do not fit a "
                          f"workspace of {workspace.rows}")
     joined = np.concatenate([x_e, x_x], out=workspace.joined[:n_all])

@@ -47,26 +47,17 @@ class GaussianPolicy:
     [mean-net W0, b0, ..., log_std] (the checkpoint payload order);
     mean_net.params and log_std are views into it. Construction copies the
     given log_std and moves the given net's parameters into that vector.
+    state_dim and action_dim are the mean net's input and output widths.
     """
 
     mean_net: MlpNetwork
     log_std: np.ndarray
-    state_dim: int
-    action_dim: int
     action_low: np.ndarray
     action_high: np.ndarray
     provenance: str = ""
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mean_net.out_dim != self.action_dim:
-            raise ShapeError(
-                f"mean_net output dim {self.mean_net.out_dim} != action_dim {self.action_dim}"
-            )
-        if self.mean_net.in_dim != self.state_dim:
-            raise ShapeError(
-                f"mean_net input dim {self.mean_net.in_dim} != state_dim {self.state_dim}"
-            )
         log_std = np.asarray(self.log_std, dtype=np.float64)
         if log_std.shape != (self.action_dim,):
             raise ShapeError(f"log_std shape {log_std.shape} != ({self.action_dim},)")
@@ -80,9 +71,16 @@ class GaussianPolicy:
     def __reduce__(self):
         # copies and pickles rebuild the shared vector instead of splitting
         # the views into independent arrays
-        return (GaussianPolicy, (self.mean_net, self.log_std, self.state_dim,
-                                 self.action_dim, self.action_low, self.action_high,
-                                 self.provenance))
+        return (GaussianPolicy, (self.mean_net, self.log_std, self.action_low,
+                                 self.action_high, self.provenance))
+
+    @property
+    def state_dim(self) -> int:
+        return self.mean_net.in_dim
+
+    @property
+    def action_dim(self) -> int:
+        return self.mean_net.out_dim
 
 
 def init_policy(state_dim: int, action_dim: int, action_low, action_high,
@@ -97,8 +95,6 @@ def init_policy(state_dim: int, action_dim: int, action_low, action_high,
     return GaussianPolicy(
         mean_net=net,
         log_std=log_std,
-        state_dim=state_dim,
-        action_dim=action_dim,
         action_low=np.asarray(action_low, dtype=np.float64),
         action_high=np.asarray(action_high, dtype=np.float64),
         provenance=provenance,
@@ -154,12 +150,11 @@ def check_bc_inputs(states, actions, weights) -> tuple[np.ndarray, np.ndarray, n
     return states, actions, weights
 
 
-def bc_workspace(policy: GaussianPolicy, rows: int, grad: np.ndarray | None = None) -> MlpWorkspace:
+def bc_workspace(policy: GaussianPolicy, rows: int) -> MlpWorkspace:
     """A workspace of the mean net for weighted_bc_core over at most rows
-    rows; its grad is the whole policy gradient (flat, policy.params
-    layout), grad when given, so the log_std gradient follows the net's."""
-    return MlpWorkspace(policy.mean_net.layer_dims, rows,
-                        np.empty_like(policy.params) if grad is None else grad)
+    rows; its grad is a new vector for the whole policy gradient (flat,
+    policy.params layout), so the log_std gradient follows the net's."""
+    return MlpWorkspace(policy.mean_net.layer_dims, rows, np.empty_like(policy.params))
 
 
 def weighted_bc_core(policy: GaussianPolicy, states: np.ndarray, actions: np.ndarray,
@@ -187,17 +182,16 @@ def weighted_bc_core(policy: GaussianPolicy, states: np.ndarray, actions: np.nda
     return loss
 
 
-def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights, out=None):
+def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights):
     """Mean over the batch of -weight * log_prob(s, a), with exact gradients.
 
     Returns (loss, grads) where grads aligns with policy_params(policy). The
-    grads are views into one flat vector in the policy.params layout: out
-    when given (it is overwritten), else a new one. run_weighted_bc runs this
-    function's input check once over its whole data and weighted_bc_core at
-    every step.
+    grads are views into one new flat vector in the policy.params layout.
+    run_weighted_bc runs this function's input check once over its whole
+    data and weighted_bc_core at every step.
     """
     states, actions, weights = check_bc_inputs(states, actions, weights)
-    ws = bc_workspace(policy, states.shape[0], out)
+    ws = bc_workspace(policy, states.shape[0])
     loss = weighted_bc_core(policy, states, actions, weights, ws)
     n_net = policy.mean_net.params.size
     return loss, ws.grad_views + [ws.grad[n_net:]]
@@ -288,8 +282,7 @@ def load_policy(path) -> tuple[GaussianPolicy, dict]:
     log_std, low, high = (rec.floats((action_dim,)) for _ in range(3))
     extras = rec.finish()
     pol = GaussianPolicy(
-        mean_net=net, log_std=log_std, state_dim=state_dim, action_dim=action_dim,
-        action_low=low, action_high=high,
+        mean_net=net, log_std=log_std, action_low=low, action_high=high,
         provenance="" if provenance == "-" else provenance,
     )
     return pol, extras

@@ -84,3 +84,34 @@ def test_saved_bytes_cover_exactly_the_files_written(spans, tmp_path, full):
     assert sorted(written) == sorted(os.listdir(out))
     total = sum(p.stat().st_size for p in out.iterdir())
     assert spans._saved_bytes((out, art), {}, written) == total
+
+
+def test_online_update_returns_exactly_true_or_false(spans):
+    """online.online_update.failed counts a call whose result `is False`
+    (FAILED_RESULTS): a failed update must return False itself, and a
+    successful one True, or the traced failure count reads 0."""
+    from driftbc import discriminator, envs, offline, online, policy
+    from driftbc.demos import generate_tier
+
+    spec = envs.make_spec("pointmass2d")
+    rng = np.random.default_rng(1)
+    expert = generate_tier(spec, "expert", 2, seed=5)
+    config = offline.OfflineConfig(env_id="pointmass2d", expert_demos="e.demos",
+                                   supp_demos="s.demos")
+    art = offline.OfflineArtifacts(
+        config=config,
+        policy=policy.init_policy(spec.state_dim, spec.action_dim, spec.action_low,
+                                  spec.action_high, rng=rng),
+        discriminator=discriminator.init_discriminator(spec.state_dim, spec.action_dim,
+                                                       rng=rng))
+    states, actions = expert.states[:30] + 0.3, expert.actions[:30]
+    poisoned = states.copy()
+    poisoned[:, 0] = np.nan  # every batch draws a non-finite row
+    workspace = online.UpdateWorkspace(art, expert.n_samples + 30)
+    update_config = online.OnlineUpdateConfig(disc_steps=3, policy_steps=3)
+    failed = spans.FAILED_RESULTS["online.online_update"]
+    for snap_states, want in ((poisoned, False), (states, True)):
+        result = online.online_update(art, (snap_states, actions, np.full(30, 0.2)),
+                                      expert, update_config, 0, 0, workspace)
+        assert result is want
+        assert failed(result) is not want

@@ -24,15 +24,19 @@ from driftbc.numeric import adam_step, init_adam, named_generator
 ENV = "pointmass2d"
 
 
+def flat(grads):
+    """The flat gradient vector whose views a public loss returns."""
+    return np.concatenate([g.ravel() for g in grads])
+
+
 def reference_bc(pol, states, actions, weights, steps, batch_size, lr, rng):
     """run_weighted_bc with the public loss called at every step."""
     params = [pol.params]
     opt = init_adam(params, learning_rate=lr)
-    grad = np.empty_like(pol.params)
     for _ in range(steps):
         idx = rng.integers(0, states.shape[0], size=batch_size)
-        policy.weighted_bc_loss(pol, states[idx], actions[idx], weights[idx], out=grad)
-        adam_step(params, [grad], opt)
+        _, grads = policy.weighted_bc_loss(pol, states[idx], actions[idx], weights[idx])
+        adam_step(params, [flat(grads)], opt)
         np.clip(pol.log_std, policy.LOG_STD_MIN, policy.LOG_STD_MAX, out=pol.log_std)
 
 
@@ -46,13 +50,12 @@ def reference_online_update(artifacts, snapshot, expert, config, seed, index):
     rng = named_generator(seed, f"online_update{index}_disc")
     params = [disc.net.params]
     opt = init_adam(params, learning_rate=online.UPDATE_LEARNING_RATE)
-    grad = np.empty_like(disc.net.params)
     for _ in range(config.disc_steps):
         idx_e = rng.integers(0, s_e.shape[0], size=b)
         idx_x = rng.integers(0, states_x.shape[0], size=b)
-        online_disc_loss(disc, (s_e[idx_e], a_e[idx_e]),
-                         (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]), out=grad)
-        adam_step(params, [grad], opt)
+        _, grads = online_disc_loss(disc, (s_e[idx_e], a_e[idx_e]),
+                                    (states_x[idx_x], actions_x[idx_x], scores_x[idx_x]))
+        adam_step(params, [flat(grads)], opt)
     s_all = np.concatenate([s_e, states_x])
     a_all = np.concatenate([a_e, actions_x])
     reference_bc(pol, s_all, a_all, bc_weight(disc, s_all, a_all), config.policy_steps,
@@ -69,7 +72,6 @@ def reference_disc_training(config, disc, expert, supp, ratios, targets_e, targe
     rng = named_generator(config.seed, "disc_batch")
     params = [disc.net.params]
     opt = init_adam(params, learning_rate=config.learning_rate)
-    grad = np.empty_like(disc.net.params)
     losses = []
     for step in range(1, config.disc_steps + 1):
         idx_e = rng.integers(0, s_e.shape[0], size=b)
@@ -78,10 +80,10 @@ def reference_disc_training(config, disc, expert, supp, ratios, targets_e, targe
         mixed = (np.concatenate([s_e[idx_e[:half]], s_s[idx_s[:half]]]),
                  np.concatenate([a_e[idx_e[:half]], a_s[idx_s[:half]]]))
         targets = np.concatenate([targets_e[idx_e[:half]], targets_s[idx_s[:half]]])
-        loss, _ = combined_offline_loss(disc, (s_e[idx_e], a_e[idx_e]),
-                                        (s_s[idx_s], a_s[idx_s]), mixed,
-                                        ratios[idx_s], targets, lam, out=grad)
-        adam_step(params, [grad], opt)
+        loss, grads = combined_offline_loss(disc, (s_e[idx_e], a_e[idx_e]),
+                                            (s_s[idx_s], a_s[idx_s]), mixed,
+                                            ratios[idx_s], targets, lam)
+        adam_step(params, [flat(grads)], opt)
         losses.append(loss)
     return losses
 
@@ -156,7 +158,8 @@ def test_online_update_matches_per_step_public_loss(data):
     snap = snapshot(data)
     config = online.OnlineUpdateConfig(disc_steps=12, policy_steps=12)
     ref_disc, ref_pol = reference_online_update(art, snap, data["expert"], config, 7, 3)
-    assert online.online_update(art, snap, data["expert"], config, 7, 3)
+    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + len(snap[0]))
+    assert online.online_update(art, snap, data["expert"], config, 7, 3, workspace)
     assert art.discriminator.net.params.tobytes() == ref_disc.net.params.tobytes()
     assert art.policy.params.tobytes() == ref_pol.params.tobytes()
 
@@ -196,9 +199,10 @@ def test_bad_snapshot_score_raises_before_any_step(data, no_optimizer_step, bad_
     before = model_bytes(art)
     states, actions, scores = snapshot(data, n=2000)
     scores[-1] = bad_score
+    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + 2000)
     with pytest.raises(DataError):
         online.online_update(art, (states, actions, scores), data["expert"],
-                             online.OnlineUpdateConfig(), 0, 0)
+                             online.OnlineUpdateConfig(), 0, 0, workspace)
     assert model_bytes(art) == before
 
 

@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from driftbc.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          build_parser, main)
-from driftbc.configio import load_config, read_manifest
+from driftbc.configio import load_config, mask_wall_times, read_manifest
 from driftbc.demos import load_demoset, load_reference_returns
 from driftbc.errors import NumericError
 from driftbc.online import parse_trigger_log, validate_trigger_log
@@ -594,6 +595,79 @@ class TestWrongEnvExpertDemos:
         assert str(ws["expert"]) in err and "pendulum1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestNonUtf8TextInputs:
+    """A text input with a byte that is not UTF-8 exits 2 naming the file,
+    before any output path is made. metrics.log is never read, so a damaged
+    or missing one changes no output."""
+
+    @pytest.fixture
+    def copies(self, ws, tmp_path):
+        """Copies of the inputs, for one test to damage."""
+        paths = {"art": tmp_path / "art"}
+        shutil.copytree(ws["art"], paths["art"])
+        for key in ("config", "refs", "expert"):
+            paths[key] = tmp_path / ws[key].name
+            shutil.copyfile(ws[key], paths[key])
+        return paths
+
+    @pytest.mark.parametrize("command,target", [
+        ("train-offline", "config"),
+        ("tier-ablation", "config"),
+        ("run-online", "art/config.txt"),
+        ("evaluate", "refs"),
+        ("train-offline", "expert"),
+        ("run-online", "art/policy.ckpt"),
+    ], ids=["train-offline-config", "tier-ablation-config", "artifacts-config",
+            "refs-header", "demo-header", "checkpoint-header"])
+    def test_exits_2_naming_the_file(self, ws, copies, tmp_path, capsys, command,
+                                     target):
+        key, _, name = target.partition("/")
+        damaged = copies[key] / name if name else copies[key]
+        data = damaged.read_bytes()
+        damaged.write_bytes(data[:1] + b"\xff" + data[1:])  # in the first line
+        out = tmp_path / "out"
+        art, refs, config = str(copies["art"]), str(copies["refs"]), str(copies["config"])
+        argv = {
+            "train-offline": ["--config", config,
+                              "--set", f"expert_demos={copies['expert']}"],
+            "tier-ablation": ["--config", config, "--mix", f"me={ws['medium']}",
+                              "--refs", refs],
+            "run-online": ["--artifacts", art, "--sigma", "0.1", "--episodes", "2"],
+            "evaluate": ["--artifacts", art, "--refs", refs, "--runs", "2",
+                         "--episodes", "2"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(damaged) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["non-utf8", "missing"])
+    @pytest.mark.parametrize("command,argv", [
+        ("run-online", ["--sigma", "0.1", "--episodes", "2", "--adapt", "on",
+                        "--kth", "0.6"]),
+        ("evaluate", ["--refs", "REFS", "--sigmas", "0.1", "--runs", "2",
+                      "--episodes", "2"]),
+        ("grid-kth", ["--refs", "REFS", "--sigma", "0.1", "--runs", "1",
+                      "--episodes", "2", "--patience", "201"]),
+    ], ids=["run-online", "evaluate", "grid-kth"])
+    def test_metrics_log_changes_no_output(self, ws, copies, tmp_path, capsys,
+                                           command, argv, damage):
+        metrics = copies["art"] / "metrics.log"
+        if damage == "missing":
+            metrics.unlink()
+        else:
+            metrics.write_bytes(b"\xff\xfe" + metrics.read_bytes())
+        argv = [arg.replace("REFS", str(ws["refs"])) for arg in argv]
+        outputs = []
+        for art in (ws["art"], copies["art"]):
+            out = tmp_path / f"out{len(outputs)}"
+            run_ok([command, "--artifacts", str(art), *argv, "--out", str(out)])
+            files = {p.name: mask_wall_times(p.read_text()) for p in out.iterdir()}
+            outputs.append((mask_wall_times(capsys.readouterr().out), files))
+        assert outputs[0] == outputs[1]
 
 
 class TestParserContract:

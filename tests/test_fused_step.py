@@ -81,8 +81,7 @@ def test_weighted_bc_flat_gradient_matches_backward(seed):
     rng = np.random.default_rng(200 + seed)
     s, a = batch(rng)
     w = rng.uniform(1 / 99, 99, ROWS)
-    grad = np.full_like(pol.params, np.nan)
-    loss, grads = policy.weighted_bc_loss(pol, s, a, w, out=grad)
+    _, grads = policy.weighted_bc_loss(pol, s, a, w)
 
     mu = numeric.forward(pol.mean_net, s)
     inv_var = np.exp(-2.0 * pol.log_std)
@@ -91,11 +90,7 @@ def test_weighted_bc_flat_gradient_matches_backward(seed):
     wg, bg, _ = numeric.backward(pol.mean_net, s, scaled * diff * inv_var)
     log_std_grad = np.sum(scaled * (1.0 - diff * diff * inv_var), axis=0)
     expected = numeric.pack_floats(numeric.interleave_grads(wg, bg) + [log_std_grad])
-    assert grad.tobytes() == expected
     assert numeric.pack_floats(grads) == expected
-    assert all(np.shares_memory(g, grad) for g in grads)
-    no_out_loss, no_out = policy.weighted_bc_loss(pol, s, a, w)
-    assert no_out_loss == loss and numeric.pack_floats(no_out) == expected
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -104,10 +99,9 @@ def test_online_disc_flat_gradient_matches_backward(seed):
     rng = np.random.default_rng(300 + seed)
     eb, ob = batch(rng), batch(rng)
     scores = rng.uniform(0.0, 1.0, ROWS)
-    grad = np.empty_like(model.net.params)
-    disc.online_disc_loss(model, eb, (*ob, scores), out=grad)
+    _, grads = disc.online_disc_loss(model, eb, (*ob, scores))
     expected = two_class_reference(model, sa(eb), sa(ob), scores)
-    assert grad.tobytes() == numeric.pack_floats(expected)
+    assert numeric.pack_floats(grads) == numeric.pack_floats(expected)
 
 
 @pytest.mark.parametrize("reg_weight", [0.0, 0.5])
@@ -118,15 +112,13 @@ def test_combined_offline_flat_gradient_matches_backward(seed, reg_weight):
     eb, sb, mb = batch(rng), batch(rng), batch(rng)
     ratios = rng.uniform(0.1, 10.0, ROWS)
     targets = rng.uniform(0.0, 1.0, ROWS)
-    grad = np.empty_like(model.net.params)
     loss, grads = disc.combined_offline_loss(model, eb, sb, mb, ratios, targets,
-                                             reg_weight, out=grad)
+                                             reg_weight)
     base = two_class_reference(model, sa(eb), sa(sb), ratios)
     if reg_weight:
         reg = reg_reference(model, sa(mb), targets)
         base = [g + reg_weight * h for g, h in zip(base, reg)]
-    assert grad.tobytes() == numeric.pack_floats(base)
-    assert all(np.shares_memory(g, grad) for g in grads)
+    assert numeric.pack_floats(grads) == numeric.pack_floats(base)
     l_base, _ = disc.offline_disc_loss(model, eb, sb, ratios)
     l_reg, _ = disc.reg_loss(model, mb, targets)
     assert loss == (l_base + reg_weight * l_reg if reg_weight else l_base)
@@ -176,6 +168,8 @@ def test_param_lists_alias_the_flat_vector():
 def test_copies_keep_their_own_shared_vector(duplicate):
     pol = make_policy(12, hidden=(6,))
     twin = duplicate(pol)
+    assert (twin.state_dim, twin.action_dim) == (twin.mean_net.in_dim,
+                                                 twin.mean_net.out_dim) == (4, 2)
     assert twin.params.tobytes() == pol.params.tobytes()
     assert not np.shares_memory(twin.params, pol.params)
     twin.params[:] = 0.0  # training writes here; the views must follow

@@ -49,12 +49,19 @@ class TestForward:
         with pytest.raises(ShapeError):
             numeric.forward(net, np.zeros(5))
 
+    def test_each_call_returns_a_new_array(self):
+        net = small_net()
+        for x in (np.ones(3), np.ones((4, 3))):
+            first, second = numeric.forward(net, x), numeric.forward(net, x)
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == second.tobytes()
+
     def test_unknown_activation_raises(self):
         h = np.ones((2, 3))
         with pytest.raises(ConfigError, match="tanx"):
             numeric._apply_act(h, "tanx")
         with pytest.raises(ConfigError, match="tanx"):
-            numeric._act_deriv_from_output(h, "tanx")
+            numeric._act_deriv_from_output(h, "tanx", np.empty_like(h))
 
     def test_relu_activation(self):
         net = small_net(seed=5, activation="relu")

@@ -285,15 +285,20 @@ class TestOnlineUpdate:
         actions = expert_set.actions[:n]
         return states, actions, np.full(n, kappa_value)
 
+    def update(self, art, snap, expert_set, config, seed, update_index):
+        """online_update through a new workspace sized to this snapshot."""
+        workspace = online.UpdateWorkspace(art, expert_set.n_samples + len(snap[0]))
+        return online.online_update(art, snap, expert_set, config, seed, update_index,
+                                    workspace)
+
     def test_successful_update_swaps_models(self, trained):
         art, expert_set = trained
         art = copy.deepcopy(art)
         before = params_bytes(art)
         gmms_before = gmm_bytes(art)
-        ok = online.online_update(art, self.snapshot_from(expert_set), expert_set,
-                                  online.OnlineUpdateConfig(disc_steps=10,
-                                                            policy_steps=10),
-                                  seed=0, update_index=0)
+        ok = self.update(art, self.snapshot_from(expert_set), expert_set,
+                         online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
+                         seed=0, update_index=0)
         assert ok
         assert params_bytes(art) != before
         assert gmm_bytes(art) == gmms_before  # density models stay frozen
@@ -303,11 +308,11 @@ class TestOnlineUpdate:
         snap = self.snapshot_from(expert_set)
         cfg = online.OnlineUpdateConfig(disc_steps=8, policy_steps=8)
         a1, a2 = copy.deepcopy(art), copy.deepcopy(art)
-        online.online_update(a1, snap, expert_set, cfg, seed=5, update_index=2)
-        online.online_update(a2, snap, expert_set, cfg, seed=5, update_index=2)
+        self.update(a1, snap, expert_set, cfg, seed=5, update_index=2)
+        self.update(a2, snap, expert_set, cfg, seed=5, update_index=2)
         assert params_bytes(a1) == params_bytes(a2)
         a3 = copy.deepcopy(art)
-        online.online_update(a3, snap, expert_set, cfg, seed=5, update_index=3)
+        self.update(a3, snap, expert_set, cfg, seed=5, update_index=3)
         assert params_bytes(a3) != params_bytes(a1)
 
     def test_failed_update_leaves_models_bit_identical(self, trained):
@@ -317,10 +322,9 @@ class TestOnlineUpdate:
         states, actions, scores = self.snapshot_from(expert_set)
         states = states.copy()
         states[0, 0] = np.nan  # poisons the forward pass mid-update
-        ok = online.online_update(art, (states, actions, scores), expert_set,
-                                  online.OnlineUpdateConfig(disc_steps=10,
-                                                            policy_steps=10),
-                                  seed=0, update_index=0)
+        ok = self.update(art, (states, actions, scores), expert_set,
+                         online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
+                         seed=0, update_index=0)
         assert not ok
         assert params_bytes(art) == before
 
@@ -328,16 +332,18 @@ class TestOnlineUpdate:
         art, expert_set = trained
         empty = (np.empty((0, 4)), np.empty((0, 2)), np.empty(0))
         with pytest.raises(DataError, match="non-empty"):
-            online.online_update(copy.deepcopy(art), empty, expert_set,
-                                 online.OnlineUpdateConfig(), 0, 0)
+            self.update(copy.deepcopy(art), empty, expert_set,
+                        online.OnlineUpdateConfig(), 0, 0)
 
     def test_update_without_discriminator_refused(self, trained):
         art, expert_set = trained
         art = copy.deepcopy(art)
+        snap = self.snapshot_from(expert_set)
+        workspace = online.UpdateWorkspace(art, expert_set.n_samples + len(snap[0]))
         art.discriminator = None
         with pytest.raises(ConfigError, match="discriminator"):
-            online.online_update(art, self.snapshot_from(expert_set), expert_set,
-                                 online.OnlineUpdateConfig(), 0, 0)
+            online.online_update(art, snap, expert_set, online.OnlineUpdateConfig(),
+                                 0, 0, workspace)
 
 
 # ---------------------------------------------------------------- run loop

@@ -46,6 +46,11 @@ def snapshot(data, n, seed, poison=False):
     return states, supp.actions[rows], rng.uniform(0.0, 0.4, n)
 
 
+def sized_to(art, expert, snap):
+    """A new workspace that just fits the expert rows and the snapshot."""
+    return online.UpdateWorkspace(art, expert.n_samples + len(snap[0]))
+
+
 def model_bytes(art):
     return art.discriminator.net.params.tobytes() + art.policy.params.tobytes()
 
@@ -66,7 +71,8 @@ def test_reused_workspace_matches_fresh_workspaces(data):
     for index, snap in enumerate(snaps):
         before = model_bytes(reused)
         ok = online.online_update(reused, snap, expert, config, 11, index, workspace)
-        assert online.online_update(fresh, snap, expert, config, 11, index) == ok
+        assert online.online_update(fresh, snap, expert, config, 11, index,
+                                    sized_to(fresh, expert, snap)) == ok
         assert model_bytes(reused) == model_bytes(fresh)
         assert (model_bytes(reused) == before) != ok
         outcomes.append(ok)
@@ -86,11 +92,11 @@ def test_run_online_matches_a_fresh_workspace_per_update(data, monkeypatch):
     original = online.online_update
     seen = []
 
-    def without_workspace(*args):
+    def with_fresh_workspace(*args):
         seen.append(args[-1])
-        return original(*args[:-1])
+        return original(*args[:-1], sized_to(args[0], args[2], args[1]))
 
-    monkeypatch.setattr(online, "online_update", without_workspace)
+    monkeypatch.setattr(online, "online_update", with_fresh_workspace)
     again = online.run_online(art, expert, 0.1, 2, adapt="always", seed=4,
                               patience=10, update_config=config)
     assert result.update_invocations == again.update_invocations > 5
@@ -131,6 +137,16 @@ def test_second_update_allocates_less_than_one_full_data_buffer(data):
 
 
 # ------------------------------------------------------------- kernels
+
+
+def test_bc_weight_through_the_update_workspace_keeps_its_bits(data):
+    art = fresh_artifacts()
+    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + CAPACITY)
+    for rows in (1, 64, data["expert"].n_samples + 1, workspace.rows):
+        states, actions, _ = snapshot(data, rows, 12)
+        got = discriminator.bc_weight(art.discriminator, states, actions, workspace.disc)
+        want = discriminator.bc_weight(art.discriminator, states, actions)
+        assert got.tobytes() == want.tobytes(), rows
 
 
 def test_width_one_product_matches_matmul_with_signed_zeros():
