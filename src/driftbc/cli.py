@@ -293,7 +293,8 @@ def _add_sweep_flags(p) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="first seed; runs use seed..seed+runs-1")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sweep cells")
+                   help="worker processes, at most one per adaptive cell or "
+                        "per chunk of adapt-off cells")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,16 +14,19 @@ There are two episode loops, each with its own step function:
   demos.generate_tier, which records each demonstration step through on_step.
   A policy that an online update replaces mid-episode, or an observer that
   scores every step, needs this loop.
-- run_lockstep plays all episodes of a frozen policy together with step_rows,
-  one row per episode, dropping each row whose task has ended. Its caller is
-  evaluation.score_policy. Every row has the bits run_episode would give it.
+- run_lockstep plays all episodes of a frozen policy's (sigma, seed) cells
+  together with step_rows, one row per episode, dropping each row whose task
+  has ended. Its callers are evaluation.score_policy, one cell, and the
+  adapt-off noise sweep, chunks of whole cells. Every row has the bits
+  run_episode would give it.
 The per-step loop stays because step_rows on one row costs four to five
 times what step does (32-52 us against 8-10 us on a 2-core x86-64 VM with
-numpy 2.4), while a 20-episode evaluation cell takes about a quarter of the
-per-step loop's time in the lock-step loop. Both loops take an online
-episode's noise from episode_noise, drawn once as (horizon, d) blocks, and
-at step t observe through observe with row t of the first and act with row
-t of the second (policy.sample_action, for a policy).
+numpy 2.4); the lock-step loop pays that per-call cost once for all its
+rows, so a 20-cell sweep of 20 episodes each takes under half the time
+of its cells looped one by one. Both loops take an online episode's
+noise from episode_noise, drawn once as (horizon, d) blocks, and at step t
+observe through observe with row t of the first and act with row t of the
+second (policy.sample_action, for a policy).
 """
 
 from __future__ import annotations
@@ -270,31 +273,36 @@ def episode_noise(spec: EnvSpec, seed: int, ep: int, sigma: float
                   ) -> tuple[np.random.Generator, np.ndarray | None, np.ndarray]:
     """Online episode ep's reset generator online_ep{ep}_env, its observation
     noise, sigma times a (horizon, state_dim) block of standard normals from
-    online_ep{ep}_obs (None at sigma 0, with no draw), and its action noise,
-    a (horizon, action_dim) block from online_ep{ep}_act.
+    online_ep{ep}_obs (None at sigma 0, where that generator is not made),
+    and its action noise, a (horizon, action_dim) block from
+    online_ep{ep}_act.
 
     Generator.standard_normal fills a block element by element from one
     stream, so row t holds the values a draw of d per step takes at step t.
     """
-    env_rng, obs_rng, act_rng = (named_generator(seed, f"online_ep{ep}_{part}")
-                                 for part in ("env", "obs", "act"))
+    env_rng, act_rng = (named_generator(seed, f"online_ep{ep}_{part}")
+                        for part in ("env", "act"))
     obs_noise = None
     if sigma != 0.0:
+        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
         obs_noise = obs_rng.standard_normal((spec.horizon, spec.state_dim)) * sigma
     return env_rng, obs_noise, act_rng.standard_normal((spec.horizon, spec.action_dim))
 
 
-def run_lockstep(spec: EnvSpec, act_rows, sigma: float, episodes: int,
-                 seed: int) -> np.ndarray:
+def run_lockstep(spec: EnvSpec, act_rows, cells, episodes: int) -> np.ndarray:
     """The lock-step loop: play episodes 0 .. episodes-1 of a frozen policy
-    together and return their returns.
+    for every (sigma, seed) cell together, and return their returns as a
+    (cells, episodes) array.
 
-    Each episode resets and draws its noise through episode_noise. Step t
-    observes the n running episodes' states through observe with rows t of
-    their observation blocks, calls act_rows(obs, noise) once with the
-    observations (n, state_dim) and rows t (n, action_dim) of the action
-    blocks, and steps all n rows with step_rows. An episode whose task ends
-    leaves the rows after that step.
+    Rows are cell-major, and each resets and draws its noise through
+    episode_noise with its own cell's sigma and seed. Step t observes the n
+    running rows' states through observe with rows t of their observation
+    blocks, calls act_rows(obs, noise) once with the observations
+    (n, state_dim) and rows t (n, action_dim) of the action blocks, and
+    steps all n rows with step_rows. A row whose task ends leaves the rows
+    after that step. A sigma-0 row's observation block is -0.0, the one
+    addend that leaves every float, signed zeros included, as it is, so the
+    row sees an exact copy of its state.
 
     run_episode, driven as online.play_episodes drives it, gives each episode
     the same bits when act_rows maps every row as that loop's act does: the
@@ -304,22 +312,24 @@ def run_lockstep(spec: EnvSpec, act_rows, sigma: float, episodes: int,
     if episodes < 1:
         raise ConfigError("episodes must be positive")
     env_rngs, obs_blocks, act_blocks = zip(*(episode_noise(spec, seed, ep, sigma)
+                                             for sigma, seed in cells
                                              for ep in range(episodes)))
     state_rows = np.array([reset(spec, env_rng) for env_rng in env_rngs])
-    # (horizon, episodes, d), so that step t of every episode is one slice
+    exact = np.full((spec.horizon, spec.state_dim), -0.0)
+    # (horizon, rows, d), so that step t of every row is one slice
+    obs_noise = np.stack([exact if b is None else b for b in obs_blocks], axis=1)
     act_noise = np.stack(act_blocks, axis=1)
-    obs_noise = None if sigma == 0.0 else np.stack(obs_blocks, axis=1)
-    returns = np.zeros(episodes)
-    live = slice(None)  # the running episodes, as an index into 0 .. episodes-1
+    returns = np.zeros(len(env_rngs))
+    live = slice(None)  # the running rows, as an index into 0 .. rows-1
     for t in range(spec.horizon):
-        obs = observe(state_rows, None if obs_noise is None else obs_noise[t, live])
+        obs = observe(state_rows, obs_noise[t, live])
         state_rows, rewards, done = step_rows(spec, state_rows,
                                               act_rows(obs, act_noise[t, live]))
         returns[live] += rewards
         if done.any():
             keep = ~done
-            live = np.arange(episodes)[live][keep]
+            live = np.arange(returns.size)[live][keep]
             state_rows = state_rows[keep]
             if live.size == 0:
                 break
-    return returns
+    return returns.reshape(-1, episodes)

@@ -31,6 +31,10 @@ DEFAULT_RUNS = 10
 SCORE_EPISODES = 20
 ADAPT_EPISODES = 100
 KTH_CANDIDATES = tuple(round(i / 10, 1) for i in range(11))
+# Most rows one lock-step loop of an adapt-off sweep steps at once. Its noise
+# blocks take horizon * (state_dim + action_dim) * 8 bytes a row, under 5 MB
+# at this cap, and the loop's per-row cost had flattened out well before it.
+LOCKSTEP_ROWS = 512
 
 
 # --------------------------------------------------------------- normalizer
@@ -88,12 +92,13 @@ def stability_metric(returns, ema_coefficient: float = EMA_COEFFICIENT) -> float
 
 def score_policy(policy, env_id: str, sigma: float, episodes: int,
                  seed: int) -> np.ndarray:
-    """Per-episode raw returns of the frozen policy under observation noise,
-    with every episode stepped together by the lock-step loop
-    (envs.run_lockstep). They have the bits of an adapt-off online run of
-    the same seed: each row's action is sample_action's for that row."""
+    """Per-episode raw returns of the frozen policy under observation noise:
+    one (sigma, seed) cell of the lock-step loop (envs.run_lockstep), with
+    every episode stepped together. They have the bits of an adapt-off
+    online run of the same seed: each row's action is sample_action's for
+    that row."""
     return envs.run_lockstep(envs.make_spec(env_id), partial(sample_action, policy),
-                             sigma, episodes, seed)
+                             [(sigma, seed)], episodes)[0]
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,20 @@ def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     if adapt == "off":
         returns = score_policy(artifacts.policy, artifacts.config.env_id,
                                sigma, episodes, seed)
-        updates = 0
-    else:
-        if expert_demos is None:
-            raise ConfigError("adaptive evaluation needs the expert demos for online updates")
-        work = copy.deepcopy(artifacts)
-        result = run_online(work, expert_demos, sigma, episodes, adapt=adapt,
-                            seed=seed, kappa_threshold=kappa_threshold,
-                            patience=patience, update_config=update_config)
-        returns = result.episode_returns
-        updates = result.update_invocations
+        return _sweep_cell(sigma, seed, returns, normalizer)
+    if expert_demos is None:
+        raise ConfigError("adaptive evaluation needs the expert demos for online updates")
+    work = copy.deepcopy(artifacts)
+    result = run_online(work, expert_demos, sigma, episodes, adapt=adapt,
+                        seed=seed, kappa_threshold=kappa_threshold,
+                        patience=patience, update_config=update_config)
+    return _sweep_cell(sigma, seed, result.episode_returns, normalizer,
+                       result.update_invocations)
+
+
+def _sweep_cell(sigma: float, seed: int, returns, normalizer: ScoreNormalizer,
+                updates: int = 0) -> SweepCell:
+    """The SweepCell of one (sigma, seed) cell's per-episode returns."""
     mean_return = float(np.mean(returns))
     return SweepCell(
         sigma=float(sigma), seed=int(seed),
@@ -168,20 +177,40 @@ def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
         _check_cell(sigma, episodes, adapt)
 
 
-def _cell_task(kwargs):
-    return evaluate_cell(**kwargs)
+def _cell_task(kwargs) -> list[SweepCell]:
+    return [evaluate_cell(**kwargs)]
 
 
-def _run_sweep(key: str, values, seeds, jobs: int, **cell_args) -> list[SweepCell]:
-    """evaluate_cell(**cell_args, key=value, seed=seed) for every (value, seed),
-    value-major. Cells are pure functions of their arguments, so parallel
-    execution returns the same values in the same order as the serial loop."""
-    tasks = [dict(cell_args, **{key: value}, seed=seed)
-             for value in values for seed in seeds]
-    if jobs == 1 or len(tasks) < 2:
-        return [evaluate_cell(**t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_task, tasks))
+def _chunk_task(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
+                episodes: int, cells) -> list[SweepCell]:
+    """The SweepCells of adapt-off (sigma, seed) cells, played together."""
+    returns = envs.run_lockstep(envs.make_spec(artifacts.config.env_id),
+                                partial(sample_action, artifacts.policy), cells, episodes)
+    return [_sweep_cell(sigma, seed, r, normalizer) for (sigma, seed), r in zip(cells, returns)]
+
+
+def _chunks(cells: list, episodes: int, jobs: int) -> list[list]:
+    """cells cut into consecutive chunks of near-equal size: as few as keep
+    every chunk within LOCKSTEP_ROWS rows (a cell of more episodes is a
+    chunk of its own), and at least one per worker, min(jobs, cells)."""
+    per_chunk = max(1, LOCKSTEP_ROWS // episodes)
+    count = max(-(-len(cells) // per_chunk), min(jobs, len(cells)))
+    size, extra = divmod(len(cells), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_sweep(task, tasks: list, jobs: int) -> list[SweepCell]:
+    """The SweepCells of task(t) for every t in tasks, in order: _cell_task
+    on an adaptive cell's arguments, or _chunk_task on a chunk of adapt-off
+    cells. Tasks are pure functions of their arguments, so running them in
+    min(jobs, tasks) worker processes, never more processes than tasks,
+    returns the same cells in the same order as the serial loop."""
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [cell for t in tasks for cell in task(t)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [cell for cells in pool.map(task, tasks) for cell in cells]
 
 
 def _row_stats(cells) -> dict:
@@ -222,17 +251,28 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
                 expert_demos: DemoSet | None = None, base_seed: int = 0,
                 kappa_threshold: float = KAPPA_THRESHOLD,
                 patience: int = PATIENCE, jobs: int = 1) -> SweepReport:
-    """Evaluate every (sigma, seed) cell; deterministic given the seed list,
-    whatever the worker count."""
+    """Evaluate every (sigma, seed) cell, sigma-major; deterministic given the
+    seed list, whatever the worker count.
+
+    adapt="off" plays whole cells together: consecutive chunks of them go
+    through one lock-step loop each (envs.run_lockstep), chunk after chunk
+    at jobs=1, across min(jobs, chunks) workers otherwise. The adaptive
+    modes run each cell as its own evaluate_cell."""
     sigmas = tuple(float(s) for s in sigmas)
     if episodes is None:
         episodes = SCORE_EPISODES if adapt == "off" else ADAPT_EPISODES
     _check_sweep(sigmas, runs, episodes, jobs, adapt)
     seeds = tuple(range(base_seed, base_seed + runs))
-    cells = _run_sweep("sigma", sigmas, seeds, jobs, artifacts=artifacts,
-                       normalizer=normalizer, episodes=episodes,
-                       adapt=adapt, expert_demos=expert_demos,
-                       kappa_threshold=kappa_threshold, patience=patience)
+    if adapt == "off":
+        cells = _run_sweep(partial(_chunk_task, artifacts, normalizer, episodes),
+                           _chunks([(s, seed) for s in sigmas for seed in seeds],
+                                   episodes, jobs), jobs)
+    else:
+        cells = _run_sweep(_cell_task, [
+            dict(artifacts=artifacts, normalizer=normalizer, sigma=s, seed=seed,
+                 episodes=episodes, adapt=adapt, expert_demos=expert_demos,
+                 kappa_threshold=kappa_threshold, patience=patience)
+            for s in sigmas for seed in seeds], jobs)
     return SweepReport(env_id=artifacts.config.env_id, adapt=adapt,
                        sigmas=sigmas, seeds=seeds, episodes=episodes,
                        cells=tuple(cells))
@@ -349,10 +389,11 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
             raise ConfigError(f"threshold candidate {t!r} outside [0, 1]")
     _check_sweep((sigma,), runs, episodes, jobs, "on")
     seeds = tuple(range(base_seed, base_seed + runs))
-    cells = _run_sweep("kappa_threshold", candidates, seeds, jobs,
-                       artifacts=artifacts, normalizer=normalizer, sigma=sigma,
-                       episodes=episodes, adapt="on", expert_demos=expert_demos,
-                       patience=patience, update_config=update_config)
+    cells = _run_sweep(_cell_task, [
+        dict(artifacts=artifacts, normalizer=normalizer, sigma=sigma, seed=seed,
+             episodes=episodes, adapt="on", expert_demos=expert_demos,
+             kappa_threshold=t, patience=patience, update_config=update_config)
+        for t in candidates for seed in seeds], jobs)
     rows = []
     for i, threshold in enumerate(candidates):
         group = cells[i * runs:(i + 1) * runs]

@@ -280,6 +280,18 @@ class TestEvaluate:
         run_ok(argv + ["--out", str(b)])
         assert (a / "records.txt").read_bytes() == (b / "records.txt").read_bytes()
 
+    def test_worker_count_leaves_records_byte_identical(self, ws, tmp_path):
+        """Four sigmas, zero among them, by three seeds: one lock-step loop
+        at --jobs 1, and two or three chunks of whole cells otherwise."""
+        argv = ["evaluate", "--artifacts", str(ws["art"]), "--refs",
+                str(ws["refs"]), "--sigmas", "0.1,0,0.2,0.05", "--runs", "3",
+                "--episodes", "3", "--adapt", "off"]
+        for jobs in (1, 2, 3):
+            run_ok(argv + ["--jobs", str(jobs), "--out", str(tmp_path / f"j{jobs}")])
+        records = [(tmp_path / f"j{jobs}" / "records.txt").read_bytes() for jobs in (1, 2, 3)]
+        assert records[0] == records[1] == records[2]
+        assert records[0].count(b"kind=cell ") == 12
+
     def test_wrong_env_refs_exit_2(self, ws, tmp_path, capsys):
         refs = tmp_path / "refs_pendulum.txt"
         run_ok(["gen-refs", "--env", "pendulum1", "--episodes", "5",

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
 from driftbc.numeric import named_generator
 from driftbc.offline import OfflineConfig, run_offline
 from driftbc.online import OnlineUpdateConfig, run_online
-from driftbc.policy import sample_action
+from driftbc.policy import init_policy, sample_action
 from oracles import ema_deviation_oracle
 
 ENV = "pointmass2d"
@@ -385,6 +387,114 @@ class TestNoiseSweep:
             plot_data([])
 
 
+# ------------------------------------------------ the sweep-wide lock-step loop
+
+
+def cell_by_cell(artifacts, normalizer, sigmas, runs, episodes):
+    """The oracle: evaluate_cell on each (sigma, seed) cell in turn."""
+    return tuple(evaluate_cell(artifacts, normalizer, s, seed, episodes)
+                 for s in sigmas for seed in range(runs))
+
+
+def pendulum_artifacts():
+    """What an adapt-off sweep reads of artifacts, for a pendulum policy."""
+    spec = envs.make_spec("pendulum1")
+    policy = init_policy(3, 1, spec.action_low, spec.action_high,
+                         rng=np.random.default_rng(11), init_log_std=-1.0)
+    return SimpleNamespace(policy=policy, config=SimpleNamespace(env_id="pendulum1"))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """ProcessPoolExecutor replaced by a pool that runs the tasks in this
+    process; returns the worker count each pool was asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestSweepLoop:
+    @pytest.mark.parametrize("env_id", ["pointmass2d", "pendulum1"])
+    def test_adapt_off_sweep_matches_cell_by_cell(self, trained, normalizer, env_id):
+        artifacts = trained if env_id == ENV else pendulum_artifacts()
+        sigmas = (0.1, 0.0, 0.2, 0.05)
+        report = noise_sweep(artifacts, normalizer, sigmas=sigmas, runs=3, episodes=6)
+        assert report.cells == cell_by_cell(artifacts, normalizer, sigmas, 3, 6)
+
+    def test_chunks_stay_within_the_row_cap(self, trained, normalizer, monkeypatch):
+        """With a cap of 10 rows, six 4-episode cells run as three loops of
+        two cells, one boundary falling inside sigma 0's seeds; no step_rows
+        call sees more than 10 rows, and every cell keeps its bits."""
+        want = cell_by_cell(trained, normalizer, (0.0, 0.1), 3, 4)
+        loops, rows = [], []
+        run_lockstep, step_rows = envs.run_lockstep, envs.step_rows
+
+        def counted_loop(spec, act_rows, cells, episodes):
+            loops.append(list(cells))
+            return run_lockstep(spec, act_rows, cells, episodes)
+
+        def counted_step(spec, states, actions):
+            rows.append(len(states))
+            return step_rows(spec, states, actions)
+
+        monkeypatch.setattr(evaluation, "LOCKSTEP_ROWS", 10)
+        monkeypatch.setattr(envs, "run_lockstep", counted_loop)
+        monkeypatch.setattr(envs, "step_rows", counted_step)
+        report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=3, episodes=4)
+        assert report.cells == want
+        assert loops == [[(0.0, 0), (0.0, 1)], [(0.0, 2), (0.1, 0)],
+                         [(0.1, 1), (0.1, 2)]]
+        assert max(rows) == 8
+
+    @pytest.mark.parametrize("jobs,chunks", [(1, 1), (2, 2), (3, 3), (64, 20)])
+    def test_jobs_spread_whole_cells_over_at_most_one_worker_each(
+            self, trained, normalizer, pool_sizes, jobs, chunks):
+        """20 cells of 2 episodes fit one loop; jobs > 1 cuts them into at
+        least min(jobs, cells) chunks, one per worker."""
+        loops = []
+        run_lockstep = envs.run_lockstep
+
+        def counted_loop(spec, act_rows, cells, episodes):
+            loops.append(len(cells))
+            return run_lockstep(spec, act_rows, cells, episodes)
+
+        serial = noise_sweep(trained, normalizer, runs=5, episodes=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envs, "run_lockstep", counted_loop)
+            report = noise_sweep(trained, normalizer, runs=5, episodes=2, jobs=jobs)
+        assert sweep_records(report) == sweep_records(serial)
+        assert len(loops) == chunks and sum(loops) == 20
+        assert max(loops) - min(loops) <= 1
+        assert pool_sizes == ([] if jobs == 1 else [chunks])
+
+    def test_worker_pool_is_no_larger_than_the_tasks(self, trained, normalizer,
+                                                     demo_paths, pool_sizes):
+        """--jobs 64 on two cells asks for two workers, adaptive or not, and
+        a one-cell sweep runs in this process."""
+        _, expert = demo_paths
+        noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=1, episodes=2, jobs=64)
+        noise_sweep(trained, normalizer, sigmas=(0.1,), runs=2, episodes=2, adapt="on",
+                    expert_demos=expert, jobs=64)
+        grid_search_kth(trained, expert, normalizer, sigma=0.1, candidates=(0.0,),
+                        runs=2, episodes=2, jobs=64)
+        noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=2, jobs=64)
+        assert pool_sizes == [2, 2, 2]
+
+
 # ------------------------------------------------------------- grid search
 
 
@@ -471,6 +581,22 @@ class TestTierAblation:
     @pytest.fixture
     def report(self, ablation_report):
         return ablation_report
+
+    def test_two_mixes_match_cell_by_cell_at_any_worker_count(self, demo_paths,
+                                                              normalizer):
+        paths, _ = demo_paths
+        base = OfflineConfig(
+            env_id=ENV, expert_demos=paths["expert"], supp_demos=paths["medium"],
+            seed=3, ref_steps=60, disc_steps=80, bc_steps=80, reg_cutoff=40)
+        mixes = [("me", paths["medium"]), ("memr", paths["rich"])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CovarianceFloorWarning)
+            reports = [tier_ablation(base, mixes, normalizer, sigmas=(0.1, 0.0), runs=3,
+                                     episodes=3, jobs=jobs) for jobs in (1, 3)]
+            trained_mixes = [run_offline(replace(base, supp_demos=path)) for _, path in mixes]
+        assert ablation_records(reports[0]) == ablation_records(reports[1])
+        for row, artifacts in zip(reports[0].rows, trained_mixes):
+            assert row.sweep.cells == cell_by_cell(artifacts, normalizer, (0.1, 0.0), 3, 3)
 
     def test_rows_keep_mix_order_and_shape(self, report):
         assert [r.label for r in report.rows] == ["me", "memr"]
