@@ -319,13 +319,27 @@ def load_gmm(path) -> tuple[GmmModel, dict]:
     rec = RecordReader(path, "gmm")
     k, dim = rec.count("n_components"), rec.count("dim")
     provenance = rec.field("provenance")
-    alpha, quantile, cov_floor = rec.floats((3,))
+    alpha, quantile, cov_floor = map(float, rec.floats((3,)))
     table = rec.floats((k, 1 + 2 * dim))
     extras = rec.finish()
+    weights, means, variances = table[:, 0], table[:, 1:1 + dim], table[:, 1 + dim:]
+    # a nan or negative entry would make every kappa nan, and a nan kappa
+    # never falls below the trigger threshold
+    for ok, what in (
+            (np.all(np.isfinite(weights) & (weights >= 0))
+             and abs(weights.sum() - 1.0) <= 1e-9, "weights finite, >= 0 and summing to 1"),
+            (np.all(np.isfinite(means)), "finite means"),
+            (np.all(np.isfinite(variances) & (variances >= cov_floor)),
+             f"finite variances >= cov_floor {cov_floor!r}"),
+            (np.isfinite(cov_floor) and cov_floor > 0, "a positive, finite cov_floor"),
+            (0.0 < alpha < 1.0, f"alpha in (0, 1), not {alpha!r}"),
+            (np.isfinite(quantile), f"a finite calibration quantile, not {quantile!r}")):
+        if not ok:
+            raise DataError(f"{path}: a mixture needs {what}")
     model = GmmModel(
-        mixture_weights=table[:, 0].copy(), means=table[:, 1:1 + dim].copy(),
-        variances=table[:, 1 + dim:].copy(), calibration_log_quantile=float(quantile),
-        alpha=float(alpha), cov_floor=float(cov_floor),
+        mixture_weights=weights.copy(), means=means.copy(),
+        variances=variances.copy(), calibration_log_quantile=quantile,
+        alpha=alpha, cov_floor=cov_floor,
         provenance="" if provenance == "-" else provenance,
     )
     return model, extras

@@ -16,8 +16,8 @@ There are two episode loops, each with its own step function:
   scores every step, needs this loop.
 - run_lockstep plays all episodes of a frozen policy's (sigma, seed) cells
   together with step_rows, one row per episode, dropping each row whose task
-  has ended. Its callers are evaluation.score_policy, one cell, and the
-  adapt-off noise sweep, chunks of whole cells. Every row has the bits
+  has ended. Its one caller is evaluation.score_policy, which the adapt-off
+  noise sweep calls on each chunk of whole cells. Every row has the bits
   run_episode would give it.
 The per-step loop stays because step_rows on one row costs four to five
 times what step does (32-52 us against 8-10 us on a 2-core x86-64 VM with
@@ -307,7 +307,7 @@ def run_lockstep(spec: EnvSpec, act_rows, cells, episodes: int) -> np.ndarray:
     run_episode, driven as online.play_episodes drives it, gives each episode
     the same bits when act_rows maps every row as that loop's act does: the
     blocks are the same, and every returns entry is summed step by step
-    with +=.
+    with +=. Its one caller is evaluation.score_policy.
     """
     if episodes < 1:
         raise ConfigError("episodes must be positive")

@@ -4,6 +4,9 @@ Evaluation rolls the trained policy under observation noise and reports
 normalized scores so results are comparable across environments. Sweep cells
 are independent given their seed, so every aggregate is recomputable from the
 raw per-cell records.
+
+Every sweep maps one task over its cells: score_policy over chunks of
+(sigma, seed) cells, or evaluate_cell over adaptive cells one at a time.
 """
 
 from __future__ import annotations
@@ -90,17 +93,6 @@ def stability_metric(returns, ema_coefficient: float = EMA_COEFFICIENT) -> float
 # ------------------------------------------------------------ cell rollouts
 
 
-def score_policy(policy, env_id: str, sigma: float, episodes: int,
-                 seed: int) -> np.ndarray:
-    """Per-episode raw returns of the frozen policy under observation noise:
-    one (sigma, seed) cell of the lock-step loop (envs.run_lockstep), with
-    every episode stepped together. They have the bits of an adapt-off
-    online run of the same seed: each row's action is sample_action's for
-    that row."""
-    return envs.run_lockstep(envs.make_spec(env_id), partial(sample_action, policy),
-                             [(sigma, seed)], episodes)[0]
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One (sigma, seed) evaluation; raw returns retained for recomputation."""
@@ -114,36 +106,26 @@ class SweepCell:
     updates: int = 0
 
 
-def _check_cell(sigma: float, episodes: int, adapt: str) -> None:
-    envs.check_sigma(sigma)
-    if episodes < 2:
-        raise ConfigError("episodes must be >= 2 so the stability metric is defined")
-    if adapt not in ADAPT_MODES:
-        raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
+def score_policy(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
+                 episodes: int, cells) -> list[SweepCell]:
+    """The SweepCells of the frozen policy's (sigma, seed) cells, with every
+    episode of every cell stepped together in one lock-step loop
+    (envs.run_lockstep). Each cell has the bits of an adapt-off online run
+    of its seed, and needs no density model of artifacts."""
+    returns = envs.run_lockstep(envs.make_spec(artifacts.config.env_id),
+                                partial(sample_action, artifacts.policy), cells, episodes)
+    return [_sweep_cell(sigma, seed, r, normalizer) for (sigma, seed), r in zip(cells, returns)]
 
 
 def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
-                  sigma: float, seed: int, episodes: int, adapt: str = "off",
-                  expert_demos: DemoSet | None = None,
-                  kappa_threshold: float = KAPPA_THRESHOLD,
-                  patience: int = PATIENCE,
-                  update_config: OnlineUpdateConfig | None = None) -> SweepCell:
-    """Evaluate one seed at one noise level.
-
-    adapt="off" rolls the frozen policy directly (works for artifacts without
-    density models); the adaptive modes run on a deep copy so the caller's
-    artifacts never mutate across cells.
-    """
-    _check_cell(sigma, episodes, adapt)
-    if adapt == "off":
-        returns = score_policy(artifacts.policy, artifacts.config.env_id,
-                               sigma, episodes, seed)
-        return _sweep_cell(sigma, seed, returns, normalizer)
-    if expert_demos is None:
-        raise ConfigError("adaptive evaluation needs the expert demos for online updates")
-    work = copy.deepcopy(artifacts)
-    result = run_online(work, expert_demos, sigma, episodes, adapt=adapt,
-                        seed=seed, kappa_threshold=kappa_threshold,
+                  expert_demos: DemoSet, episodes: int, adapt: str, patience: int,
+                  update_config: OnlineUpdateConfig | None, cell) -> SweepCell:
+    """The SweepCell of one adaptive (sigma, seed, kappa_threshold) cell:
+    run_online on a deep copy of artifacts, so that the caller's artifacts
+    never change from one cell to the next."""
+    sigma, seed, kappa_threshold = cell
+    result = run_online(copy.deepcopy(artifacts), expert_demos, sigma, episodes,
+                        adapt=adapt, seed=seed, kappa_threshold=kappa_threshold,
                         patience=patience, update_config=update_config)
     return _sweep_cell(sigma, seed, result.episode_returns, normalizer,
                        result.update_invocations)
@@ -161,8 +143,9 @@ def _sweep_cell(sigma: float, seed: int, returns, normalizer: ScoreNormalizer,
 
 
 def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
-                 adapt: str) -> None:
-    """Reject a sweep's arguments before any cell runs, or any training."""
+                 adapt: str, expert_demos: DemoSet | None) -> None:
+    """Reject a sweep's arguments before any cell runs, any worker starts,
+    or any training."""
     if not sigmas:
         raise ConfigError("noise sweep needs at least one sigma")
     duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
@@ -174,19 +157,13 @@ def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     for sigma in sigmas:
-        _check_cell(sigma, episodes, adapt)
-
-
-def _cell_task(kwargs) -> list[SweepCell]:
-    return [evaluate_cell(**kwargs)]
-
-
-def _chunk_task(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
-                episodes: int, cells) -> list[SweepCell]:
-    """The SweepCells of adapt-off (sigma, seed) cells, played together."""
-    returns = envs.run_lockstep(envs.make_spec(artifacts.config.env_id),
-                                partial(sample_action, artifacts.policy), cells, episodes)
-    return [_sweep_cell(sigma, seed, r, normalizer) for (sigma, seed), r in zip(cells, returns)]
+        envs.check_sigma(sigma)
+    if episodes < 2:
+        raise ConfigError("episodes must be >= 2 so the stability metric is defined")
+    if adapt not in ADAPT_MODES:
+        raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
+    if adapt != "off" and expert_demos is None:
+        raise ConfigError("adaptive evaluation needs the expert demos for online updates")
 
 
 def _chunks(cells: list, episodes: int, jobs: int) -> list[list]:
@@ -200,17 +177,17 @@ def _chunks(cells: list, episodes: int, jobs: int) -> list[list]:
     return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_sweep(task, tasks: list, jobs: int) -> list[SweepCell]:
-    """The SweepCells of task(t) for every t in tasks, in order: _cell_task
-    on an adaptive cell's arguments, or _chunk_task on a chunk of adapt-off
-    cells. Tasks are pure functions of their arguments, so running them in
+def _run_sweep(task, tasks: list, jobs: int) -> list:
+    """task(t) for every t in tasks, in order: a partial of score_policy on
+    chunks of frozen-policy cells, or of evaluate_cell on adaptive cells.
+    The task is a pure function of its argument, so running it in
     min(jobs, tasks) worker processes, never more processes than tasks,
-    returns the same cells in the same order as the serial loop."""
+    returns the same results in the same order as the serial loop."""
     workers = min(jobs, len(tasks))
     if workers == 1:
-        return [cell for t in tasks for cell in task(t)]
+        return [task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [cell for cells in pool.map(task, tasks) for cell in cells]
+        return list(pool.map(task, tasks))
 
 
 def _row_stats(cells) -> dict:
@@ -255,24 +232,24 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     seed list, whatever the worker count.
 
     adapt="off" plays whole cells together: consecutive chunks of them go
-    through one lock-step loop each (envs.run_lockstep), chunk after chunk
-    at jobs=1, across min(jobs, chunks) workers otherwise. The adaptive
-    modes run each cell as its own evaluate_cell."""
+    through one score_policy call each, chunk after chunk at jobs=1, across
+    min(jobs, chunks) workers otherwise. The adaptive modes run each cell as
+    its own evaluate_cell. Every argument is checked before any cell runs."""
     sigmas = tuple(float(s) for s in sigmas)
     if episodes is None:
         episodes = SCORE_EPISODES if adapt == "off" else ADAPT_EPISODES
-    _check_sweep(sigmas, runs, episodes, jobs, adapt)
+    _check_sweep(sigmas, runs, episodes, jobs, adapt, expert_demos)
     seeds = tuple(range(base_seed, base_seed + runs))
     if adapt == "off":
-        cells = _run_sweep(partial(_chunk_task, artifacts, normalizer, episodes),
-                           _chunks([(s, seed) for s in sigmas for seed in seeds],
-                                   episodes, jobs), jobs)
+        chunks = _run_sweep(partial(score_policy, artifacts, normalizer, episodes),
+                            _chunks([(s, seed) for s in sigmas for seed in seeds],
+                                    episodes, jobs), jobs)
+        cells = [cell for chunk in chunks for cell in chunk]
     else:
-        cells = _run_sweep(_cell_task, [
-            dict(artifacts=artifacts, normalizer=normalizer, sigma=s, seed=seed,
-                 episodes=episodes, adapt=adapt, expert_demos=expert_demos,
-                 kappa_threshold=kappa_threshold, patience=patience)
-            for s in sigmas for seed in seeds], jobs)
+        cells = _run_sweep(partial(evaluate_cell, artifacts, normalizer, expert_demos,
+                                   episodes, adapt, patience, None),
+                           [(s, seed, kappa_threshold) for s in sigmas for seed in seeds],
+                           jobs)
     return SweepReport(env_id=artifacts.config.env_id, adapt=adapt,
                        sigmas=sigmas, seeds=seeds, episodes=episodes,
                        cells=tuple(cells))
@@ -387,13 +364,11 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
     for t in candidates:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold candidate {t!r} outside [0, 1]")
-    _check_sweep((sigma,), runs, episodes, jobs, "on")
+    _check_sweep((sigma,), runs, episodes, jobs, "on", expert_demos)
     seeds = tuple(range(base_seed, base_seed + runs))
-    cells = _run_sweep(_cell_task, [
-        dict(artifacts=artifacts, normalizer=normalizer, sigma=sigma, seed=seed,
-             episodes=episodes, adapt="on", expert_demos=expert_demos,
-             kappa_threshold=t, patience=patience, update_config=update_config)
-        for t in candidates for seed in seeds], jobs)
+    cells = _run_sweep(partial(evaluate_cell, artifacts, normalizer, expert_demos,
+                               episodes, "on", patience, update_config),
+                       [(sigma, seed, t) for t in candidates for seed in seeds], jobs)
     rows = []
     for i, threshold in enumerate(candidates):
         group = cells[i * runs:(i + 1) * runs]
@@ -476,7 +451,7 @@ def tier_ablation(base_config: OfflineConfig, mixes,
         raise ConfigError("mix labels must be unique")
     for label in labels:
         _check_label(label)
-    _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off")
+    _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off", None)
     for _, supp_path in mixes:
         load_demo_file(supp_path, base_config.env_id)
     rows = []

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbc import density, policy
+from driftbc import density, envs, policy
+from driftbc.demos import generate_tier
 from driftbc.errors import ConfigError, DataError, ShapeError
+from driftbc.numeric import pack_floats, write_record_file
 
 from oracles import fit_gmm_oracle, trapezoid_integral_2d
 
@@ -417,3 +419,78 @@ class TestGmmCheckpoint:
         q = rng.standard_normal((5, 2))
         np.testing.assert_array_equal(
             density.gmm_log_density(loaded, q), density.gmm_log_density(model, q))
+
+
+def write_gmm_file(path, weights=(0.25, 0.75), means=((0.0, 1.0), (2.0, -1.0)),
+                   variances=((0.5, 1e-4), (1.0, 2.0)), alpha=0.05, quantile=-3.5,
+                   cov_floor=1e-4):
+    """A gmm record file written field by field, whatever its values."""
+    means, variances = np.array(means, dtype=float), np.array(variances, dtype=float)
+    table = np.column_stack([np.array(weights, dtype=float), means, variances])
+    write_record_file(path, "gmm", {"n_components": len(weights), "dim": means.shape[1],
+                                    "provenance": "-"},
+                      pack_floats([[alpha, quantile, cov_floor], table]))
+
+
+class TestGmmFileChecks:
+    """load_gmm refuses a mixture whose scores would be nan or meaningless:
+    a nan kappa never falls below the trigger threshold, so adaptation
+    would be silently off."""
+
+    def test_hand_built_valid_file_loads(self, tmp_path):
+        write_gmm_file(tmp_path / "g")
+        model, _ = density.load_gmm(tmp_path / "g")
+        assert model.variances[0, 1] == model.cov_floor == 1e-4
+
+    @pytest.mark.parametrize("case, values", [
+        ("nan weight", dict(weights=(np.nan, 0.75))),
+        ("inf weight", dict(weights=(np.inf, 0.75))),
+        ("negative weight", dict(weights=(-0.25, 1.25))),
+        ("weights not summing to 1", dict(weights=(0.25, 0.5))),
+        ("nan mean", dict(means=((0.0, np.nan), (2.0, -1.0)))),
+        ("inf mean", dict(means=((0.0, 1.0), (-np.inf, -1.0)))),
+        ("nan variance", dict(variances=((0.5, np.nan), (1.0, 2.0)))),
+        ("inf variance", dict(variances=((0.5, 1.0), (np.inf, 2.0)))),
+        ("negative variance", dict(variances=((0.5, 1.0), (-1.0, 2.0)))),
+        ("variance below the floor", dict(variances=((0.5, 0.5e-4), (1.0, 2.0)))),
+        ("zero cov_floor", dict(cov_floor=0.0)),
+        ("negative cov_floor", dict(cov_floor=-1e-4)),
+        ("nan cov_floor", dict(cov_floor=np.nan)),
+        ("inf cov_floor", dict(cov_floor=np.inf)),
+        ("alpha 0", dict(alpha=0.0)),
+        ("alpha 1", dict(alpha=1.0)),
+        ("nan alpha", dict(alpha=np.nan)),
+        ("nan quantile", dict(quantile=np.nan)),
+        ("-inf quantile", dict(quantile=-np.inf)),
+    ])
+    def test_impossible_mixture_is_refused(self, tmp_path, case, values):
+        path = tmp_path / "bad.ckpt"
+        write_gmm_file(path, **values)
+        with pytest.raises(DataError, match="bad.ckpt: a mixture needs"):
+            density.load_gmm(path)
+
+    def test_flipped_variance_sign_is_refused(self, tmp_path):
+        rng = np.random.default_rng(3)
+        model = density.fit_gmm(blob(rng, np.zeros(2), 80), n_components=2, seed=1)
+        path = tmp_path / "gmm.ckpt"
+        density.save_gmm(path, model)
+        raw = bytearray(path.read_bytes())
+        # payload: alpha, quantile, cov_floor, then per component weight,
+        # means, variances; the last byte of a little-endian float holds its sign
+        first_variance = raw.index(b"\n") + 1 + 8 * (3 + 1 + model.dim)
+        raw[first_variance + 7] |= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="gmm.ckpt: a mixture needs finite variances"):
+            density.load_gmm(path)
+
+    @pytest.mark.parametrize("env_id", envs.ENV_IDS)
+    @pytest.mark.parametrize("tier", ["expert", "medium", "random"])
+    def test_every_fit_on_demo_states_loads(self, tmp_path, env_id, tier):
+        states = generate_tier(envs.make_spec(env_id), tier, 6, seed=5).states
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", density.CovarianceFloorWarning)
+            model = density.fit_gmm(states, seed=2)
+        density.save_gmm(tmp_path / "g", model)
+        loaded, _ = density.load_gmm(tmp_path / "g")
+        assert loaded.variances.tobytes() == model.variances.tobytes()
+        assert loaded.mixture_weights.tobytes() == model.mixture_weights.tobytes()

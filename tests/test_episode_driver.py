@@ -1,12 +1,14 @@
 """The two episode loops and their per-episode noise blocks: play_episodes
 (run_episode, a step at a time) and score_policy (run_lockstep, every
-episode at once) draw each episode's observation and action noise once, as
-blocks, through envs.episode_noise, and must give the returns, actions and
-trigger logs of a loop that draws per step."""
+episode of a chunk of (sigma, seed) cells at once) draw each episode's
+observation and action noise once, as blocks, through envs.episode_noise,
+and must give the returns, actions and trigger logs of a loop that draws
+per step."""
 
 import copy
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from driftbc import demos, envs, numeric, online
 from driftbc.configio import mask_wall_times
 from driftbc.demos import generate_tier, save_demoset
 from driftbc.errors import ConfigError
-from driftbc.evaluation import score_policy
+from driftbc.evaluation import ScoreNormalizer, score_policy
 from driftbc.numeric import init_mlp, named_generator
 from driftbc.offline import OfflineConfig, run_offline
 from driftbc.online import (OnlineUpdateConfig, format_trigger_log,
@@ -47,6 +49,14 @@ def pendulum_policy():
     spec = envs.make_spec("pendulum1")
     return init_policy(3, 1, spec.action_low, spec.action_high,
                        rng=np.random.default_rng(11), init_log_std=-1.0)
+
+
+def scored(policy, env_id, sigma, episodes, seed):
+    """score_policy's returns on the one (sigma, seed) cell, as an array."""
+    artifacts = SimpleNamespace(policy=policy, config=SimpleNamespace(env_id=env_id))
+    normalizer = ScoreNormalizer(expert_return=0.0, random_return=-1.0)
+    [cell] = score_policy(artifacts, normalizer, episodes, [(sigma, seed)])
+    return np.array(cell.returns)
 
 
 def played(play, policy, env_id, sigma, seed):
@@ -165,7 +175,7 @@ def test_score_policy_matches_the_per_step_loop(pointmass, env_id, sigma, episod
     def record(ep, t, *_):
         lengths[ep] = t + 1
 
-    returns = score_policy(policy, env_id, sigma, episodes, seed=2)
+    returns = scored(policy, env_id, sigma, episodes, seed=2)
     assert returns.tobytes() == play_episodes_oracle(
         lambda: policy, env_id, sigma, episodes, 2, record).tobytes()
     if episodes > 6:
@@ -176,7 +186,7 @@ def test_score_policy_matches_the_per_step_loop(pointmass, env_id, sigma, episod
 
 def test_score_policy_needs_an_episode():
     with pytest.raises(ConfigError, match="episodes must be positive"):
-        score_policy(pendulum_policy(), "pendulum1", 0.1, 0, seed=2)
+        scored(pendulum_policy(), "pendulum1", 0.1, 0, seed=2)
 
 
 @pytest.mark.parametrize("env_id", ["pendulum1", "pointmass2d"])
@@ -277,7 +287,7 @@ def test_every_env_step_runs_inside_run_episode(pointmass, monkeypatch):
 
     count_calls("step", envs.run_episode)
     count_calls("step_rows", envs.run_lockstep)
-    score_policy(artifacts.policy, "pointmass2d", 0.1, 3, seed=1)
+    scored(artifacts.policy, "pointmass2d", 0.1, 3, seed=1)
     assert counts["step"]["all"] == 0
     assert counts["step_rows"]["all"] > 0
     run_online(copy.deepcopy(artifacts), expert, sigma=0.1, episodes=2,
@@ -327,8 +337,7 @@ def test_every_online_noise_stream_is_drawn_inside_episode_noise(pointmass, monk
         return RecordedDraws(rng, draws[name])
 
     patch_everywhere(monkeypatch, named_generator, recorded)
-    plays = ((3, lambda sigma: score_policy(artifacts.policy, "pointmass2d", sigma, 3,
-                                            seed=1)),
+    plays = ((3, lambda sigma: scored(artifacts.policy, "pointmass2d", sigma, 3, seed=1)),
              (2, lambda sigma: run_online(copy.deepcopy(artifacts), expert, sigma, 2,
                                           adapt="off", seed=2)))
     for sigma in (0.0, 0.1):

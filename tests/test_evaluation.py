@@ -1,5 +1,6 @@
 """Tests for scoring, sweeps, grid search, and tier ablations."""
 
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -18,7 +19,7 @@ from driftbc.density import CovarianceFloorWarning
 from driftbc.errors import ConfigError, DataError
 from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
                                 EMA_COEFFICIENT, KTH_CANDIDATES,
-                                SCORE_EPISODES, ScoreNormalizer,
+                                SCORE_EPISODES, ScoreNormalizer, SweepCell,
                                 ablation_plot_data, ablation_records,
                                 evaluate_cell, format_ablation_summary,
                                 format_grid_summary, format_sweep_summary,
@@ -29,9 +30,9 @@ from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
                                 sweep_records, sweep_rows, tier_ablation)
 from driftbc.numeric import named_generator
 from driftbc.offline import OfflineConfig, run_offline
-from driftbc.online import OnlineUpdateConfig, run_online
+from driftbc.online import KAPPA_THRESHOLD, OnlineUpdateConfig, run_online
 from driftbc.policy import init_policy, sample_action
-from oracles import ema_deviation_oracle
+from oracles import ema_deviation_oracle, play_episodes_oracle
 
 ENV = "pointmass2d"
 
@@ -196,14 +197,15 @@ class TestStabilityMetric:
 
 
 class TestScorePolicy:
-    def test_matches_adapt_off_online_run_bit_exactly(self, trained, demo_paths):
+    def test_matches_adapt_off_online_run_bit_exactly(self, trained, normalizer,
+                                                      demo_paths):
         _, expert = demo_paths
-        returns = score_policy(trained.policy, ENV, sigma=0.1, episodes=3, seed=7)
+        [cell] = score_policy(trained, normalizer, 3, [(0.1, 7)])
         result = run_online(trained, expert, sigma=0.1, episodes=3,
                             adapt="off", seed=7)
-        assert np.array_equal(returns, result.episode_returns)
+        assert np.array(cell.returns).tobytes() == result.episode_returns.tobytes()
 
-    def test_returns_are_a_step_by_step_sum(self, trained):
+    def test_returns_are_a_step_by_step_sum(self, trained, normalizer):
         # a loop of its own over the online_ep{ep}_* streams, summing with +=
         # as the online runner and the benchmark's replay do
         spec = envs.make_spec(ENV)
@@ -223,55 +225,86 @@ class TestScorePolicy:
                 if done:
                     break
             expected.append(total)
-        returns = score_policy(trained.policy, ENV, sigma=0.1, episodes=3, seed=7)
-        assert returns.tobytes() == np.array(expected).tobytes()
+        [cell] = score_policy(trained, normalizer, 3, [(0.1, 7)])
+        assert np.array(cell.returns).tobytes() == np.array(expected).tobytes()
 
-    def test_deterministic(self, trained):
-        a = score_policy(trained.policy, ENV, 0.05, 2, seed=4)
-        b = score_policy(trained.policy, ENV, 0.05, 2, seed=4)
-        assert np.array_equal(a, b)
+    def test_deterministic(self, trained, normalizer):
+        a = score_policy(trained, normalizer, 2, [(0.05, 4)])
+        b = score_policy(trained, normalizer, 2, [(0.05, 4)])
+        assert a == b
 
-    def test_seed_changes_returns(self, trained):
-        a = score_policy(trained.policy, ENV, 0.05, 2, seed=4)
-        b = score_policy(trained.policy, ENV, 0.05, 2, seed=5)
-        assert not np.array_equal(a, b)
+    def test_seed_changes_returns(self, trained, normalizer):
+        a, b = score_policy(trained, normalizer, 2, [(0.05, 4), (0.05, 5)])
+        assert a.returns != b.returns
+
+    def test_works_without_density_models(self, plain, normalizer):
+        cells = score_policy(plain, normalizer, 2, [(0.0, 0), (0.1, 0)])
+        assert [(c.sigma, c.seed, c.updates, len(c.returns)) for c in cells] == \
+            [(0.0, 0, 0, 2), (0.1, 0, 0, 2)]
 
 
 # ------------------------------------------------------------ cell contract
 
 
+def adaptive(artifacts, normalizer, expert, episodes=2, adapt="always",
+             cell=(0.2, 0, KAPPA_THRESHOLD)):
+    """evaluate_cell with the arguments these tests do not vary filled in."""
+    return evaluate_cell(artifacts, normalizer, expert, episodes, adapt, 50,
+                         small_update(), cell)
+
+
 class TestEvaluateCell:
-    def test_off_cell_works_without_density_models(self, plain, normalizer):
-        cell = evaluate_cell(plain, normalizer, sigma=0.0, seed=0, episodes=2)
-        assert cell.updates == 0
-        assert len(cell.returns) == 2
+    def test_score_and_stability_consistent_with_raw_returns(self, trained, normalizer,
+                                                             demo_paths):
+        _, expert = demo_paths
+        cells = score_policy(trained, normalizer, 3, [(0.1, 2)]) + \
+            [adaptive(trained, normalizer, expert, 3, cell=(0.1, 2, 0.6))]
+        for cell in cells:
+            assert cell.mean_return == pytest.approx(np.mean(cell.returns))
+            assert cell.score == normalized_score(cell.mean_return, normalizer)
+            assert cell.stability == stability_metric(cell.returns)
+        assert cells[1].updates > 0
 
-    def test_score_and_stability_consistent_with_raw_returns(self, trained, normalizer):
-        cell = evaluate_cell(trained, normalizer, sigma=0.1, seed=2, episodes=3)
-        assert cell.mean_return == pytest.approx(np.mean(cell.returns))
-        assert cell.score == normalized_score(cell.mean_return, normalizer)
-        assert cell.stability == stability_metric(cell.returns)
+    def test_adaptive_cell_requires_expert_demos(self, trained, normalizer,
+                                                 pool_sizes, monkeypatch):
+        """The sweep refuses an adaptive run without demos before any cell
+        runs or any worker pool starts."""
+        def no_cell(*args, **kwargs):
+            raise AssertionError("run_online called before the sweep was checked")
 
-    def test_adaptive_cell_requires_expert_demos(self, trained, normalizer):
+        monkeypatch.setattr(evaluation, "run_online", no_cell)
         with pytest.raises(ConfigError, match="expert demos"):
-            evaluate_cell(trained, normalizer, 0.1, 0, 2, adapt="on")
+            noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2, episodes=2,
+                        adapt="on", jobs=2)
+        with pytest.raises(ConfigError, match="expert demos"):
+            grid_search_kth(trained, None, normalizer, 0.1, candidates=(0.0, 0.5),
+                            runs=2, episodes=2, jobs=2)
+        assert pool_sizes == []
 
-    def test_validation(self, trained, normalizer):
-        with pytest.raises(ConfigError, match="sigma"):
-            evaluate_cell(trained, normalizer, -0.1, 0, 2)
-        with pytest.raises(ConfigError, match="episodes"):
-            evaluate_cell(trained, normalizer, 0.1, 0, 1)
+    def test_validation(self, trained, normalizer, demo_paths):
+        _, expert = demo_paths
+        for adapt in ("off", "on"):
+            with pytest.raises(ConfigError, match="sigma"):
+                noise_sweep(trained, normalizer, sigmas=(-0.1,), runs=1, episodes=2,
+                            adapt=adapt, expert_demos=expert)
+            with pytest.raises(ConfigError, match="episodes"):
+                noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=1,
+                            adapt=adapt, expert_demos=expert)
         with pytest.raises(ConfigError, match="adapt"):
-            evaluate_cell(trained, normalizer, 0.1, 0, 2, adapt="sometimes")
+            noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=2,
+                        adapt="sometimes", expert_demos=expert)
+        # a cell called on its own still refuses what run_online refuses
+        with pytest.raises(ConfigError, match="sigma"):
+            adaptive(trained, normalizer, expert, cell=(-0.1, 0, 0.6))
+        with pytest.raises(ConfigError, match="adapt"):
+            adaptive(trained, normalizer, expert, adapt="sometimes")
 
     def test_adaptive_cell_never_mutates_caller_artifacts(self, trained,
                                                           normalizer, demo_paths):
         _, expert = demo_paths
         before = (trained.policy.mean_net.weights[0].tobytes(),
                   trained.discriminator.net.weights[0].tobytes())
-        cell = evaluate_cell(trained, normalizer, 0.2, 0, 2, adapt="always",
-                             expert_demos=expert, patience=50,
-                             update_config=small_update())
+        cell = adaptive(trained, normalizer, expert)
         after = (trained.policy.mean_net.weights[0].tobytes(),
                  trained.discriminator.net.weights[0].tobytes())
         assert cell.updates > 0
@@ -390,10 +423,37 @@ class TestNoiseSweep:
 # ------------------------------------------------ the sweep-wide lock-step loop
 
 
+def oracle_cell(sigma, seed, returns, normalizer, updates=0):
+    """A SweepCell assembled from one cell's per-episode returns."""
+    mean_return = float(np.mean(returns))
+    return SweepCell(sigma=sigma, seed=seed, returns=tuple(float(r) for r in returns),
+                     mean_return=mean_return,
+                     score=normalized_score(mean_return, normalizer),
+                     stability=stability_metric(returns), updates=updates)
+
+
 def cell_by_cell(artifacts, normalizer, sigmas, runs, episodes):
-    """The oracle: evaluate_cell on each (sigma, seed) cell in turn."""
-    return tuple(evaluate_cell(artifacts, normalizer, s, seed, episodes)
-                 for s in sigmas for seed in range(runs))
+    """The oracle of a frozen-policy sweep: each (sigma, seed) cell in turn
+    through play_episodes_oracle, a per-step loop that shares no code with
+    the lock-step loop."""
+    env_id = artifacts.config.env_id
+    return tuple(oracle_cell(s, seed, play_episodes_oracle(
+        lambda: artifacts.policy, env_id, s, episodes, seed), normalizer)
+        for s in sigmas for seed in range(runs))
+
+
+def online_cell_by_cell(artifacts, expert, normalizer, cells, episodes, adapt,
+                        patience, update_config=None):
+    """The oracle of an adaptive sweep: run_online on a deep copy of the
+    artifacts for each (sigma, seed, kappa_threshold) cell in turn."""
+    out = []
+    for sigma, seed, kth in cells:
+        result = run_online(copy.deepcopy(artifacts), expert, sigma, episodes,
+                            adapt=adapt, seed=seed, kappa_threshold=kth,
+                            patience=patience, update_config=update_config)
+        out.append(oracle_cell(sigma, seed, result.episode_returns, normalizer,
+                               result.update_invocations))
+    return tuple(out)
 
 
 def pendulum_artifacts():
@@ -481,6 +541,34 @@ class TestSweepLoop:
         assert max(loops) - min(loops) <= 1
         assert pool_sizes == ([] if jobs == 1 else [chunks])
 
+    @pytest.mark.parametrize("adapt", ["on", "always"])
+    def test_adaptive_sweep_matches_online_runs_cell_by_cell(self, trained, normalizer,
+                                                             demo_paths, adapt):
+        _, expert = demo_paths
+        report = noise_sweep(trained, normalizer, sigmas=(0.2, 0.0), runs=2, episodes=2,
+                             adapt=adapt, expert_demos=expert, base_seed=3,
+                             kappa_threshold=0.6, patience=40)
+        want = online_cell_by_cell(trained, expert, normalizer,
+                                   [(s, seed, 0.6) for s in (0.2, 0.0) for seed in (3, 4)],
+                                   2, adapt, 40)
+        assert report.cells == want
+        assert sum(c.updates for c in report.cells) > 0
+
+    def test_grid_matches_online_runs_cell_by_cell(self, trained, normalizer, demo_paths):
+        _, expert = demo_paths
+        candidates = (0.0, 0.6, 1.0)
+        report = grid_search_kth(trained, expert, normalizer, sigma=0.2,
+                                 candidates=candidates, runs=2, episodes=2, patience=3,
+                                 update_config=small_update())
+        want = online_cell_by_cell(trained, expert, normalizer,
+                                   [(0.2, seed, t) for t in candidates for seed in (0, 1)],
+                                   2, "on", 3, small_update())
+        for i, row in enumerate(report.rows):
+            group = want[2 * i:2 * i + 2]
+            assert row.scores == tuple(c.score for c in group)
+            assert row.updates == tuple(c.updates for c in group)
+        assert sum(report.rows[-1].updates) > 0
+
     def test_worker_pool_is_no_larger_than_the_tasks(self, trained, normalizer,
                                                      demo_paths, pool_sizes):
         """--jobs 64 on two cells asks for two workers, adaptive or not, and
@@ -493,6 +581,39 @@ class TestSweepLoop:
                         runs=2, episodes=2, jobs=64)
         noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=2, jobs=64)
         assert pool_sizes == [2, 2, 2]
+
+    def test_each_task_runs_through_its_module_attribute(self, trained, normalizer,
+                                                         demo_paths, pool_sizes,
+                                                         monkeypatch):
+        """A tracer that swaps evaluation.score_policy and evaluate_cell for
+        wrappers sees one score_policy call per chunk of an adapt-off sweep
+        and one evaluate_cell call per adaptive or grid cell."""
+        _, expert = demo_paths
+        calls = {"score_policy": 0, "evaluate_cell": 0}
+
+        def counted(name):
+            fn = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        counted("score_policy")
+        counted("evaluate_cell")
+        monkeypatch.setattr(evaluation, "LOCKSTEP_ROWS", 10)
+        noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=3, episodes=4)
+        assert calls == {"score_policy": 3, "evaluate_cell": 0}
+        noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=3, episodes=2, jobs=2)
+        assert calls == {"score_policy": 5, "evaluate_cell": 0}
+        for adapt in ("on", "always"):
+            noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2, episodes=2,
+                        adapt=adapt, expert_demos=expert, patience=201)
+        grid_search_kth(trained, expert, normalizer, sigma=0.1, candidates=(0.0, 0.5),
+                        runs=3, episodes=2, patience=201, update_config=small_update(),
+                        jobs=2)
+        assert calls == {"score_policy": 5, "evaluate_cell": 4 + 4 + 6}
+        assert pool_sizes == [2, 2]
 
 
 # ------------------------------------------------------------- grid search

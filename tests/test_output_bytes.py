@@ -6,11 +6,14 @@ updates, a `run-online --adapt always` call, `run-online --adapt on` (15
 triggered updates) and `--adapt off` calls at sigma 0, and a `gen-refs` run
 feeding an `evaluate --adapt off` sweep whose 20-episode cells end episodes
 at many different steps, some at the horizon, are run from a relative
-layout. On pendulum1, where no episode ends early, a `train-offline` run
-feeds `gen-refs` and an `evaluate --adapt off` sweep. The sha256 of every
-file these and the `gen-data` calls write is compared, with `wall_ms`
-masked, against the digests below. A speed change that claims
-byte-identical outputs must keep this test green as it stands.
+layout. The adaptive sweeps follow: an `evaluate --adapt on` sweep in
+which every cell triggers updates, a `grid-kth` run over every candidate
+threshold, and a `tier-ablation` over two supplementary mixes. On
+pendulum1, where no episode ends early, a `train-offline` run feeds
+`gen-refs` and an `evaluate --adapt off` sweep. The sha256 of every file
+these and the `gen-data` calls write is compared, with `wall_ms` masked,
+against the digests below. A speed change that claims byte-identical
+outputs must keep this test green as it stands.
 
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently. A change that means to alter these bytes
@@ -55,9 +58,24 @@ COMMANDS = (
     ["evaluate", "--artifacts", "art", "--refs", "refs.txt", "--adapt", "off",
      "--sigmas", "0.0,0.2", "--runs", "2", "--episodes", "20", "--seed", "7",
      "--out", "sweep"],
+    ["evaluate", "--artifacts", "art", "--refs", "refs.txt", "--adapt", "on",
+     "--sigmas", "0.0,0.2", "--runs", "2", "--episodes", "3", "--kth", "0.6",
+     "--seed", "1", "--out", "sweep_on"],
+    ["grid-kth", "--artifacts", "art", "--refs", "refs.txt", "--sigma", "0.2",
+     "--runs", "1", "--episodes", "2", "--seed", "1", "--out", "grid"],
+    ["gen-data", "--env", "pointmass2d", "--tier", "medium,random", "--episodes", "6",
+     "--seed", "5", "--out", "rich.demos"],
+    ["tier-ablation", "--config", "train.cfg", "--set", "ref_steps=50",
+     "--set", "disc_steps=100", "--set", "bc_steps=100", "--mix", "me=medium.demos",
+     "--mix", "memr=rich.demos", "--refs", "refs.txt", "--sigmas", "0.0,0.2",
+     "--runs", "2", "--episodes", "3", "--seed", "7", "--out", "ablation"],
 )
 
 DIGESTS = {
+    "ablation/manifest.txt": "ee285994df9667a70af0beacddc2d33f6bae7da4bee2f03df36a8eb98e527e1c",
+    "ablation/plot.txt": "2fb4a4e19498521289f02eed9cd85b2f906a2b9e1685b0ad25267cf8b0a484f3",
+    "ablation/records.txt": "a8e0886c236ba1ff10e060774fd3b1f301f4c7052f1a01bcd426edce59beef89",
+    "ablation/summary.txt": "e3847338b2abf5f956a965041e1250d4ad33527caf31928d4e39b4752c8d7e63",
     "art/config.txt": "cbb9ce05d81fa0260b6da65c270878d41e88669bd81c8320acc3a6ed1510b120",
     "art/discriminator.ckpt": "23305b1fff500be117da845fcab71b4d1987586a20251b4d6cdff51694d4f22f",
     "art/gmm_expert.ckpt": "269fd736d06258f12f1107a3282b55bcfef04bc7e764a7c0f8d607920ad967df",
@@ -78,6 +96,10 @@ DIGESTS = {
     "art_noreg/ref_policy_supp.ckpt": "0fab130dd8f0448eb458da9e6c3c4b3ebf707c549fd8ecd29291d2f1f2fd955d",
     "expert.demos": "d3f6d8283fd95302891128830959f368cf3be406e462a836edee9398f5966290",
     "expert.demos.manifest": "39a0711682956f2a76f0c2447a8a4a876b9a431a7d57ebef12152c7366dd00c5",
+    "grid/manifest.txt": "54ebaef963accc1521920c4b64e63fb8288e6430317f5190004a0d9916134720",
+    "grid/plot.txt": "ba02e62cd8b1454189d53f843c55d7aa3aaa71c56e8b88aa2fedcff30a3cb8b6",
+    "grid/records.txt": "93a6c88a94122a410c00314710b33420d4d07f3b8293eeb3c6117661e7b02f29",
+    "grid/summary.txt": "2104e082e1617ed34aa4821ecbca1fc9ee9ae328dcd367e3b1329d2e0c5d7c18",
     "medium.demos": "ecebca0412738c50152ee4205b67caf0f86523a74ca1da82f7bedf7b97a4e8ff",
     "medium.demos.manifest": "91b231842b7e26e6614b10ab15d997ea1f9c183c18d3d10db38511714cc42d9c",
     "online/manifest.txt": "fb6906f61420a54fa5c085ebc2f25295463a17d6a1d1f1fee3a1ef532199f4e8",
@@ -94,10 +116,16 @@ DIGESTS = {
     "online_sigma0_off/triggers.log": "4caba24a94dca1d4b2b68959f986abf85be0c181a05b3db12827a47a23e69605",
     "refs.txt": "25f6fd4db92825ee30004e2ac6865d5ebe01478a2920f51aae73fbf1236ae659",
     "refs.txt.manifest": "a981d2b4d3a3b1bdcbf469c6a689781b349d4706574e3d5acad99d39ef926f38",
+    "rich.demos": "b367047e88337ef098d01b9c58f08a20ac85f0a4d6176e595c139ee3fbfd3862",
+    "rich.demos.manifest": "1a31da97ce8af6ff2a1aef205fe18e5d6ece852c8994954f6eeace5c100197ba",
     "sweep/manifest.txt": "2c1796db3cef8941ae67af9bf8023fb31717f88d76c7fa57b62af0e608515b0c",
     "sweep/plot.txt": "14f16416740ba26839caed3328b41ed54f354b4a545670eab59d3f3dba2e50dd",
     "sweep/records.txt": "ef39129f06662356fbe1a2d56de530e7b2ce32cd72472448dd823acb4d2f9056",
     "sweep/summary.txt": "bd8e0450bda00946022595e5340731824979471254b319b962052abcf72c0b30",
+    "sweep_on/manifest.txt": "1524c85833b68b15098804a74228d67386b298813deca0b54f3a9e23d1619cee",
+    "sweep_on/plot.txt": "5f8dc1be129aae16d7152f41a9af0371bc60691778b9b778887f41941399609a",
+    "sweep_on/records.txt": "d4b448dbfad8bd9c60fc5d2527e240a6d14259898270948e2b1fa510c9f7031a",
+    "sweep_on/summary.txt": "d64d1f9c5489f59e5a4381a4cb0a8b775c0846b50b4e70122a3528316ac3d624",
     "train.cfg": "5178fb7ba44c19660c0a724fb8121b5ceb7c6cd492c2f2ae5c869cd0f5498c1f",
 }
 
@@ -161,6 +189,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     for argv in COMMANDS:
         assert main(argv) == EXIT_OK, argv
     assert "triggered=1" in Path("online/triggers.log").read_text()
+    assert " updates=0" not in Path("sweep_on/records.txt").read_text()
     found = masked_digests(tmp_path)
     assert sorted(found) == sorted(DIGESTS)
     differ = [name for name in DIGESTS if found[name] != DIGESTS[name]]
