@@ -291,6 +291,8 @@ def load_demoset(path) -> DemoSet:
                         f"samples, found {n_full} ({missing} bytes missing)")
     rows = rec.rows(dtype, declared)
     rec.finish()
+    if not (np.all(np.isfinite(rows["s"])) and np.all(np.isfinite(rows["a"]))):
+        raise DataError(f"{path}: demo states and actions must be finite")
     start = 0
     for run in runs:
         found = np.unique(rows["ep"][start:start + run.samples]).size

@@ -471,5 +471,8 @@ def load_discriminator(path) -> tuple[DiscriminatorModel, dict]:
     rec = RecordReader(path, "disc")
     clip_lo = rec.field("clip_lo", float)
     clip_hi = rec.field("clip_hi", float)
+    if not 0.0 < clip_lo < clip_hi < 1.0:
+        raise DataError(f"{path}: clip bounds need 0 < clip_lo < clip_hi < 1, "
+                        f"got {clip_lo!r} and {clip_hi!r}")
     model = DiscriminatorModel(net=rec.net(), clip_lo=clip_lo, clip_hi=clip_hi)
     return model, rec.finish()

@@ -311,6 +311,8 @@ def run_lockstep(spec: EnvSpec, act_rows, cells, episodes: int) -> np.ndarray:
     """
     if episodes < 1:
         raise ConfigError("episodes must be positive")
+    for sigma, _ in cells:
+        check_sigma(sigma)
     env_rngs, obs_blocks, act_blocks = zip(*(episode_noise(spec, seed, ep, sigma)
                                              for sigma, seed in cells
                                              for ep in range(episodes)))

@@ -552,14 +552,18 @@ class RecordReader:
         return self.rows("<f8", math.prod(shape)).reshape(shape)
 
     def net(self) -> MlpNetwork:
-        """The net written with net_fields, from the next payload bytes."""
+        """The net written with net_fields, from the next payload bytes; a
+        non-finite parameter is refused."""
         dims = self.field("layer_dims", lambda v: tuple(int(d) for d in v.split(",")))
         activation = self.field("activation")
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise DataError(f"{self.path}: layer_dims must be >= 2 positive entries, got {dims}")
         if activation not in ACTIVATIONS:
             raise DataError(f"{self.path}: unknown activation {activation!r}")
-        views = split_params(self.floats((param_count(dims),)), dims)
+        params = self.floats((param_count(dims),))
+        if not np.all(np.isfinite(params)):
+            raise DataError(f"{self.path}: network parameters must be finite")
+        views = split_params(params, dims)
         return MlpNetwork(dims, views[0::2], views[1::2], activation)
 
     def finish(self) -> dict:

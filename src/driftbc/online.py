@@ -2,17 +2,19 @@
 bounded experience collection, and triggered discriminator + policy refreshes.
 
 The inference loop is strictly sequential: observe, score, act, maybe update.
-A state's shift score is the mean of the two state-density membership scores,
-computed on the observed (possibly noisy) state, since that is all the agent
-sees at inference time. Updates train clones and swap them in only on success,
-so a failed update leaves the deployed models bit-identical.
+One OnlineRun holds a run's state: run_online scores each observed state with
+OnlineRun.score and passes it through OnlineRun.gate. A state's shift score
+is the mean of the two state-density membership scores, computed on the
+observed (possibly noisy) state, since that is all the agent sees at
+inference time. Updates train clones and swap them in only on success, so a
+failed update leaves the deployed models bit-identical.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,31 +70,6 @@ class ExperienceRing:
         return tuple(arr[order] for arr in (self.states, self.actions, self.scores))
 
 
-@dataclass
-class ShiftDetector:
-    """Counts consecutive low-score steps and collects online experience.
-
-    The buffer holds the last buffer_capacity (state, action, score) triples;
-    it is not cleared by a trigger, so later updates see the accumulated
-    recent experience.
-    """
-
-    kappa_threshold: float = KAPPA_THRESHOLD
-    patience: int = PATIENCE
-    buffer_capacity: int = BUFFER_CAPACITY
-    consecutive_count: int = 0
-    buffer: ExperienceRing = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa_threshold <= 1.0:
-            raise ConfigError("kappa_threshold must lie in [0, 1]")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if self.buffer_capacity < 1:
-            raise ConfigError("buffer_capacity must be at least 1")
-        self.buffer = ExperienceRing(self.buffer_capacity)
-
-
 def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
     """Mean of the two calibrated membership scores; scalar for a single
     state, (N,) for a batch."""
@@ -100,10 +77,10 @@ def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
     return float(score) if np.ndim(score) == 0 else score
 
 
-def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
-    """Patience-gated trigger rule: a low score extends the current run and
-    stores the experience; an in-distribution score resets the run. Returns
-    True when the run reaches the patience length, resetting the count."""
+def observe_step(detector: OnlineRun, s, a, kappa_value: float) -> bool:
+    """An online run's patience gate: a score below its kappa_threshold
+    extends the run of low scores and stores the experience; any other score
+    resets the count. True when the count reaches patience, resetting it."""
     if kappa_value < detector.kappa_threshold:
         detector.consecutive_count += 1
         detector.buffer.append(s, a, kappa_value)
@@ -115,8 +92,9 @@ def observe_step(detector: ShiftDetector, s, a, kappa_value: float) -> bool:
     return False
 
 
-def buffer_snapshot(detector: ShiftDetector):
-    """Freeze the buffer into (states, actions, scores) arrays, oldest first."""
+def buffer_snapshot(detector: OnlineRun):
+    """Freeze an online run's experience ring into (states, actions, scores)
+    arrays, oldest first."""
     if not detector.buffer:
         raise DataError("online experience buffer is empty")
     return detector.buffer.snapshot()
@@ -214,18 +192,6 @@ class StepRecord:
     update_wall_ms: int
 
 
-@dataclass
-class OnlineResult:
-    episode_returns: np.ndarray
-    records: list[StepRecord]
-    update_invocations: int = 0
-    failed_updates: int = 0
-
-    @property
-    def update_wall_ms_total(self) -> int:
-        return sum(r.update_wall_ms for r in self.records)
-
-
 def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int,
                   on_step=None) -> np.ndarray:
     """Per-episode returns of policy_of() acting under observation noise sigma.
@@ -248,66 +214,88 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
     return returns
 
 
-def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
-               episodes: int, adapt: str = "on", seed: int = 0,
-               kappa_threshold: float = KAPPA_THRESHOLD, patience: int = PATIENCE,
-               update_config: OnlineUpdateConfig | None = None) -> OnlineResult:
-    """Roll episodes under observation noise, scoring every observed state.
-
-    adapt="on" uses the patience gate; "always" stores every step and updates
-    every patience steps of the run unconditionally; "off" only logs.
-    Updates happen mid-episode and block the loop. The consecutive count
-    starts fresh each episode since a reset breaks any ongoing shift run.
-    Mutates artifacts.policy / artifacts.discriminator under on/always.
+class OnlineRun:
+    """One online run: its patience count, experience ring, update workspace,
+    step log and update counts. score(obs) is an observed state's kappa;
+    gate(ep, t, obs, action, k) applies the adapt mode's trigger rule to the
+    step, runs the update if it fires and logs the step. adapt="on" uses the
+    patience gate, whose count starts afresh each episode; "always" stores
+    every step and updates every patience steps of the run; "off" only logs.
+    The ring keeps the last BUFFER_CAPACITY (state, action, score) triples
+    across triggers. Updates replace artifacts.policy / .discriminator.
     """
-    envs.check_sigma(sigma)
-    if adapt not in ADAPT_MODES:
-        raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
-    if episodes < 1:
-        raise ConfigError("episodes must be positive")
-    if artifacts.gmm_expert is None or artifacts.gmm_supp is None:
-        raise ConfigError("online run needs both state-density artifacts")
-    if update_config is None:
-        update_config = OnlineUpdateConfig()
 
-    detector = ShiftDetector(kappa_threshold=kappa_threshold, patience=patience)
-    # one workspace serves every update of the run; without a discriminator
-    # the first update raises online_update's ConfigError
-    workspace = None
-    if adapt != "off" and artifacts.discriminator is not None:
-        workspace = UpdateWorkspace(
-            artifacts, np.shape(expert_demos.states)[0] + detector.buffer_capacity)
-    records: list[StepRecord] = []
-    result = OnlineResult(episode_returns=np.zeros(episodes), records=records)
+    def __init__(self, artifacts: OfflineArtifacts, expert_demos: DemoSet,
+                 sigma: float, episodes: int, adapt: str = "on", seed: int = 0,
+                 kappa_threshold: float = KAPPA_THRESHOLD, patience: int = PATIENCE,
+                 update_config: OnlineUpdateConfig | None = None):
+        envs.check_sigma(sigma)
+        if adapt not in ADAPT_MODES:
+            raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
+        if episodes < 1:
+            raise ConfigError("episodes must be positive")
+        if artifacts.gmm_expert is None or artifacts.gmm_supp is None:
+            raise ConfigError("online run needs both state-density artifacts")
+        if not 0.0 <= kappa_threshold <= 1.0:
+            raise ConfigError("kappa_threshold must lie in [0, 1]")
+        if patience < 1:
+            raise ConfigError("patience must be at least 1")
+        self.artifacts, self.expert_demos = artifacts, expert_demos
+        self.adapt, self.seed = adapt, seed
+        self.kappa_threshold, self.patience = kappa_threshold, patience
+        self.update_config = update_config or OnlineUpdateConfig()
+        self.consecutive_count = 0
+        self.buffer = ExperienceRing(BUFFER_CAPACITY)
+        # one workspace for every update; online_update refuses a missing discriminator
+        self.workspace = None
+        if adapt != "off" and artifacts.discriminator is not None:
+            self.workspace = UpdateWorkspace(
+                artifacts, np.shape(expert_demos.states)[0] + BUFFER_CAPACITY)
+        self.episode_returns = np.zeros(episodes)
+        self.records: list[StepRecord] = []
+        self.update_invocations = self.failed_updates = 0
 
-    def score_and_adapt(ep, t, state, obs, action, reward):
+    @property
+    def update_wall_ms_total(self) -> int:
+        return sum(r.update_wall_ms for r in self.records)
+
+    def score(self, obs) -> float:
+        return kappa(obs, self.artifacts.gmm_expert, self.artifacts.gmm_supp)
+
+    def gate(self, ep: int, t: int, obs, action, k: float) -> None:
         if t == 0:
-            detector.consecutive_count = 0
-        k = kappa(obs, artifacts.gmm_expert, artifacts.gmm_supp)
-        if adapt == "on":
-            triggered = observe_step(detector, obs, action, k)
-        elif adapt == "always":
-            detector.buffer.append(obs, action, k)
+            self.consecutive_count = 0
+        triggered = self.adapt == "on" and observe_step(self, obs, action, k)
+        if self.adapt == "always":
+            self.buffer.append(obs, action, k)
             # this step is step len(records) + 1 of the run
-            triggered = (len(records) + 1) % detector.patience == 0
-        else:
-            triggered = False
+            triggered = (len(self.records) + 1) % self.patience == 0
         wall = 0
         if triggered:
             watch = Stopwatch()
-            ok = online_update(artifacts, buffer_snapshot(detector), expert_demos,
-                               update_config, seed, result.update_invocations,
-                               workspace)
+            ok = online_update(self.artifacts, buffer_snapshot(self), self.expert_demos,
+                               self.update_config, self.seed, self.update_invocations,
+                               self.workspace)
             wall = watch.ms()
-            result.update_invocations += 1
-            if not ok:
-                result.failed_updates += 1
-        records.append(StepRecord(ep, t, k, triggered, wall))
+            self.update_invocations += 1
+            self.failed_updates += not ok
+        self.records.append(StepRecord(ep, t, k, triggered, wall))
 
-    result.episode_returns = play_episodes(
+
+def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
+               episodes: int, adapt: str = "on", seed: int = 0,
+               kappa_threshold: float = KAPPA_THRESHOLD, patience: int = PATIENCE,
+               update_config: OnlineUpdateConfig | None = None) -> OnlineRun:
+    """Roll episodes under observation noise through one OnlineRun, and
+    return it. Updates block the loop; an updated policy acts from the next
+    step on."""
+    run = OnlineRun(artifacts, expert_demos, sigma, episodes, adapt, seed,
+                    kappa_threshold, patience, update_config)
+    run.episode_returns = play_episodes(
         lambda: artifacts.policy, artifacts.config.env_id, sigma, episodes, seed,
-        score_and_adapt)
-    return result
+        lambda ep, t, state, obs, action, reward:
+            run.gate(ep, t, obs, action, run.score(obs)))
+    return run
 
 
 # ------------------------------------------------------------- trigger log

@@ -281,6 +281,9 @@ def load_policy(path) -> tuple[GaussianPolicy, dict]:
                         f"with layer_dims {net.layer_dims}")
     log_std, low, high = (rec.floats((action_dim,)) for _ in range(3))
     extras = rec.finish()
+    if not np.all((LOG_STD_MIN <= log_std) & (log_std <= LOG_STD_MAX)):
+        raise DataError(f"{path}: log_std {log_std.tolist()} lies outside "
+                        f"[{LOG_STD_MIN}, {LOG_STD_MAX}]")
     pol = GaussianPolicy(
         mean_net=net, log_std=log_std, action_low=low, action_high=high,
         provenance="" if provenance == "-" else provenance,

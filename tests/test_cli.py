@@ -12,7 +12,7 @@ import pytest
 from driftbc.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          build_parser, main)
 from driftbc.configio import load_config, mask_wall_times, read_manifest
-from driftbc.demos import load_demoset, load_reference_returns
+from driftbc.demos import load_demoset, load_reference_returns, save_demoset
 from driftbc.errors import NumericError
 from driftbc.online import parse_trigger_log, validate_trigger_log
 from driftbc.verify import CheckResult
@@ -189,6 +189,26 @@ class TestTrainOffline:
                      "--out", str(tmp_path / "art4")])
         assert code == EXIT_USAGE
         assert "missing demo file" in capsys.readouterr().err
+
+    def test_non_finite_expert_state_exits_2_before_training(self, ws, tmp_path,
+                                                            capsys, monkeypatch):
+        """An inf demo state used to train on to a numeric abort (exit 3)."""
+        import driftbc.offline as offline_mod
+
+        def refuse(*args, **kw):
+            raise AssertionError("a reference policy was trained")
+
+        expert = load_demoset(ws["expert"])
+        expert.states[0, 0] = float("inf")
+        bad = tmp_path / "inf.demos"
+        save_demoset(bad, expert)
+        monkeypatch.setattr(offline_mod, "train_reference_policy", refuse)
+        code = main(["train-offline", "--config", str(ws["config"]),
+                     "--set", f"expert_demos={bad}", "--out", str(tmp_path / "bad")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err and "must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
 
     def test_numeric_abort_exits_3(self, ws, tmp_path, capsys, monkeypatch):
         import driftbc.cli as cli_mod

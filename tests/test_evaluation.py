@@ -237,6 +237,18 @@ class TestScorePolicy:
         a, b = score_policy(trained, normalizer, 2, [(0.05, 4), (0.05, 5)])
         assert a.returns != b.returns
 
+    @pytest.mark.parametrize("bad", [-0.1, -1e-12, math.nan, math.inf])
+    def test_bad_sigma_in_any_cell_is_refused_before_any_reset(self, trained, normalizer,
+                                                              monkeypatch, bad):
+        """A negative sigma used to flip the observation noise's sign and
+        score the cell without a word."""
+        def no_reset(*args):
+            raise AssertionError("an episode was reset")
+
+        monkeypatch.setattr(envs, "reset", no_reset)
+        with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
+            score_policy(trained, normalizer, 2, [(0.1, 0), (bad, 1)])
+
     def test_works_without_density_models(self, plain, normalizer):
         cells = score_policy(plain, normalizer, 2, [(0.0, 0), (0.1, 0)])
         assert [(c.sigma, c.seed, c.updates, len(c.returns)) for c in cells] == \

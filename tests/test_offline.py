@@ -1,5 +1,6 @@
 """Offline trainer: staging, ablation flags, artifact storage, error paths."""
 
+import copy
 import dataclasses
 import os
 import re
@@ -444,6 +445,22 @@ def test_load_requires_stamp(small_run, tmp_path, name):
     offline.save_offline_artifacts(out, art)
     restamp(os.path.join(out, name), None)
     with pytest.raises(DataError, match=rf"{re.escape(name)}.*no config hash"):
+        offline.load_offline_artifacts(out)
+
+
+@pytest.mark.parametrize("name, attr", [(row[0], row[1]) for row in offline.CHECKPOINTS
+                                        if row[1] not in ("gmm_expert", "gmm_supp")])
+def test_load_refuses_a_non_finite_net_parameter(small_run, tmp_path, name, attr):
+    """The policy, both reference policies and the discriminator: one nan
+    weight makes every action or weight it gives nan."""
+    _, art = small_run
+    art = copy.deepcopy(art)
+    model = getattr(art, attr)
+    params = model.net.params if attr == "discriminator" else model.params
+    params[3] = np.nan
+    out = tmp_path / "run"
+    offline.save_offline_artifacts(out, art)
+    with pytest.raises(DataError, match=rf"{re.escape(name)}: network parameters must be finite"):
         offline.load_offline_artifacts(out)
 
 

@@ -174,17 +174,24 @@ class TestKappaOracle:
 # ---------------------------------------------------------------- detector
 
 
+def detector_run(**kw):
+    """An adapt-on OnlineRun over crafted mixtures and no discriminator, for
+    driving its patience gate and experience ring by hand."""
+    art = offline.OfflineArtifacts(config=None, policy=None,
+                                   gmm_expert=single_gaussian(1.0),
+                                   gmm_supp=single_gaussian(1.0))
+    return online.OnlineRun(art, None, sigma=0.1, episodes=1, **kw)
+
+
 class TestDetector:
     def test_detector_validation(self):
         with pytest.raises(ConfigError, match="kappa_threshold"):
-            online.ShiftDetector(kappa_threshold=1.5)
+            detector_run(kappa_threshold=1.5)
         with pytest.raises(ConfigError, match="patience"):
-            online.ShiftDetector(patience=0)
-        with pytest.raises(ConfigError, match="buffer_capacity"):
-            online.ShiftDetector(buffer_capacity=0)
+            detector_run(patience=0)
 
     def test_nineteen_then_reset_never_triggers(self):
-        det = online.ShiftDetector()
+        det = detector_run()
         s, a = np.zeros(2), np.zeros(1)
         for _ in range(19):
             assert not online.observe_step(det, s, a, 0.1)
@@ -192,7 +199,7 @@ class TestDetector:
         assert det.consecutive_count == 0
 
     def test_trigger_exactly_at_patience(self):
-        det = online.ShiftDetector()
+        det = detector_run()
         s, a = np.zeros(2), np.zeros(1)
         fired = [online.observe_step(det, s, a, 0.1) for _ in range(20)]
         assert fired == [False] * 19 + [True]
@@ -200,13 +207,13 @@ class TestDetector:
         assert len(det.buffer) == 20
 
     def test_alternating_never_triggers(self):
-        det = online.ShiftDetector()
+        det = detector_run()
         s, a = np.zeros(2), np.zeros(1)
         for i in range(200):
             assert not online.observe_step(det, s, a, 0.1 if i % 2 == 0 else 0.9)
 
     def test_score_at_threshold_counts_as_in_distribution(self):
-        det = online.ShiftDetector(kappa_threshold=0.4)
+        det = detector_run(kappa_threshold=0.4)
         s, a = np.zeros(2), np.zeros(1)
         online.observe_step(det, s, a, 0.39)
         online.observe_step(det, s, a, 0.4)
@@ -214,7 +221,7 @@ class TestDetector:
         assert len(det.buffer) == 1  # only the sub-threshold step was stored
 
     def test_buffer_stores_given_state_action_score(self):
-        det = online.ShiftDetector()
+        det = detector_run()
         s = np.array([1.0, 2.0])
         a = np.array([-0.5])
         online.observe_step(det, s, a, 0.25)
@@ -224,14 +231,17 @@ class TestDetector:
         assert online.buffer_snapshot(det)[0][0][0] == 1.0
 
     def test_buffer_evicts_oldest(self):
-        det = online.ShiftDetector(buffer_capacity=5)
+        det = detector_run()
+        det.buffer = online.ExperienceRing(5)
         for i in range(8):
             det.buffer.append(np.array([float(i)]), np.zeros(1), 0.1)
         states, _, _ = online.buffer_snapshot(det)
         assert states[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_direct_construction_honours_capacity(self):
-        det = online.ShiftDetector(buffer_capacity=5)
+        det = detector_run()
+        assert det.buffer.capacity == online.BUFFER_CAPACITY
+        det.buffer = online.ExperienceRing(5)
         for i in range(10):
             det.buffer.append(np.array([float(i), -i]), np.array([i / 10]), i / 20)
         states, actions, scores = online.buffer_snapshot(det)
@@ -243,7 +253,8 @@ class TestDetector:
     @pytest.mark.parametrize("appends", [1, 4, 5, 6, 13])
     def test_snapshot_matches_stacked_history(self, appends):
         # the ring must give exactly what stacking the last 5 appends gives
-        det = online.ShiftDetector(buffer_capacity=5)
+        det = detector_run()
+        det.buffer = online.ExperienceRing(5)
         rng = np.random.default_rng(appends)
         history = [(rng.standard_normal(3), rng.standard_normal(2), rng.uniform())
                    for _ in range(appends)]
@@ -260,10 +271,10 @@ class TestDetector:
 
     def test_snapshot_empty_raises(self):
         with pytest.raises(DataError, match="empty"):
-            online.buffer_snapshot(online.ShiftDetector())
+            online.buffer_snapshot(detector_run())
 
     def test_snapshot_shapes(self):
-        det = online.ShiftDetector()
+        det = detector_run()
         for i in range(4):
             det.buffer.append(np.zeros(3), np.zeros(2), 0.2)
         s, a, k = online.buffer_snapshot(det)
@@ -414,6 +425,34 @@ class TestRunOnline:
         assert np.array_equal(r1.episode_returns, r2.episode_returns)
         assert (configio.mask_wall_times(online.format_trigger_log(r1.records))
                 == configio.mask_wall_times(online.format_trigger_log(r2.records)))
+
+    @pytest.mark.parametrize("adapt, episodes, gate", [
+        ("on", 10, dict(kappa_threshold=0.8, patience=5)),
+        ("always", 3, dict(patience=10))])
+    def test_traced_functions_fire_once_per_step_and_trigger(
+            self, trained, monkeypatch, adapt, episodes, gate):
+        """The benchmark's span recorder replaces online.kappa, online_update
+        and buffer_snapshot through their module attributes, so the run loop
+        must look each up when it calls it: kappa once per step, the other
+        two once per trigger."""
+        art, expert_set = trained
+        calls = dict.fromkeys(("kappa", "online_update", "buffer_snapshot"), 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(online, name, counted(name, getattr(online, name)))
+        res = online.run_online(copy.deepcopy(art), expert_set, 0.2, episodes,
+                                adapt=adapt, seed=4, update_config=tiny_update_config(),
+                                **gate)
+        triggers = sum(r.triggered for r in res.records)
+        assert triggers == res.update_invocations > 0
+        assert calls == {"kappa": len(res.records), "online_update": triggers,
+                         "buffer_snapshot": triggers}
 
     def test_updates_change_behavior_not_gmms(self, trained):
         art, expert_set = trained

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from driftbc import demos, envs
 from driftbc.density import fit_gmm, load_gmm, save_gmm
-from driftbc.discriminator import init_discriminator, load_discriminator, save_discriminator
+from driftbc.discriminator import (DiscriminatorModel, init_discriminator,
+                                   load_discriminator, save_discriminator)
 from driftbc.errors import DataError
-from driftbc.policy import init_policy, load_policy, save_policy
+from driftbc.policy import LOG_STD_MAX, LOG_STD_MIN, init_policy, load_policy, save_policy
 
 LOADERS = {
     "policy": load_policy,
@@ -100,6 +101,74 @@ def test_flipped_header_byte_raises_only_data_error(files, data):
         load(kind, bytes(blob), root)
     except DataError:
         pass
+
+
+class TestImpossibleModels:
+    """The loaders refuse, naming the file, a model or demo set that training
+    could not have made and that would act or score as nan or nonsense."""
+
+    @staticmethod
+    def policy():
+        return init_policy(3, 1, [-2.0], [2.0], hidden_dims=(8,),
+                           rng=np.random.default_rng(2))
+
+    @staticmethod
+    def demoset():
+        return demos.generate_tier(envs.make_spec("pointmass2d"), "random", 2, 0)
+
+    # params is [W0, b0, W1, b1, log_std]: index -2 is the last bias
+    @pytest.mark.parametrize("index, value, message", [
+        (0, np.nan, "network parameters must be finite"),
+        (5, np.inf, "network parameters must be finite"),
+        (-2, -np.inf, "network parameters must be finite"),
+        (-1, 50.0, "log_std"),
+        (-1, LOG_STD_MAX + 1e-9, "log_std"),
+        (-1, LOG_STD_MIN - 1e-9, "log_std"),
+        (-1, np.nan, "log_std"),
+    ], ids=["nan-weight", "inf-weight", "inf-bias", "log-std-50", "above-max",
+            "below-min", "nan-log-std"])
+    def test_policy_refused(self, tmp_path, index, value, message):
+        pol = self.policy()
+        pol.params[index] = value
+        save_policy(tmp_path / "bad.ckpt", pol)
+        with pytest.raises(DataError, match=f"bad.ckpt: {message}"):
+            load_policy(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("log_std", [LOG_STD_MIN, LOG_STD_MAX])
+    def test_policy_at_a_log_std_bound_loads(self, tmp_path, log_std):
+        pol = self.policy()
+        pol.log_std[:] = log_std
+        save_policy(tmp_path / "edge.ckpt", pol)
+        assert load_policy(tmp_path / "edge.ckpt")[0].log_std.tolist() == [log_std]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_discriminator_with_a_non_finite_weight_refused(self, tmp_path, value):
+        model = init_discriminator(3, 1, hidden_dims=(8,), rng=np.random.default_rng(2))
+        model.net.params[7] = value
+        save_discriminator(tmp_path / "bad.ckpt", model)
+        with pytest.raises(DataError, match="bad.ckpt: network parameters must be finite"):
+            load_discriminator(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("clip_lo, clip_hi", [
+        (0.7, 0.2), (0.5, 0.5), (0.0, 0.99), (0.01, 1.0), (-0.1, 0.99),
+        (np.nan, 0.99), (0.01, np.nan)])
+    def test_discriminator_clip_outside_the_unit_interval_refused(self, tmp_path,
+                                                                  clip_lo, clip_hi):
+        model = init_discriminator(3, 1, hidden_dims=(8,), rng=np.random.default_rng(2))
+        model = DiscriminatorModel(net=model.net, clip_lo=clip_lo, clip_hi=clip_hi)
+        save_discriminator(tmp_path / "bad.ckpt", model)
+        with pytest.raises(DataError, match="bad.ckpt: clip bounds need"):
+            load_discriminator(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("column, value", [
+        ("states", np.inf), ("states", -np.inf), ("states", np.nan),
+        ("actions", np.nan), ("actions", np.inf)])
+    def test_demoset_with_a_non_finite_entry_refused(self, tmp_path, column, value):
+        ds = self.demoset()
+        getattr(ds, column)[3, 0] = value
+        demos.save_demoset(tmp_path / "bad.demos", ds)
+        with pytest.raises(DataError, match="bad.demos: demo states and actions must be finite"):
+            demos.load_demoset(tmp_path / "bad.demos")
 
 
 def test_failed_replace_keeps_the_previous_file(tmp_path, monkeypatch):
