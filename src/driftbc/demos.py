@@ -260,7 +260,7 @@ def load_demoset(path) -> DemoSet:
         spec = envs.make_spec(env_id)
         if (spec.state_dim, spec.action_dim) != (state_dim, action_dim):
             raise DataError(
-                f"dimension inconsistency: {env_id} has dims "
+                f"{path}: dimension inconsistency: {env_id} has dims "
                 f"{spec.state_dim}/{spec.action_dim}, header says {state_dim}/{action_dim}")
 
     runs = []
@@ -269,25 +269,25 @@ def load_demoset(path) -> DemoSet:
             tier, eps, samps = part.split(":")
             runs.append(TierRun(tier, int(eps), int(samps)))
         except ValueError:
-            raise DataError(f"malformed tier entry {part!r} in demo header") from None
+            raise DataError(f"{path}: malformed tier entry {part!r} in demo header") from None
         if runs[-1].tier not in TIERS:
-            raise DataError(f"unknown tier {runs[-1].tier!r} in demo header")
+            raise DataError(f"{path}: unknown tier {runs[-1].tier!r} in demo header")
     if sum(r.samples for r in runs) != declared:
-        raise DataError("demo header tier samples do not sum to the declared count")
+        raise DataError(f"{path}: demo header tier samples do not sum to the declared count")
     if sum(r.episodes for r in runs) != episodes:
-        raise DataError("demo header tier episodes do not sum to the declared count")
+        raise DataError(f"{path}: demo header tier episodes do not sum to the declared count")
 
     dtype = _row_dtype(state_dim, action_dim)
     row_size = dtype.itemsize
     n_full, leftover = divmod(len(rec.payload), row_size)
     if leftover and n_full < declared:
         raise DataError(
-            f"demo file ends mid-row: row {n_full} has {leftover} of {row_size} "
+            f"{path}: demo file ends mid-row: row {n_full} has {leftover} of {row_size} "
             f"bytes (need {row_size - leftover} more); a row that narrow would "
             f"not match the declared dims {state_dim}/{action_dim}")
     if n_full < declared:
         missing = (declared - n_full) * row_size
-        raise DataError(f"demo file truncated: header declares {declared} "
+        raise DataError(f"{path}: demo file truncated: header declares {declared} "
                         f"samples, found {n_full} ({missing} bytes missing)")
     rows = rec.rows(dtype, declared)
     rec.finish()
@@ -297,7 +297,7 @@ def load_demoset(path) -> DemoSet:
     for run in runs:
         found = np.unique(rows["ep"][start:start + run.samples]).size
         if found != run.episodes:
-            raise DataError(f"tier run {run.tier}:{run.episodes}:{run.samples} "
+            raise DataError(f"{path}: tier run {run.tier}:{run.episodes}:{run.samples} "
                             f"holds {found} distinct episode ids")
         start += run.samples
     return DemoSet(

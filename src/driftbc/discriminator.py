@@ -54,9 +54,8 @@ def init_discriminator(state_dim: int, action_dim: int, hidden_dims=(64, 64),
     return DiscriminatorModel(net=net)
 
 
-def _concat_sa(states, actions, out=None) -> tuple[np.ndarray, bool]:
-    """The rows [s, a] and whether s, a were one pair; a batch is written
-    into the leading rows of out when given."""
+def _concat_sa(states, actions) -> tuple[np.ndarray, bool]:
+    """The rows [s, a] and whether s, a were one pair."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     single = states.ndim == 1
@@ -68,11 +67,7 @@ def _concat_sa(states, actions, out=None) -> tuple[np.ndarray, bool]:
         raise ShapeError(
             f"batch mismatch: {states.shape[0]} states vs {actions.shape[0]} actions"
         )
-    if out is not None:
-        if states.shape[0] > out.shape[0]:
-            raise ShapeError(f"{states.shape[0]} rows do not fit a workspace of {out.shape[0]}")
-        out = out[:states.shape[0]]
-    return np.concatenate([states, actions], axis=1, out=out), False
+    return np.concatenate([states, actions], axis=1), False
 
 
 def join_rows(states, actions, what: str = "loss batch") -> np.ndarray:
@@ -102,10 +97,8 @@ def _clip_logits(model: DiscriminatorModel, z: np.ndarray):
     return d, active
 
 
-def _forward_clipped(model: DiscriminatorModel, x: np.ndarray,
-                     workspace: MlpWorkspace | None = None):
-    z = forward(model.net, x) if workspace is None else forward_cache(model.net, x, workspace)[-1]
-    return _clip_logits(model, z[:, 0])
+def _forward_clipped(model: DiscriminatorModel, x: np.ndarray):
+    return _clip_logits(model, forward(model.net, x)[:, 0])
 
 
 def _stacked_forward(model: DiscriminatorModel, x: np.ndarray,
@@ -125,19 +118,17 @@ def _backprop_logits(model: DiscriminatorModel, hs, dz: np.ndarray,
     check_finite(model.net, hs, workspace.grad)
 
 
-def disc_forward(model: DiscriminatorModel, s, a, workspace: MlpWorkspace | None = None):
+def disc_forward(model: DiscriminatorModel, s, a):
     """Clipped discriminator output in [clip_lo, clip_hi]; scalar for single
-    inputs, (N,) for batches. A workspace takes the joined rows and the
-    layer outputs of a batch (through forward_cache) in place of new arrays."""
-    x, single = _concat_sa(s, a, None if workspace is None else workspace.inputs)
-    d, _ = _forward_clipped(model, x, workspace)
+    inputs, (N,) for batches."""
+    x, single = _concat_sa(s, a)
+    d, _ = _forward_clipped(model, x)
     return float(d[0]) if single else d
 
 
-def bc_weight(model: DiscriminatorModel, s, a, workspace: MlpWorkspace | None = None):
-    """Odds d/(1-d) of the clipped output; bounded in [lo/(1-lo), hi/(1-hi)].
-    workspace is passed to disc_forward."""
-    d = disc_forward(model, s, a, workspace)
+def bc_weight(model: DiscriminatorModel, s, a):
+    """Odds d/(1-d) of the clipped output; bounded in [lo/(1-lo), hi/(1-hi)]."""
+    d = disc_forward(model, s, a)
     return d / (1.0 - d)
 
 
@@ -302,8 +293,7 @@ def combined_offline_loss(model: DiscriminatorModel, expert_batch, supp_batch,
 def train_discriminator(model: DiscriminatorModel, x_e: np.ndarray, x_s: np.ndarray,
                         w: np.ndarray, steps: int, batch_size: int,
                         learning_rate: float, rng: np.random.Generator,
-                        workspace: MlpWorkspace | None = None, targets=None,
-                        reg_cutoff: int = 0, on_step=None) -> None:
+                        targets=None, reg_cutoff: int = 0, on_step=None) -> None:
     """Adam steps on the expert-vs-other loss, in place on model: the one
     trainer of the offline stage and of every online update. x_e, x_s and w
     are the checked rows and weights that two_class_rows returns.
@@ -314,16 +304,16 @@ def train_discriminator(model: DiscriminatorModel, x_e: np.ndarray, x_s: np.ndar
     targets=(t_e, t_s), checked regularizer targets of the x_e and x_s rows,
     the first batch_size // 2 rows of each class batch follow as the mixed
     rows, and it runs combined_core at reg_weight_at(t, reg_cutoff).
-    workspace (new when None) holds 2 * batch_size + 2 * (batch_size // 2) rows.
+    workspace, built once per call, holds 2 * batch_size + 2 * (batch_size // 2)
+    rows.
     A NumericError of the core or a non-finite loss raises NumericError
     naming the step; on_step(t, loss, reg_weight) runs after each Adam step.
     """
     b, half = batch_size, batch_size // 2
     params = [model.net.params]
     opt = init_adam(params, learning_rate=learning_rate)
-    if workspace is None:
-        workspace = MlpWorkspace(model.net.layer_dims, 2 * (b + half))
-    rows = workspace.inputs[:2 * (b + half)]
+    workspace = MlpWorkspace(model.net.layer_dims, 2 * (b + half))
+    rows = workspace.inputs
     rows_e, rows_s, class_rows = rows[:b], rows[b:2 * b], rows[:2 * b]
     mixed_e, mixed_s = rows[2 * b:2 * b + half], rows[2 * b + half:]
     w_batch, t = np.empty(b), np.empty(2 * half)

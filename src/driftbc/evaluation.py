@@ -23,7 +23,7 @@ from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
 from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
-                     OnlineUpdateConfig, run_online)
+                     OnlineUpdateConfig, check_gate, run_online)
 from .policy import sample_action
 
 # EMA smoothing coefficient for the stability metric; recorded in every
@@ -143,9 +143,11 @@ def _sweep_cell(sigma: float, seed: int, returns, normalizer: ScoreNormalizer,
 
 
 def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
-                 adapt: str, expert_demos: DemoSet | None) -> None:
+                 adapt: str, expert_demos: DemoSet | None,
+                 thresholds: tuple[float, ...] = (), patience: int = PATIENCE) -> None:
     """Reject a sweep's arguments before any cell runs, any worker starts,
-    or any training."""
+    or any training; an adaptive sweep's patience gate at every one of its
+    kappa thresholds."""
     if not sigmas:
         raise ConfigError("noise sweep needs at least one sigma")
     duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
@@ -162,8 +164,11 @@ def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
         raise ConfigError("episodes must be >= 2 so the stability metric is defined")
     if adapt not in ADAPT_MODES:
         raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
-    if adapt != "off" and expert_demos is None:
-        raise ConfigError("adaptive evaluation needs the expert demos for online updates")
+    if adapt != "off":
+        if expert_demos is None:
+            raise ConfigError("adaptive evaluation needs the expert demos for online updates")
+        for threshold in thresholds:
+            check_gate(threshold, patience)
 
 
 def _chunks(cells: list, episodes: int, jobs: int) -> list[list]:
@@ -238,7 +243,8 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     sigmas = tuple(float(s) for s in sigmas)
     if episodes is None:
         episodes = SCORE_EPISODES if adapt == "off" else ADAPT_EPISODES
-    _check_sweep(sigmas, runs, episodes, jobs, adapt, expert_demos)
+    _check_sweep(sigmas, runs, episodes, jobs, adapt, expert_demos,
+                 (kappa_threshold,), patience)
     seeds = tuple(range(base_seed, base_seed + runs))
     if adapt == "off":
         chunks = _run_sweep(partial(score_policy, artifacts, normalizer, episodes),
@@ -361,10 +367,7 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
     candidates = tuple(float(t) for t in candidates)
     if not candidates:
         raise ConfigError("grid search needs at least one candidate threshold")
-    for t in candidates:
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"threshold candidate {t!r} outside [0, 1]")
-    _check_sweep((sigma,), runs, episodes, jobs, "on", expert_demos)
+    _check_sweep((sigma,), runs, episodes, jobs, "on", expert_demos, candidates, patience)
     seeds = tuple(range(base_seed, base_seed + runs))
     cells = _run_sweep(partial(evaluate_cell, artifacts, normalizer, expert_demos,
                                episodes, "on", patience, update_config),

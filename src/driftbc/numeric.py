@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import zlib
 from dataclasses import dataclass, field
 
@@ -167,13 +166,6 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
-def mapped_empty(count: int) -> np.ndarray:
-    """An uninitialised float64 vector of count entries in its own anonymous
-    memory map: its pages cost nothing until written, and it is unmapped,
-    whatever malloc's thresholds, when the last view of it is freed."""
-    return np.frombuffer(mmap.mmap(-1, max(count, 1) * 8), dtype=np.float64, count=count)
-
-
 class MlpWorkspace:
     """Preallocated buffers for one net's forward and backprop over at most
     rows rows: an input block the trainers gather their batches into, every
@@ -185,23 +177,16 @@ class MlpWorkspace:
     buffer. The next call overwrites every buffer, and the layer outputs
     forward_cache returns alias them, so a caller copies what it keeps.
     grad, new when None, may run past the net's parameters: the policy keeps
-    its log_std gradient after the mean net's.
-
-    The row buffers share one block. With mapped set it is an anonymous
-    memory map (see mapped_empty), for a workspace that serves a whole run:
-    as a malloc heap block freed at the run's end, its written pages stayed
-    resident, and one process's resident set grew by about 1 MB per
-    run-online call. A short-lived workspace takes the heap, which hands
-    the same pages back call after call without faulting them in again.
+    its log_std gradient after the mean net's. The row buffers share one
+    heap block; every workspace serves one call (a loss or a trainer run),
+    and the heap hands the same pages back call after call.
     """
 
-    def __init__(self, layer_dims, rows: int, grad: np.ndarray | None = None,
-                 mapped: bool = False):
+    def __init__(self, layer_dims, rows: int, grad: np.ndarray | None = None):
         dims = tuple(int(d) for d in layer_dims)
         self.rows = int(rows)
         widths = (dims[0], *dims[1:], *dims[:-1], *dims[1:-1])
-        size = self.rows * sum(widths)
-        block = mapped_empty(size) if mapped else np.empty(size)
+        block = np.empty(self.rows * sum(widths))
         buffers = []
         for width in widths:
             buffers.append(block[:self.rows * width].reshape(self.rows, width))

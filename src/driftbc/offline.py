@@ -296,9 +296,10 @@ def save_offline_artifacts(out_dir, artifacts: OfflineArtifacts) -> list[str]:
 
 
 def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifacts:
-    """Every checkpoint in out_dir must carry its config's hash; with
-    require_full every CHECKPOINT_FILES entry must be there, else the policy.
-    The metrics log is not read, so the loaded metrics are empty."""
+    """Every checkpoint in out_dir must carry its config's hash, and every
+    policy the action bounds of the config's env; with require_full every
+    CHECKPOINT_FILES entry must be there, else the policy. The metrics log is
+    not read, so the loaded metrics are empty."""
     cfg_path = os.path.join(out_dir, CONFIG_FILE)
     if not os.path.exists(cfg_path):
         raise DataError(f"missing artifact {CONFIG_FILE!r} in {out_dir}")
@@ -313,14 +314,24 @@ def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifac
         raise DataError(f"incomplete artifacts in {out_dir}: missing "
                         f"{', '.join(sorted(missing))}")
 
+    spec = envs.make_spec(config.env_id)
     models = {}
     for name, attr, _, loader in CHECKPOINTS:
         if name in present:
-            models[attr], extras = loader(os.path.join(out_dir, name))
+            path = os.path.join(out_dir, name)
+            models[attr], extras = loader(path)
             stamp = extras.get("config_hash")
             if stamp is None:
                 raise DataError(f"artifact {name!r} carries no config hash")
             if stamp != want:
                 raise DataError(f"artifact {name!r} carries config hash {stamp}, "
                                 f"directory config hashes to {want}")
+            model = models[attr]
+            if loader is load_policy and not (
+                    np.array_equal(model.action_low, spec.action_low)
+                    and np.array_equal(model.action_high, spec.action_high)):
+                raise DataError(f"{path}: action bounds {model.action_low.tolist()}/"
+                                f"{model.action_high.tolist()} differ from "
+                                f"{config.env_id}'s {spec.action_low.tolist()}/"
+                                f"{spec.action_high.tolist()}")
     return OfflineArtifacts(config=config, **models)

@@ -24,10 +24,10 @@ from .demos import DemoSet
 from .density import GmmModel, membership_score
 from .discriminator import (bc_weight, check_scores, train_discriminator,
                             two_class_rows)
-from .errors import ConfigError, DataError, NumericError, ShapeError
-from .numeric import MlpWorkspace, mapped_empty, named_generator
+from .errors import ConfigError, DataError, NumericError
+from .numeric import named_generator
 from .offline import OfflineArtifacts
-from .policy import bc_workspace, run_weighted_bc, sample_action
+from .policy import run_weighted_bc, sample_action
 
 KAPPA_THRESHOLD = 0.4
 PATIENCE = 20
@@ -77,6 +77,15 @@ def kappa(s, gmm_expert: GmmModel, gmm_supp: GmmModel):
     return float(score) if np.ndim(score) == 0 else score
 
 
+def check_gate(kappa_threshold: float, patience: int) -> None:
+    """Refuse a patience gate that could not run: a threshold outside [0, 1]
+    or a patience below 1."""
+    if not 0.0 <= kappa_threshold <= 1.0:
+        raise ConfigError(f"kappa_threshold {kappa_threshold!r} outside [0, 1]")
+    if patience < 1:
+        raise ConfigError(f"patience must be at least 1, got {patience!r}")
+
+
 def observe_step(detector: OnlineRun, s, a, kappa_value: float) -> bool:
     """An online run's patience gate: a score below its kappa_threshold
     extends the run of low scores and stores the experience; any other score
@@ -110,39 +119,17 @@ class OnlineUpdateConfig:
             raise ConfigError("per-trigger step counts must be positive")
 
 
-class UpdateWorkspace:
-    """The buffers online_update reuses from one update to the next: the
-    joined [s, a] rows of the expert demos followed by the online snapshot,
-    the discriminator's workspace for its 2 x UPDATE_BATCH_SIZE training
-    rows and for bc_weight's forward over every joined row, and the
-    policy's for its UPDATE_BATCH_SIZE BC rows.
-
-    rows bounds the expert plus snapshot rows of an update. Every update
-    overwrites every buffer; nothing an update installs aliases them.
-    """
-
-    def __init__(self, artifacts: OfflineArtifacts, rows: int):
-        dims = artifacts.discriminator.net.layer_dims
-        self.rows = int(rows)
-        self.joined = mapped_empty(self.rows * dims[0]).reshape(self.rows, dims[0])
-        self.disc = MlpWorkspace(dims, max(2 * UPDATE_BATCH_SIZE, self.rows), mapped=True)
-        self.policy = bc_workspace(artifacts.policy, UPDATE_BATCH_SIZE)
-
-
 def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
-                  config: OnlineUpdateConfig, seed: int, update_index: int,
-                  workspace: UpdateWorkspace) -> bool:
+                  config: OnlineUpdateConfig, seed: int, update_index: int) -> bool:
     """One triggered refresh: discriminator steps on expert-vs-online batches
     with the stored shift scores, then policy steps over the union of expert
     demos and online experience, weighted by the refreshed discriminator.
 
     Trains clones and installs them only if every step stays finite; on a
     non-finite loss the deployed models are left untouched and False is
-    returned. The state-density models are never modified.
-
-    workspace holds the update's buffers (see UpdateWorkspace) and must
-    fit the expert plus snapshot rows. The update overwrites all of it, so
-    a caller that reads a buffer afterwards copies what it keeps.
+    returned. The state-density models are never modified. Each trainer
+    builds its step buffers once per call, so the buffers live for one
+    update.
     """
     states_x, actions_x, scores_x = snapshot
     states_x = np.atleast_2d(states_x)
@@ -154,11 +141,7 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     # online_disc_loss's input check, run once over the whole snapshot
     x_e, x_x, scores_x = two_class_rows((expert_demos.states, expert_demos.actions),
                                         (states_x, actions_x), check_scores(scores_x))
-    n_all = x_e.shape[0] + x_x.shape[0]
-    if n_all > workspace.rows:
-        raise ShapeError(f"{n_all} expert and online rows do not fit a "
-                         f"workspace of {workspace.rows}")
-    joined = np.concatenate([x_e, x_x], out=workspace.joined[:n_all])
+    joined = np.concatenate([x_e, x_x])
     ds = np.shape(expert_demos.states)[1]
     s_all, a_all = joined[:, :ds], joined[:, ds:]
     disc = copy.deepcopy(artifacts.discriminator)
@@ -166,13 +149,11 @@ def online_update(artifacts: OfflineArtifacts, snapshot, expert_demos: DemoSet,
     try:
         train_discriminator(disc, x_e, x_x, scores_x, config.disc_steps,
                             UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
-                            named_generator(seed, f"online_update{update_index}_disc"),
-                            workspace.disc)
-        weights = bc_weight(disc, s_all, a_all, workspace.disc)
+                            named_generator(seed, f"online_update{update_index}_disc"))
+        weights = bc_weight(disc, s_all, a_all)
         run_weighted_bc(policy, s_all, a_all, weights, config.policy_steps,
                         UPDATE_BATCH_SIZE, UPDATE_LEARNING_RATE,
-                        named_generator(seed, f"online_update{update_index}_policy"),
-                        workspace=workspace.policy)
+                        named_generator(seed, f"online_update{update_index}_policy"))
     except NumericError:
         return False
     artifacts.discriminator = disc
@@ -215,14 +196,15 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
 
 
 class OnlineRun:
-    """One online run: its patience count, experience ring, update workspace,
-    step log and update counts. score(obs) is an observed state's kappa;
+    """One online run: its patience count, experience ring, step log and
+    update counts. score(obs) is an observed state's kappa;
     gate(ep, t, obs, action, k) applies the adapt mode's trigger rule to the
     step, runs the update if it fires and logs the step. adapt="on" uses the
     patience gate, whose count starts afresh each episode; "always" stores
     every step and updates every patience steps of the run; "off" only logs.
     The ring keeps the last BUFFER_CAPACITY (state, action, score) triples
-    across triggers. Updates replace artifacts.policy / .discriminator.
+    across triggers. Updates replace artifacts.policy / .discriminator, so an
+    adaptive run needs the discriminator and the expert demos.
     """
 
     def __init__(self, artifacts: OfflineArtifacts, expert_demos: DemoSet,
@@ -236,21 +218,16 @@ class OnlineRun:
             raise ConfigError("episodes must be positive")
         if artifacts.gmm_expert is None or artifacts.gmm_supp is None:
             raise ConfigError("online run needs both state-density artifacts")
-        if not 0.0 <= kappa_threshold <= 1.0:
-            raise ConfigError("kappa_threshold must lie in [0, 1]")
-        if patience < 1:
-            raise ConfigError("patience must be at least 1")
+        check_gate(kappa_threshold, patience)
+        if adapt != "off" and (artifacts.discriminator is None or expert_demos is None):
+            raise ConfigError("online updates need the discriminator artifact "
+                              "and the expert demos")
         self.artifacts, self.expert_demos = artifacts, expert_demos
         self.adapt, self.seed = adapt, seed
         self.kappa_threshold, self.patience = kappa_threshold, patience
         self.update_config = update_config or OnlineUpdateConfig()
         self.consecutive_count = 0
         self.buffer = ExperienceRing(BUFFER_CAPACITY)
-        # one workspace for every update; online_update refuses a missing discriminator
-        self.workspace = None
-        if adapt != "off" and artifacts.discriminator is not None:
-            self.workspace = UpdateWorkspace(
-                artifacts, np.shape(expert_demos.states)[0] + BUFFER_CAPACITY)
         self.episode_returns = np.zeros(episodes)
         self.records: list[StepRecord] = []
         self.update_invocations = self.failed_updates = 0
@@ -274,8 +251,7 @@ class OnlineRun:
         if triggered:
             watch = Stopwatch()
             ok = online_update(self.artifacts, buffer_snapshot(self), self.expert_demos,
-                               self.update_config, self.seed, self.update_invocations,
-                               self.workspace)
+                               self.update_config, self.seed, self.update_invocations)
             wall = watch.ms()
             self.update_invocations += 1
             self.failed_updates += not ok

@@ -199,15 +199,15 @@ def weighted_bc_loss(policy: GaussianPolicy, states, actions, weights):
 
 def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int,
                     batch_size: int, learning_rate: float, rng: np.random.Generator,
-                    on_step=None, workspace: MlpWorkspace | None = None) -> None:
+                    on_step=None) -> None:
     """Adam training loop over uniformly resampled batches.
 
     Shared by plain BC, reference-policy training, and the weighted main run, so
     the unweighted paths are the weighted path with weights fixed at 1.
     on_step(step, loss), if given, runs after each optimizer step with the
     batch loss taken before it. The whole data set is checked once, before
-    the first step; each step gathers its rows into the input block of
-    workspace, a bc_workspace of at least batch_size rows (new when None).
+    the first step; each step gathers its rows into the input block of one
+    bc_workspace of batch_size rows, built per call.
     """
     if np.shape(states)[0] == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -215,9 +215,8 @@ def run_weighted_bc(policy: GaussianPolicy, states, actions, weights, steps: int
     n = states.shape[0]
     params = [policy.params]
     opt = init_adam(params, learning_rate=learning_rate)
-    ws = bc_workspace(policy, batch_size) if workspace is None else workspace
-    ws.check_rows(batch_size)
-    s_batch = ws.inputs[:batch_size]
+    ws = bc_workspace(policy, batch_size)
+    s_batch = ws.inputs
     a_batch = np.empty((batch_size, actions.shape[1]))
     w_batch = np.empty(batch_size)
     for step in range(1, steps + 1):

@@ -107,11 +107,10 @@ def test_online_update_returns_exactly_true_or_false(spans):
     states, actions = expert.states[:30] + 0.3, expert.actions[:30]
     poisoned = states.copy()
     poisoned[:, 0] = np.nan  # every batch draws a non-finite row
-    workspace = online.UpdateWorkspace(art, expert.n_samples + 30)
     update_config = online.OnlineUpdateConfig(disc_steps=3, policy_steps=3)
     failed = spans.FAILED_RESULTS["online.online_update"]
     for snap_states, want in ((poisoned, False), (states, True)):
         result = online.online_update(art, (snap_states, actions, np.full(30, 0.2)),
-                                      expert, update_config, 0, 0, workspace)
+                                      expert, update_config, 0, 0)
         assert result is want
         assert failed(result) is not want

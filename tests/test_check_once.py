@@ -158,8 +158,7 @@ def test_online_update_matches_per_step_public_loss(data):
     snap = snapshot(data)
     config = online.OnlineUpdateConfig(disc_steps=12, policy_steps=12)
     ref_disc, ref_pol = reference_online_update(art, snap, data["expert"], config, 7, 3)
-    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + len(snap[0]))
-    assert online.online_update(art, snap, data["expert"], config, 7, 3, workspace)
+    assert online.online_update(art, snap, data["expert"], config, 7, 3)
     assert art.discriminator.net.params.tobytes() == ref_disc.net.params.tobytes()
     assert art.policy.params.tobytes() == ref_pol.params.tobytes()
 
@@ -199,10 +198,9 @@ def test_bad_snapshot_score_raises_before_any_step(data, no_optimizer_step, bad_
     before = model_bytes(art)
     states, actions, scores = snapshot(data, n=2000)
     scores[-1] = bad_score
-    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + 2000)
     with pytest.raises(DataError):
         online.online_update(art, (states, actions, scores), data["expert"],
-                             online.OnlineUpdateConfig(), 0, 0, workspace)
+                             online.OnlineUpdateConfig(), 0, 0)
     assert model_bytes(art) == before
 
 

@@ -1,6 +1,8 @@
 """Demonstration tiers: generation statistics, mixing, holdout splitting, and
 the bit-exact file format with its distinct failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -303,6 +305,31 @@ def test_episode_counts_must_match_rows(tmp_path, edits, match):
         header = header.replace(old, new)
     path.write_bytes(header + b"\n" + payload)
     with pytest.raises(DataError, match=match):
+        demos.load_demoset(path)
+
+
+@pytest.mark.parametrize("edits, cut, match", [
+    ([(b"env_id=pointmass2d", b"env_id=pendulum1")], 0, "dimension inconsistency"),
+    ([(b"episodes=2 ", b"episodes=3 ")], 0, "tier episodes do not sum"),
+    ([(b"tiers=random:2:400", b"tiers=random:2")], 0, "malformed tier entry"),
+    ([(b"tiers=random:", b"tiers=bogus:")], 0, "unknown tier 'bogus'"),
+    ([(b"samples=400 ", b"samples=401 ")], 0, "tier samples do not sum"),
+    ([], 10, "ends mid-row"),
+    ([], 56, "demo file truncated"),
+    ([(b"episodes=2 ", b"episodes=3 "), (b"random:2:", b"random:3:")], 0,
+     "holds 2 distinct episode ids"),
+])
+def test_every_header_error_names_the_file(tmp_path, edits, cut, match):
+    """The header checks used to raise without the path, so a run reading two
+    demo files could not say which one was wrong."""
+    path = tmp_path / "two.demo"
+    demos.save_demoset(path, demos.generate_tier(pm_spec(), "random", 2, 1))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    for old, new in edits:
+        assert old in header
+        header = header.replace(old, new)
+    path.write_bytes(header + b"\n" + payload[:len(payload) - cut])
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: .*{match}"):
         demos.load_demoset(path)
 
 

@@ -311,6 +311,26 @@ class TestEvaluateCell:
         with pytest.raises(ConfigError, match="adapt"):
             adaptive(trained, normalizer, expert, adapt="sometimes")
 
+    def test_bad_gate_is_refused_before_any_cell(self, trained, normalizer,
+                                                 demo_paths, monkeypatch):
+        """Each of these used to start one evaluate_cell before failing."""
+        _, expert = demo_paths
+
+        def no_cell(*args):
+            raise AssertionError("evaluate_cell ran before the sweep was checked")
+
+        monkeypatch.setattr(evaluation, "evaluate_cell", no_cell)
+        for adapt in ("on", "always"):
+            with pytest.raises(ConfigError, match="patience"):
+                noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=2,
+                            adapt=adapt, expert_demos=expert, patience=0)
+            with pytest.raises(ConfigError, match="kappa_threshold"):
+                noise_sweep(trained, normalizer, sigmas=(0.1,), runs=1, episodes=2,
+                            adapt=adapt, expert_demos=expert, kappa_threshold=1.5)
+        with pytest.raises(ConfigError, match="patience"):
+            grid_search_kth(trained, expert, normalizer, 0.1, candidates=(0.0, 0.5),
+                            runs=1, episodes=2, patience=0)
+
     def test_adaptive_cell_never_mutates_caller_artifacts(self, trained,
                                                           normalizer, demo_paths):
         _, expert = demo_paths

@@ -464,6 +464,23 @@ def test_load_refuses_a_non_finite_net_parameter(small_run, tmp_path, name, attr
         offline.load_offline_artifacts(out)
 
 
+@pytest.mark.parametrize("name, attr", [(row[0], row[1]) for row in offline.CHECKPOINTS
+                                        if row[3] is load_policy])
+@pytest.mark.parametrize("bound", ["action_low", "action_high"])
+def test_load_refuses_policy_bounds_unlike_the_env(small_run, tmp_path, name, attr, bound):
+    """A pointmass2d policy squashed to +-5 used to load without a word and
+    act outside the env's action box."""
+    _, art = small_run
+    art = copy.deepcopy(art)
+    model = getattr(art, attr)
+    setattr(model, bound, np.sign(getattr(model, bound)) * 5.0)
+    out = tmp_path / "run"
+    offline.save_offline_artifacts(out, art)
+    with pytest.raises(DataError, match=rf"{re.escape(name)}: action bounds .* differ "
+                                        r"from pointmass2d's"):
+        offline.load_offline_artifacts(out)
+
+
 def test_checkpoints_carry_hash_and_seed(small_run, tmp_path):
     cfg, art = small_run
     out = tmp_path / "run"

@@ -175,12 +175,13 @@ class TestKappaOracle:
 
 
 def detector_run(**kw):
-    """An adapt-on OnlineRun over crafted mixtures and no discriminator, for
-    driving its patience gate and experience ring by hand."""
+    """An OnlineRun over crafted mixtures, for driving its patience gate
+    (observe_step) and experience ring by hand. It is adapt-off, since an
+    adaptive run needs a discriminator and expert demos to update."""
     art = offline.OfflineArtifacts(config=None, policy=None,
                                    gmm_expert=single_gaussian(1.0),
                                    gmm_supp=single_gaussian(1.0))
-    return online.OnlineRun(art, None, sigma=0.1, episodes=1, **kw)
+    return online.OnlineRun(art, None, sigma=0.1, episodes=1, adapt="off", **kw)
 
 
 class TestDetector:
@@ -296,20 +297,14 @@ class TestOnlineUpdate:
         actions = expert_set.actions[:n]
         return states, actions, np.full(n, kappa_value)
 
-    def update(self, art, snap, expert_set, config, seed, update_index):
-        """online_update through a new workspace sized to this snapshot."""
-        workspace = online.UpdateWorkspace(art, expert_set.n_samples + len(snap[0]))
-        return online.online_update(art, snap, expert_set, config, seed, update_index,
-                                    workspace)
-
     def test_successful_update_swaps_models(self, trained):
         art, expert_set = trained
         art = copy.deepcopy(art)
         before = params_bytes(art)
         gmms_before = gmm_bytes(art)
-        ok = self.update(art, self.snapshot_from(expert_set), expert_set,
-                         online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
-                         seed=0, update_index=0)
+        ok = online.online_update(art, self.snapshot_from(expert_set), expert_set,
+                                  online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
+                                  seed=0, update_index=0)
         assert ok
         assert params_bytes(art) != before
         assert gmm_bytes(art) == gmms_before  # density models stay frozen
@@ -319,11 +314,11 @@ class TestOnlineUpdate:
         snap = self.snapshot_from(expert_set)
         cfg = online.OnlineUpdateConfig(disc_steps=8, policy_steps=8)
         a1, a2 = copy.deepcopy(art), copy.deepcopy(art)
-        self.update(a1, snap, expert_set, cfg, seed=5, update_index=2)
-        self.update(a2, snap, expert_set, cfg, seed=5, update_index=2)
+        online.online_update(a1, snap, expert_set, cfg, seed=5, update_index=2)
+        online.online_update(a2, snap, expert_set, cfg, seed=5, update_index=2)
         assert params_bytes(a1) == params_bytes(a2)
         a3 = copy.deepcopy(art)
-        self.update(a3, snap, expert_set, cfg, seed=5, update_index=3)
+        online.online_update(a3, snap, expert_set, cfg, seed=5, update_index=3)
         assert params_bytes(a3) != params_bytes(a1)
 
     def test_failed_update_leaves_models_bit_identical(self, trained):
@@ -333,9 +328,9 @@ class TestOnlineUpdate:
         states, actions, scores = self.snapshot_from(expert_set)
         states = states.copy()
         states[0, 0] = np.nan  # poisons the forward pass mid-update
-        ok = self.update(art, (states, actions, scores), expert_set,
-                         online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
-                         seed=0, update_index=0)
+        ok = online.online_update(art, (states, actions, scores), expert_set,
+                                  online.OnlineUpdateConfig(disc_steps=10, policy_steps=10),
+                                  seed=0, update_index=0)
         assert not ok
         assert params_bytes(art) == before
 
@@ -343,18 +338,16 @@ class TestOnlineUpdate:
         art, expert_set = trained
         empty = (np.empty((0, 4)), np.empty((0, 2)), np.empty(0))
         with pytest.raises(DataError, match="non-empty"):
-            self.update(copy.deepcopy(art), empty, expert_set,
-                        online.OnlineUpdateConfig(), 0, 0)
+            online.online_update(copy.deepcopy(art), empty, expert_set,
+                                 online.OnlineUpdateConfig(), 0, 0)
 
     def test_update_without_discriminator_refused(self, trained):
         art, expert_set = trained
         art = copy.deepcopy(art)
         snap = self.snapshot_from(expert_set)
-        workspace = online.UpdateWorkspace(art, expert_set.n_samples + len(snap[0]))
         art.discriminator = None
         with pytest.raises(ConfigError, match="discriminator"):
-            online.online_update(art, snap, expert_set, online.OnlineUpdateConfig(),
-                                 0, 0, workspace)
+            online.online_update(art, snap, expert_set, online.OnlineUpdateConfig(), 0, 0)
 
 
 # ---------------------------------------------------------------- run loop
@@ -378,6 +371,24 @@ class TestRunOnline:
         stripped.gmm_expert = None
         with pytest.raises(ConfigError, match="state-density"):
             online.run_online(stripped, expert_set, 0.1, 5)
+
+    @pytest.mark.parametrize("adapt", ["on", "always"])
+    def test_adaptive_run_that_cannot_update_is_refused_before_any_reset(
+            self, trained, monkeypatch, adapt):
+        """Without a discriminator the run used to reset an episode before
+        failing; without expert demos it raised an untyped AttributeError."""
+        art, expert_set = trained
+
+        def no_reset(*args):
+            raise AssertionError("an episode was reset")
+
+        monkeypatch.setattr(envs, "reset", no_reset)
+        stripped = copy.deepcopy(art)
+        stripped.discriminator = None
+        with pytest.raises(ConfigError, match="discriminator"):
+            online.run_online(stripped, expert_set, 0.1, 2, adapt=adapt)
+        with pytest.raises(ConfigError, match="expert demos"):
+            online.run_online(copy.deepcopy(art), None, 0.1, 2, adapt=adapt)
 
     def test_off_mode_only_logs(self, trained):
         art, expert_set = trained

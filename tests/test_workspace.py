@@ -1,152 +1,11 @@
-"""Preallocated workspaces: reusing one across online updates changes no
-result, a second update through it allocates nothing that grows with the
-data, and the kernels rewritten to work in place keep their bits."""
-
-import copy
-import tracemalloc
+"""In-place kernels of the training step: the width-one product, the
+mask-free sigmoid and Adam's scratch arrays keep the bits of their
+whole-array formulas."""
 
 import numpy as np
-import pytest
 
-from driftbc import discriminator, envs, numeric, offline, online, policy
-from driftbc.demos import generate_tier
-from driftbc.density import fit_gmm
-from driftbc.discriminator import init_discriminator
-from driftbc.errors import ShapeError
+from driftbc import discriminator, numeric
 from oracles import adam_oracle, sigmoid_masked_oracle
-
-ENV = "pointmass2d"
-CAPACITY = 2000
-
-
-@pytest.fixture(scope="module")
-def data():
-    spec = envs.make_spec(ENV)
-    return {"expert": generate_tier(spec, "expert", 3, seed=5),
-            "supp": generate_tier(spec, "medium", 6, seed=5)}
-
-
-def fresh_artifacts():
-    spec = envs.make_spec(ENV)
-    disc = init_discriminator(spec.state_dim, spec.action_dim,
-                              rng=np.random.default_rng(71))
-    pol = policy.init_policy(spec.state_dim, spec.action_dim, spec.action_low,
-                             spec.action_high, rng=np.random.default_rng(72))
-    config = offline.OfflineConfig(env_id=ENV, expert_demos="e", supp_demos="s")
-    return offline.OfflineArtifacts(config=config, policy=pol, discriminator=disc)
-
-
-def snapshot(data, n, seed, poison=False):
-    rng = np.random.default_rng(seed)
-    supp = data["supp"]
-    rows = rng.integers(0, supp.n_samples, n)
-    states = supp.states[rows] + rng.normal(0.0, 0.1, (n, supp.state_dim))
-    if poison:
-        states[n // 2, 0] = np.nan  # a non-finite loss at the first step that draws it
-    return states, supp.actions[rows], rng.uniform(0.0, 0.4, n)
-
-
-def sized_to(art, expert, snap):
-    """A new workspace that just fits the expert rows and the snapshot."""
-    return online.UpdateWorkspace(art, expert.n_samples + len(snap[0]))
-
-
-def model_bytes(art):
-    return art.discriminator.net.params.tobytes() + art.policy.params.tobytes()
-
-
-# ------------------------------------------------------------- reuse
-
-
-def test_reused_workspace_matches_fresh_workspaces(data):
-    expert = data["expert"]
-    config = online.OnlineUpdateConfig(disc_steps=6, policy_steps=6)
-    snaps = [snapshot(data, 1, 1), snapshot(data, 64, 2), snapshot(data, CAPACITY, 3),
-             snapshot(data, 64, 4, poison=True), snapshot(data, 1, 5),
-             snapshot(data, CAPACITY, 6), snapshot(data, 64, 7)]
-    reused = fresh_artifacts()
-    fresh = copy.deepcopy(reused)
-    workspace = online.UpdateWorkspace(reused, expert.n_samples + CAPACITY)
-    outcomes = []
-    for index, snap in enumerate(snaps):
-        before = model_bytes(reused)
-        ok = online.online_update(reused, snap, expert, config, 11, index, workspace)
-        assert online.online_update(fresh, snap, expert, config, 11, index,
-                                    sized_to(fresh, expert, snap)) == ok
-        assert model_bytes(reused) == model_bytes(fresh)
-        assert (model_bytes(reused) == before) != ok
-        outcomes.append(ok)
-    assert outcomes == [True, True, True, False, True, True, True]
-
-
-def test_run_online_matches_a_fresh_workspace_per_update(data, monkeypatch):
-    expert = data["expert"]
-    art = fresh_artifacts()
-    art.gmm_expert = fit_gmm(expert.states, n_components=3, seed=1, provenance="e")
-    art.gmm_supp = fit_gmm(data["supp"].states, n_components=3, seed=2, provenance="s")
-    config = online.OnlineUpdateConfig(disc_steps=3, policy_steps=3)
-    shared = copy.deepcopy(art)
-    result = online.run_online(shared, expert, 0.1, 2, adapt="always", seed=4,
-                               patience=10, update_config=config)
-
-    original = online.online_update
-    seen = []
-
-    def with_fresh_workspace(*args):
-        seen.append(args[-1])
-        return original(*args[:-1], sized_to(args[0], args[2], args[1]))
-
-    monkeypatch.setattr(online, "online_update", with_fresh_workspace)
-    again = online.run_online(art, expert, 0.1, 2, adapt="always", seed=4,
-                              patience=10, update_config=config)
-    assert result.update_invocations == again.update_invocations > 5
-    assert len({id(w) for w in seen}) == 1
-    assert isinstance(seen[0], online.UpdateWorkspace)
-    assert model_bytes(shared) == model_bytes(art)
-    assert result.episode_returns.tobytes() == again.episode_returns.tobytes()
-
-
-def test_workspace_too_small_is_refused(data):
-    art = fresh_artifacts()
-    small = online.UpdateWorkspace(art, data["expert"].n_samples + 10)
-    with pytest.raises(ShapeError, match="do not fit"):
-        online.online_update(art, snapshot(data, 11, 8), data["expert"],
-                             online.OnlineUpdateConfig(), 0, 0, small)
-    states, actions, _ = snapshot(data, small.disc.rows + 1, 8)
-    with pytest.raises(ShapeError, match="do not fit"):
-        discriminator.bc_weight(art.discriminator, states, actions, small.disc)
-    with pytest.raises(ShapeError, match="do not fit"):
-        numeric.forward_cache(art.policy.mean_net, states, small.policy)
-
-
-def test_second_update_allocates_less_than_one_full_data_buffer(data):
-    expert = data["expert"]
-    art = fresh_artifacts()
-    workspace = online.UpdateWorkspace(art, expert.n_samples + CAPACITY)
-    snap = snapshot(data, CAPACITY, 9)
-    config = online.OnlineUpdateConfig(disc_steps=4, policy_steps=4)
-    assert online.online_update(art, snap, expert, config, 0, 0, workspace)
-    tracemalloc.start()
-    try:
-        assert online.online_update(art, snap, expert, config, 0, 1, workspace)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    hidden = art.discriminator.net.layer_dims[1]
-    assert peak < (expert.n_samples + CAPACITY) * hidden * 8
-
-
-# ------------------------------------------------------------- kernels
-
-
-def test_bc_weight_through_the_update_workspace_keeps_its_bits(data):
-    art = fresh_artifacts()
-    workspace = online.UpdateWorkspace(art, data["expert"].n_samples + CAPACITY)
-    for rows in (1, 64, data["expert"].n_samples + 1, workspace.rows):
-        states, actions, _ = snapshot(data, rows, 12)
-        got = discriminator.bc_weight(art.discriminator, states, actions, workspace.disc)
-        want = discriminator.bc_weight(art.discriminator, states, actions)
-        assert got.tobytes() == want.tobytes(), rows
 
 
 def test_width_one_product_matches_matmul_with_signed_zeros():
