@@ -196,11 +196,10 @@ def cmd_run_online(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    need_full = args.adapt != "off"
-    artifacts = load_offline_artifacts(args.artifacts, require_full=need_full)
+    artifacts = load_offline_artifacts(args.artifacts)
     normalizer = _load_normalizer(args.refs, artifacts.config.env_id)
     expert = (load_demo_file(artifacts.config.expert_demos, artifacts.config.env_id)
-              if need_full else None)
+              if args.adapt != "off" else None)
     out = _prepare_dir(args.out, "evaluate", args.force)
     watch = Stopwatch()
     report = noise_sweep(artifacts, normalizer, sigmas=_parse_sigmas(args.sigmas),
@@ -264,14 +263,14 @@ def cmd_tier_ablation(args) -> int:
 
 def cmd_verify(args) -> int:
     names = None
-    if args.checks:
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
     out = _prepare_dir(args.out, "verify", args.force) if args.out else None
+    watch = Stopwatch()
     results = run_checks(names=names, seed=args.seed)
     text = format_results(results)
     print(text, end="")
     if out is not None:
-        watch = Stopwatch()
         params = {"checks": args.checks or "all", "seed": args.seed}
         _write_run("verify", out / "manifest.txt", params, args.seed, watch,
                    {"results.txt": text}, "")
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tier_ablation)
 
     p = sub.add_parser("verify", help="run the self-contained math checks")
-    p.add_argument("--checks", default="",
+    p.add_argument("--checks",
                    help="comma list of check names (default: all)")
     p.add_argument("--seed", type=int, default=0)
     _add_out_flags(p, help="optionally write results + manifest here")

@@ -90,12 +90,25 @@ def check_tier(tier: str) -> None:
 
 def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> DemoSet:
     """Roll out one tier's behavior policy; true states only, no observation
-    noise. Deterministic given (spec, tier, episodes, seed)."""
+    noise (the -0.0 observation block). Deterministic given (spec, tier,
+    episodes, seed). Episode ep's actions draw on one (horizon, action_dim)
+    block from {tier}_ep{ep}_act; row t holds step t's per-step draw."""
     check_tier(tier)
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
 
     mrl = _mrl_policy(spec, seed) if tier == "medium_replay_like" else None
+    if tier == "expert":
+        act = lambda s, _: envs.scripted_expert(spec, s)
+    elif tier == "medium":
+        act = lambda s, noise: np.clip(
+            envs.scripted_expert(spec, s) + noise * MEDIUM_ACTION_NOISE,
+            spec.action_low, spec.action_high)
+    elif tier == "random":
+        act = lambda s, draw: draw
+    else:
+        act = lambda s, noise: sample_action(mrl, s, noise)
+    shape = (spec.horizon, spec.action_dim)
 
     states, actions, ep_ids, step_ids, returns = [], [], [], [], []
     for ep in range(episodes):
@@ -103,23 +116,13 @@ def generate_tier(spec: envs.EnvSpec, tier: str, episodes: int, seed: int) -> De
         # same states; that pairing makes tier-separation comparisons tight
         env_rng = named_generator(seed, f"ep{ep}_env")
         act_rng = named_generator(seed, f"{tier}_ep{ep}_act")
-
-        # run_episode passes no noise rows: each tier draws from act_rng
-        if tier == "expert":
-            act = lambda s, _: envs.scripted_expert(spec, s)
-        elif tier == "medium":
-            act = lambda s, _: np.clip(
-                envs.scripted_expert(spec, s)
-                + act_rng.standard_normal(spec.action_dim) * MEDIUM_ACTION_NOISE,
-                spec.action_low, spec.action_high)
-        elif tier == "random":
-            act = lambda s, _: act_rng.uniform(spec.action_low, spec.action_high)
-        else:
-            act = lambda s, _: sample_action(mrl, s, act_rng.standard_normal(spec.action_dim))
+        act_block = (act_rng.uniform(spec.action_low, spec.action_high, shape)
+                     if tier == "random" else act_rng.standard_normal(shape))
 
         # every tier's actions are already in bounds, so they are stored as drawn
         steps = []
-        envs.run_episode(spec, act, env_rng, on_step=lambda t, state, obs, action, reward:
+        envs.run_episode(spec, act, (env_rng, envs.still_block(spec), act_block),
+                         on_step=lambda t, state, obs, action, reward:
                          steps.append((state, action, reward)))
         ep_states, ep_actions, rewards = map(np.array, zip(*steps))
         states.append(ep_states)
@@ -293,13 +296,17 @@ def load_demoset(path) -> DemoSet:
     rec.finish()
     if not (np.all(np.isfinite(rows["s"])) and np.all(np.isfinite(rows["a"]))):
         raise DataError(f"{path}: demo states and actions must be finite")
-    start = 0
+    # each tier run holds the consecutive ids after the runs before it, as
+    # generate_tier, mix_supplementary and split_holdout write them
+    start = first = 0
     for run in runs:
-        found = np.unique(rows["ep"][start:start + run.samples]).size
-        if found != run.episodes:
+        found = np.unique(rows["ep"][start:start + run.samples])
+        if not np.array_equal(found, np.arange(first, first + run.episodes)):
             raise DataError(f"{path}: tier run {run.tier}:{run.episodes}:{run.samples} "
-                            f"holds {found} distinct episode ids")
+                            f"holds {found.size} distinct episode ids, not the ids "
+                            f"{first}..{first + run.episodes - 1}")
         start += run.samples
+        first += run.episodes
     return DemoSet(
         env_id=env_id, state_dim=state_dim, action_dim=action_dim, seed=seed,
         states=rows["s"].copy(), actions=rows["a"].copy(),

@@ -8,25 +8,26 @@ the upright target sits at pi; reward penalizes distance from upright.
 Noise only ever perturbs what the agent observes; true dynamics evolve on the
 unperturbed state.
 
-There are two episode loops, each with its own step function:
+An episode is one value, (env_rng, obs_block, act_block), that
+episode_noise makes, and the two episode loops, each with its own step
+function, play it:
 - run_episode plays one episode a step at a time with step. Its callers are
   online.play_episodes, which steps every online episode, and
   demos.generate_tier, which records each demonstration step through on_step.
   A policy that an online update replaces mid-episode, or an observer that
   scores every step, needs this loop.
-- run_lockstep plays all episodes of a frozen policy's (sigma, seed) cells
-  together with step_rows, one row per episode, dropping each row whose task
-  has ended. Its one caller is evaluation.score_policy, which the adapt-off
-  noise sweep calls on each chunk of whole cells. Every row has the bits
-  run_episode would give it.
+- run_lockstep plays a list of a frozen policy's episodes together with
+  step_rows, one row per episode, dropping each row whose task has ended.
+  Its one caller is evaluation.score_policy, which the adapt-off noise sweep
+  calls on each chunk of whole cells. Every row has the bits run_episode
+  would give it.
 The per-step loop stays because step_rows on one row costs four to five
 times what step does (32-52 us against 8-10 us on a 2-core x86-64 VM with
 numpy 2.4); the lock-step loop pays that per-call cost once for all its
 rows, so a 20-cell sweep of 20 episodes each takes under half the time
-of its cells looped one by one. Both loops take an online episode's
-noise from episode_noise, drawn once as (horizon, d) blocks, and at step t
-observe through observe with row t of the first and act with row t of the
-second (policy.sample_action, for a policy).
+of its cells looped one by one. At step t both loops observe through
+observe with row t of the observation block and act with row t of the
+action block (policy.sample_action, for a policy).
 """
 
 from __future__ import annotations
@@ -200,11 +201,10 @@ def check_sigma(sigma: float) -> None:
 
 
 def observe(state, noise) -> np.ndarray:
-    """What the agent sees of state, as a new array: state + noise, or a copy
-    of state when noise is None (no observation noise). state is one state
-    with one noise row, or rows of states with a row of noise each."""
-    state = np.asarray(state, dtype=np.float64)
-    return state.copy() if noise is None else state + noise
+    """What the agent sees of state, as a new array: state + noise, one state
+    with one noise row or rows of states with a row each. A -0.0 row, the
+    one addend that keeps every float, signed zeros too, copies the state."""
+    return np.asarray(state, dtype=np.float64) + noise
 
 
 def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
@@ -233,32 +233,24 @@ def scripted_expert(spec: EnvSpec, state) -> np.ndarray:
     return np.clip(np.array([torque]), spec.action_low, spec.action_high)
 
 
-def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
-                noise: tuple[np.ndarray | None, np.ndarray] | None = None,
-                on_step=None) -> tuple[float, np.ndarray, bool]:
-    """The per-step episode loop: reset, then observe, act and step until the
-    task ends or the spec's horizon. on_step(t, state, obs, action, reward),
-    if given, runs after each step with the state the action was taken at.
-
-    noise is an online episode's (observation, action) blocks from
-    episode_noise: step t observes through observe with row t of the first
-    (None at sigma 0) and calls act(obs, row t of the second); an episode
-    that ends early leaves later rows unused. Without noise (generate_tier's
-    tiers) act(obs, None) sees a copy of the true state.
+def run_episode(spec: EnvSpec, act, episode, on_step=None) -> tuple[float, np.ndarray, bool]:
+    """The per-step episode loop over episode = (env_rng, obs_block,
+    act_block): reset from env_rng, then observe, act and step until the task
+    ends or the spec's horizon. Step t observes through observe with
+    obs_block[t] and calls act(obs, act_block[t]); an episode that ends early
+    leaves later rows unused. on_step(t, state, obs, action, reward), if
+    given, runs after each step with the state the action was taken at.
 
     Returns the return summed step by step with +=, the final state, and
     whether the task ended before the horizon.
     """
+    env_rng, obs_block, act_block = episode
     state = reset(spec, env_rng)
     total = 0.0
     done = False
     for t in range(spec.horizon):
-        if noise is None:
-            obs, act_noise = state.copy(), None
-        else:
-            obs_noise, act_noise = noise[0], noise[1][t]
-            obs = observe(state, None if obs_noise is None else obs_noise[t])
-        action = act(obs, act_noise)
+        obs = observe(state, obs_block[t])
+        action = act(obs, act_block[t])
         next_state, reward, done = step(spec, state, action)
         total += reward
         if on_step is not None:
@@ -269,57 +261,46 @@ def run_episode(spec: EnvSpec, act, env_rng: np.random.Generator,
     return total, state, done
 
 
+def still_block(spec: EnvSpec) -> np.ndarray:
+    """The observation block of an episode without observation noise."""
+    return np.full((spec.horizon, spec.state_dim), -0.0)
+
+
 def episode_noise(spec: EnvSpec, seed: int, ep: int, sigma: float
-                  ) -> tuple[np.random.Generator, np.ndarray | None, np.ndarray]:
-    """Online episode ep's reset generator online_ep{ep}_env, its observation
-    noise, sigma times a (horizon, state_dim) block of standard normals from
-    online_ep{ep}_obs (None at sigma 0, where that generator is not made),
-    and its action noise, a (horizon, action_dim) block from
-    online_ep{ep}_act.
+                  ) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Online episode ep under observation noise sigma (checked here), as
+    (env_rng, obs_block, act_block): its reset generator online_ep{ep}_env,
+    sigma times a (horizon, state_dim) block of standard normals from
+    online_ep{ep}_obs (the -0.0 block at sigma 0, where that generator is
+    not made), and a (horizon, action_dim) block from online_ep{ep}_act.
 
     Generator.standard_normal fills a block element by element from one
     stream, so row t holds the values a draw of d per step takes at step t.
     """
+    check_sigma(sigma)
     env_rng, act_rng = (named_generator(seed, f"online_ep{ep}_{part}")
                         for part in ("env", "act"))
-    obs_noise = None
-    if sigma != 0.0:
-        obs_rng = named_generator(seed, f"online_ep{ep}_obs")
-        obs_noise = obs_rng.standard_normal((spec.horizon, spec.state_dim)) * sigma
-    return env_rng, obs_noise, act_rng.standard_normal((spec.horizon, spec.action_dim))
+    obs_block = still_block(spec) if sigma == 0.0 else named_generator(
+        seed, f"online_ep{ep}_obs").standard_normal((spec.horizon, spec.state_dim)) * sigma
+    return env_rng, obs_block, act_rng.standard_normal((spec.horizon, spec.action_dim))
 
 
-def run_lockstep(spec: EnvSpec, act_rows, cells, episodes: int) -> np.ndarray:
-    """The lock-step loop: play episodes 0 .. episodes-1 of a frozen policy
-    for every (sigma, seed) cell together, and return their returns as a
-    (cells, episodes) array.
+def run_lockstep(spec: EnvSpec, act_rows, episodes) -> np.ndarray:
+    """The lock-step loop: play a list of a frozen policy's episodes
+    together, and return their returns in order.
 
-    Rows are cell-major, and each resets and draws its noise through
-    episode_noise with its own cell's sigma and seed. Step t observes the n
-    running rows' states through observe with rows t of their observation
-    blocks, calls act_rows(obs, noise) once with the observations
-    (n, state_dim) and rows t (n, action_dim) of the action blocks, and
-    steps all n rows with step_rows. A row whose task ends leaves the rows
-    after that step. A sigma-0 row's observation block is -0.0, the one
-    addend that leaves every float, signed zeros included, as it is, so the
-    row sees an exact copy of its state.
-
-    run_episode, driven as online.play_episodes drives it, gives each episode
-    the same bits when act_rows maps every row as that loop's act does: the
-    blocks are the same, and every returns entry is summed step by step
-    with +=. Its one caller is evaluation.score_policy.
+    Step t observes the n running rows' states through observe with rows t
+    of their observation blocks, calls act_rows(obs, noise) once with the
+    observations (n, state_dim) and rows t (n, action_dim) of the action
+    blocks, and steps all n rows with step_rows. A row whose task ends
+    leaves the rows after that step. Each row has the bits run_episode gives
+    its episode when act_rows maps every row as that loop's act does, as
+    every returns entry is summed step by step with +=.
     """
-    if episodes < 1:
-        raise ConfigError("episodes must be positive")
-    for sigma, _ in cells:
-        check_sigma(sigma)
-    env_rngs, obs_blocks, act_blocks = zip(*(episode_noise(spec, seed, ep, sigma)
-                                             for sigma, seed in cells
-                                             for ep in range(episodes)))
+    env_rngs, obs_blocks, act_blocks = zip(*episodes)
     state_rows = np.array([reset(spec, env_rng) for env_rng in env_rngs])
-    exact = np.full((spec.horizon, spec.state_dim), -0.0)
     # (horizon, rows, d), so that step t of every row is one slice
-    obs_noise = np.stack([exact if b is None else b for b in obs_blocks], axis=1)
+    obs_noise = np.stack(obs_blocks, axis=1)
     act_noise = np.stack(act_blocks, axis=1)
     returns = np.zeros(len(env_rngs))
     live = slice(None)  # the running rows, as an index into 0 .. rows-1
@@ -334,4 +315,4 @@ def run_lockstep(spec: EnvSpec, act_rows, cells, episodes: int) -> np.ndarray:
             state_rows = state_rows[keep]
             if live.size == 0:
                 break
-    return returns.reshape(-1, episodes)
+    return returns

@@ -23,7 +23,7 @@ from .demos import DemoSet, ReferenceReturns
 from .errors import ConfigError
 from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
-                     OnlineUpdateConfig, check_gate, run_online)
+                     OnlineUpdateConfig, check_gate, check_models, run_online)
 from .policy import sample_action
 
 # EMA smoothing coefficient for the stability metric; recorded in every
@@ -109,12 +109,18 @@ class SweepCell:
 def score_policy(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
                  episodes: int, cells) -> list[SweepCell]:
     """The SweepCells of the frozen policy's (sigma, seed) cells, with every
-    episode of every cell stepped together in one lock-step loop
-    (envs.run_lockstep). Each cell has the bits of an adapt-off online run
-    of its seed, and needs no density model of artifacts."""
-    returns = envs.run_lockstep(envs.make_spec(artifacts.config.env_id),
-                                partial(sample_action, artifacts.policy), cells, episodes)
-    return [_sweep_cell(sigma, seed, r, normalizer) for (sigma, seed), r in zip(cells, returns)]
+    cell's episodes made cell-major by envs.episode_noise and stepped
+    together in one lock-step loop (envs.run_lockstep). Each cell has the
+    bits of an adapt-off online run of its seed, and needs no density model
+    of artifacts."""
+    if episodes < 1:
+        raise ConfigError("episodes must be positive")
+    spec = envs.make_spec(artifacts.config.env_id)
+    returns = envs.run_lockstep(spec, partial(sample_action, artifacts.policy),
+                                [envs.episode_noise(spec, seed, ep, sigma)
+                                 for sigma, seed in cells for ep in range(episodes)])
+    return [_sweep_cell(sigma, seed, r, normalizer)
+            for (sigma, seed), r in zip(cells, returns.reshape(-1, episodes))]
 
 
 def evaluate_cell(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
@@ -143,11 +149,12 @@ def _sweep_cell(sigma: float, seed: int, returns, normalizer: ScoreNormalizer,
 
 
 def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
-                 adapt: str, expert_demos: DemoSet | None,
+                 adapt: str, artifacts: OfflineArtifacts | None = None,
+                 expert_demos: DemoSet | None = None,
                  thresholds: tuple[float, ...] = (), patience: int = PATIENCE) -> None:
     """Reject a sweep's arguments before any cell runs, any worker starts,
-    or any training; an adaptive sweep's patience gate at every one of its
-    kappa thresholds."""
+    or any training; an adaptive sweep's models and expert demos, and its
+    patience gate at every one of its kappa thresholds."""
     if not sigmas:
         raise ConfigError("noise sweep needs at least one sigma")
     duplicates = sorted({s for s in sigmas if sigmas.count(s) > 1})
@@ -165,8 +172,7 @@ def _check_sweep(sigmas: tuple[float, ...], runs: int, episodes: int, jobs: int,
     if adapt not in ADAPT_MODES:
         raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
     if adapt != "off":
-        if expert_demos is None:
-            raise ConfigError("adaptive evaluation needs the expert demos for online updates")
+        check_models(artifacts, expert_demos, adapt)
         for threshold in thresholds:
             check_gate(threshold, patience)
 
@@ -243,7 +249,7 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     sigmas = tuple(float(s) for s in sigmas)
     if episodes is None:
         episodes = SCORE_EPISODES if adapt == "off" else ADAPT_EPISODES
-    _check_sweep(sigmas, runs, episodes, jobs, adapt, expert_demos,
+    _check_sweep(sigmas, runs, episodes, jobs, adapt, artifacts, expert_demos,
                  (kappa_threshold,), patience)
     seeds = tuple(range(base_seed, base_seed + runs))
     if adapt == "off":
@@ -367,7 +373,8 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
     candidates = tuple(float(t) for t in candidates)
     if not candidates:
         raise ConfigError("grid search needs at least one candidate threshold")
-    _check_sweep((sigma,), runs, episodes, jobs, "on", expert_demos, candidates, patience)
+    _check_sweep((sigma,), runs, episodes, jobs, "on", artifacts, expert_demos,
+                 candidates, patience)
     seeds = tuple(range(base_seed, base_seed + runs))
     cells = _run_sweep(partial(evaluate_cell, artifacts, normalizer, expert_demos,
                                episodes, "on", patience, update_config),
@@ -454,7 +461,7 @@ def tier_ablation(base_config: OfflineConfig, mixes,
         raise ConfigError("mix labels must be unique")
     for label in labels:
         _check_label(label)
-    _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off", None)
+    _check_sweep(tuple(float(s) for s in sigmas), runs, episodes, jobs, "off")
     for _, supp_path in mixes:
         load_demo_file(supp_path, base_config.env_id)
     rows = []

@@ -295,11 +295,11 @@ def save_offline_artifacts(out_dir, artifacts: OfflineArtifacts) -> list[str]:
     return written
 
 
-def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifacts:
+def load_offline_artifacts(out_dir) -> OfflineArtifacts:
     """Every checkpoint in out_dir must carry its config's hash, and every
-    policy the action bounds of the config's env; with require_full every
-    CHECKPOINT_FILES entry must be there, else the policy. The metrics log is
-    not read, so the loaded metrics are empty."""
+    policy the action bounds of the config's env. A plain_bc config's
+    directory must hold the policy, any other every CHECKPOINT_FILES entry.
+    The metrics log is not read, so the loaded metrics are empty."""
     cfg_path = os.path.join(out_dir, CONFIG_FILE)
     if not os.path.exists(cfg_path):
         raise DataError(f"missing artifact {CONFIG_FILE!r} in {out_dir}")
@@ -308,7 +308,7 @@ def load_offline_artifacts(out_dir, require_full: bool = True) -> OfflineArtifac
 
     present = [name for name in CHECKPOINT_FILES
                if os.path.exists(os.path.join(out_dir, name))]
-    missing = [name for name in (CHECKPOINT_FILES if require_full else (POLICY_FILE,))
+    missing = [name for name in ((POLICY_FILE,) if config.plain_bc else CHECKPOINT_FILES)
                if name not in present]
     if missing:
         raise DataError(f"incomplete artifacts in {out_dir}: missing "

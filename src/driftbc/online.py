@@ -86,6 +86,18 @@ def check_gate(kappa_threshold: float, patience: int) -> None:
         raise ConfigError(f"patience must be at least 1, got {patience!r}")
 
 
+def check_models(artifacts: OfflineArtifacts, expert_demos: DemoSet | None,
+                 adapt: str) -> None:
+    """Refuse an online run whose models could not run it: every run scores
+    its steps with both state-density models, and an adaptive run's updates
+    also train the discriminator on the expert demos."""
+    if artifacts.gmm_expert is None or artifacts.gmm_supp is None:
+        raise ConfigError("online run needs both state-density artifacts")
+    if adapt != "off" and (artifacts.discriminator is None or expert_demos is None):
+        raise ConfigError("online updates need the discriminator artifact "
+                          "and the expert demos")
+
+
 def observe_step(detector: OnlineRun, s, a, kappa_value: float) -> bool:
     """An online run's patience gate: a score below its kappa_threshold
     extends the run of low scores and stores the experience; any other score
@@ -177,8 +189,8 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
                   on_step=None) -> np.ndarray:
     """Per-episode returns of policy_of() acting under observation noise sigma.
 
-    Episode ep resets and draws its noise through envs.episode_noise, from
-    its own streams online_ep{ep}_*, so a frozen-policy evaluation and an
+    Episode ep is envs.episode_noise's episode ep, played by envs.run_episode,
+    from its own streams online_ep{ep}_*, so a frozen-policy evaluation and an
     adaptive run with the same seed see the same episodes. policy_of is
     called at every step, so a policy replaced mid-episode acts from the
     next step on, on the same noise rows. on_step(ep, t, state, obs,
@@ -187,10 +199,9 @@ def play_episodes(policy_of, env_id: str, sigma: float, episodes: int, seed: int
     spec = envs.make_spec(env_id)
     returns = np.zeros(episodes)
     for ep in range(episodes):
-        env_rng, obs_noise, act_noise = envs.episode_noise(spec, seed, ep, sigma)
         returns[ep], _, _ = envs.run_episode(
-            spec, lambda obs, noise: sample_action(policy_of(), obs, noise), env_rng,
-            (obs_noise, act_noise),
+            spec, lambda obs, noise: sample_action(policy_of(), obs, noise),
+            envs.episode_noise(spec, seed, ep, sigma),
             None if on_step is None else functools.partial(on_step, ep))
     return returns
 
@@ -216,12 +227,8 @@ class OnlineRun:
             raise ConfigError(f"adapt must be one of {ADAPT_MODES}, got {adapt!r}")
         if episodes < 1:
             raise ConfigError("episodes must be positive")
-        if artifacts.gmm_expert is None or artifacts.gmm_supp is None:
-            raise ConfigError("online run needs both state-density artifacts")
+        check_models(artifacts, expert_demos, adapt)
         check_gate(kappa_threshold, patience)
-        if adapt != "off" and (artifacts.discriminator is None or expert_demos is None):
-            raise ConfigError("online updates need the discriminator artifact "
-                              "and the expert demos")
         self.artifacts, self.expert_demos = artifacts, expert_demos
         self.adapt, self.seed = adapt, seed
         self.kappa_threshold, self.patience = kappa_threshold, patience

@@ -247,7 +247,8 @@ _SEEDED = {"weight_bounds", "disc_gradients", "policy_gradients",
 
 
 def run_checks(names=None, seed: int = 0) -> list[CheckResult]:
-    """Run the named checks (all by default) in declaration order.
+    """Run the named checks (all by default) in declaration order. An empty
+    list of names is refused: a run that checks nothing passes nothing.
 
     A check that raises is reported as a failure under its own name rather
     than aborting the suite.
@@ -255,6 +256,8 @@ def run_checks(names=None, seed: int = 0) -> list[CheckResult]:
     table = dict(ALL_CHECKS)
     if names is None:
         names = [name for name, _ in ALL_CHECKS]
+    if not names:
+        raise ConfigError("no checks named; valid: " + ", ".join(table))
     unknown = [n for n in names if n not in table]
     if unknown:
         raise ConfigError(

@@ -5,6 +5,7 @@ import inspect
 import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,39 @@ class TestRunOnline:
 
 
 class TestEvaluate:
+    def test_missing_checkpoint_exits_2_without_adaptation(self, ws, tmp_path, capsys):
+        """A directory trained with the discriminator must hold every
+        checkpoint, even for an adapt-off sweep that reads only the policy;
+        this used to exit 0."""
+        art, out = tmp_path / "art", tmp_path / "ev"
+        shutil.copytree(ws["art"], art)
+        os.remove(art / "gmm_supp.ckpt")
+        code = main(["evaluate", "--artifacts", str(art), "--refs", str(ws["refs"]),
+                     "--sigmas", "0", "--runs", "1", "--episodes", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "missing gmm_supp.ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-online", "evaluate", "grid-kth"])
+    def test_adaptive_command_on_plain_bc_exits_2_before_output(self, ws, tmp_path,
+                                                                capsys, command):
+        """A plain_bc directory holds only the policy, so it cannot adapt."""
+        art, out = tmp_path / "pbc", tmp_path / "out"
+        run_ok(["train-offline", "--config", str(ws["config"]), "--set", "plain_bc=true",
+                "--out", str(art)])
+        capsys.readouterr()
+        argv = {
+            "run-online": ["--sigma", "0.1", "--episodes", "2", "--adapt", "on"],
+            "evaluate": ["--refs", str(ws["refs"]), "--sigmas", "0.1", "--runs", "1",
+                         "--episodes", "2", "--adapt", "on"],
+            "grid-kth": ["--refs", str(ws["refs"]), "--sigma", "0.1", "--runs", "1",
+                         "--episodes", "2"],
+        }[command]
+        code = main([command, "--artifacts", str(art), *argv, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "state-density" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_files_and_summary(self, ws, tmp_path, capsys):
         out = tmp_path / "ev"
         run_ok(["evaluate", "--artifacts", str(ws["art"]), "--refs",
@@ -405,6 +439,31 @@ class TestVerify:
         assert "9/9 checks passed" in (out / "results.txt").read_text()
         manifest = read_manifest(out / "manifest.txt")
         assert manifest.artifacts == ["results.txt"]
+
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_empty_check_list_exits_2_before_any_output(self, tmp_path, capsys, checks):
+        """"," used to print 0/0 checks passed and exit 0, and "" ran every
+        check."""
+        out = tmp_path / "ver"
+        assert main(["verify", "--checks", checks, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no checks named" in captured.err
+        assert not out.exists()
+
+    def test_out_manifest_times_the_checks(self, tmp_path, monkeypatch):
+        """The stopwatch used to start after the checks, so this manifest
+        read wall_ms=1."""
+        import driftbc.cli as cli_mod
+
+        def slow_checks(names=None, seed=0):
+            time.sleep(0.3)
+            return [CheckResult("lambda_schedule", True, "slept")]
+
+        monkeypatch.setattr(cli_mod, "run_checks", slow_checks)
+        out = tmp_path / "ver"
+        assert main(["verify", "--out", str(out)]) == EXIT_OK
+        assert read_manifest(out / "manifest.txt").wall_ms >= 300
 
     def test_non_empty_out_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
         import driftbc.cli as cli_mod

@@ -1,6 +1,7 @@
 """Demonstration tiers: generation statistics, mixing, holdout splitting, and
 the bit-exact file format with its distinct failure modes."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -32,6 +33,30 @@ def assert_sets_equal(a, b, check_returns=True):
 
 
 # -------------------------------------------------------------- generation
+
+
+# sha256 of save_demoset's file for generate_tier(spec, tier, 3, seed=2),
+# taken with numpy 2.4.6 on x86-64 from per-step action draws, whose values
+# a tier's one block of draws must hold
+TIER_DIGESTS = {
+    ("pointmass2d", "expert"): "915aca4dc1ba62e6e66b9ccbbae6007a9ee6d1249f581b489aaaac361aac9650",
+    ("pointmass2d", "medium"): "696e269de662ce83ea44615581c07c3c875f2c619a7591c8c6f2fc06ecbd5b68",
+    ("pointmass2d", "medium_replay_like"):
+        "013ec4f74111c2937c1049b36115178790b169c8bf8209b99a07b42a14d77cf5",
+    ("pointmass2d", "random"): "6962e12ecf999f2e6eb270147248f12f8a7b91b0b6615031702d8778841d3dac",
+    ("pendulum1", "expert"): "341e7d7b7f3a278cb2b4cc0179fb0fc070c5a6b950445d2d6bcd82cb6db936aa",
+    ("pendulum1", "medium"): "cb18e5b275e0d28c32d5ff4658da767bb01b8ac1f9ab2d0a927601c92a929fb5",
+    ("pendulum1", "medium_replay_like"):
+        "2653589c1d060b70a09067c0bb2f53b6ac6ef340be22efe662c51992088fcdd2",
+    ("pendulum1", "random"): "3a514dd005de95866f06d798ab45d49f70fac48bb9f52269da6c420b3fb3630c",
+}
+
+
+@pytest.mark.parametrize("env_id,tier", sorted(TIER_DIGESTS))
+def test_every_tier_keeps_its_bytes(tmp_path, env_id, tier):
+    path = tmp_path / "tier.demos"
+    demos.save_demoset(path, demos.generate_tier(envs.make_spec(env_id), tier, 3, 2))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TIER_DIGESTS[env_id, tier]
 
 
 def test_random_tier_action_stats():
@@ -305,6 +330,35 @@ def test_episode_counts_must_match_rows(tmp_path, edits, match):
         header = header.replace(old, new)
     path.write_bytes(header + b"\n" + payload)
     with pytest.raises(DataError, match=match):
+        demos.load_demoset(path)
+
+
+@pytest.mark.parametrize("ids", [[0, 5, 7], [1, 2, 3], [0, 0, 2]])
+def test_episode_ids_must_be_the_runs_consecutive_block(tmp_path, ids):
+    """Ids {0, 5, 7} under a 3-episode run used to load without a word;
+    split_holdout then trained on 41 of the 72 samples and held out ids 3
+    and 5."""
+    ds = demos.generate_tier(pm_spec(), "expert", 3, 5)
+    assert ds.n_samples == 72
+    ds.episode_ids = np.array(ids, dtype=np.int32)[ds.episode_ids]
+    path = tmp_path / "expert.demo"
+    demos.save_demoset(path, ds)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: tier run expert:3:72 "
+                                        r"holds \d distinct episode ids, not the ids 0\.\.2"):
+        demos.load_demoset(path)
+
+
+def test_a_later_run_continues_the_ids_of_the_runs_before_it(tmp_path):
+    mixed = demos.mix_supplementary([demos.generate_tier(pm_spec(), tier, 2, 1)
+                                     for tier in ("medium", "random")])
+    path = tmp_path / "mixed.demo"
+    demos.save_demoset(path, mixed)
+    assert_sets_equal(demos.load_demoset(path), mixed, check_returns=False)
+    # the random run restarting at id 0 repeats the medium run's ids
+    mixed.episode_ids[mixed.tier_runs[0].samples:] -= 2
+    demos.save_demoset(path, mixed)
+    with pytest.raises(DataError, match=r"tier run random:2:400 holds 2 distinct "
+                                        r"episode ids, not the ids 2\.\.3"):
         demos.load_demoset(path)
 
 

@@ -19,6 +19,13 @@ def pend_spec(horizon=200):
     return envs.make_spec("pendulum1", horizon=horizon)
 
 
+def still(spec, seed):
+    """An episode without noise: reset from default_rng(seed), the -0.0
+    observation block and a zero action block."""
+    return (np.random.default_rng(seed), envs.still_block(spec),
+            np.zeros((spec.horizon, spec.action_dim)))
+
+
 def angle_from_upright(state):
     theta = np.arctan2(state[1], state[0])
     return (theta - np.pi + np.pi) % (2 * np.pi) - np.pi
@@ -338,10 +345,12 @@ def test_pendulum_step_deterministic(theta, speed, torque):
 
 
 def test_observe_sigma_zero_identity():
-    state = np.array([0.2, -0.7, 1.0])
-    assert envs.episode_noise(pend_spec(), 0, 0, 0.0)[1] is None
-    obs = envs.observe(state, None)
-    assert np.array_equal(obs, state)
+    state = np.array([0.2, -0.0, 0.0])
+    block = envs.episode_noise(pend_spec(), 0, 0, 0.0)[1]
+    assert block.tobytes() == envs.still_block(pend_spec()).tobytes()
+    assert np.signbit(block).all()
+    obs = envs.observe(state, block[0])
+    assert obs.tobytes() == state.tobytes()
     assert obs is not state
 
 
@@ -380,7 +389,7 @@ def test_pointmass_expert_reaches_goal():
     reached = 0
     for seed in range(500):
         _, final_state, done = envs.run_episode(
-            spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+            spec, lambda s, _: envs.scripted_expert(spec, s), still(spec, seed))
         dist = np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL)
         if done and dist < 0.05:
             reached += 1
@@ -397,7 +406,7 @@ def test_pendulum_expert_mean_return():
     spec = pend_spec()
     returns = [
         envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
-                         np.random.default_rng(seed))[0]
+                         still(spec, seed))[0]
         for seed in range(100)
     ]
     assert np.mean(returns) > -200.0
@@ -407,7 +416,7 @@ def test_pendulum_expert_ends_upright():
     spec = pend_spec()
     for seed in range(20):
         _, final_state, _ = envs.run_episode(
-            spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(seed))
+            spec, lambda s, _: envs.scripted_expert(spec, s), still(spec, seed))
         assert abs(angle_from_upright(final_state)) < 0.1
         assert abs(final_state[2]) < 0.5
 
@@ -436,7 +445,7 @@ def test_rollout_shapes_and_return():
     spec = pend_spec()
     steps, record = step_recorder()
     total, _, done = envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
-                                      np.random.default_rng(9), on_step=record)
+                                      still(spec, 9), on_step=record)
     states, actions, rewards = map(np.array, zip(*steps))
     assert len(rewards) == 200 and not done
     assert states.shape == (200, 3)
@@ -447,7 +456,7 @@ def test_rollout_shapes_and_return():
 def test_rollout_horizon_override():
     spec = pend_spec(horizon=7)
     steps, record = step_recorder()
-    envs.run_episode(spec, lambda s, _: np.zeros(1), np.random.default_rng(10), on_step=record)
+    envs.run_episode(spec, lambda s, _: np.zeros(1), still(spec, 10), on_step=record)
     assert len(steps) == 7
 
 
@@ -455,7 +464,7 @@ def test_rollout_early_termination():
     spec = pm_spec()
     steps, record = step_recorder()
     _, final_state, done = envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
-                                            np.random.default_rng(11), on_step=record)
+                                            still(spec, 11), on_step=record)
     assert done and len(steps) < 200
     assert np.linalg.norm(final_state[:2] - envs.POINTMASS_GOAL) < 0.05
 
@@ -466,7 +475,7 @@ def test_rollout_deterministic():
     for _ in range(2):
         steps, record = step_recorder()
         envs.run_episode(spec, lambda s, _: envs.scripted_expert(spec, s),
-                         np.random.default_rng(12), on_step=record)
+                         still(spec, 12), on_step=record)
         recs.append(tuple(map(np.array, zip(*steps))))
     assert np.array_equal(recs[0][0], recs[1][0])
     assert np.array_equal(recs[0][1], recs[1][1])
@@ -478,9 +487,9 @@ def test_noise_never_touches_true_trajectory():
     _, obs_noise, act_noise = envs.episode_noise(spec, 99, 0, 0.2)
     steps = []
     _, final_state, _ = envs.run_episode(
-        spec, lambda s, _: envs.scripted_expert(spec, s), np.random.default_rng(13),
-        (obs_noise, act_noise), lambda t, state, obs, action, reward: steps.append(
-            (state, obs, action, reward)))
+        spec, lambda s, _: envs.scripted_expert(spec, s),
+        (np.random.default_rng(13), obs_noise, act_noise),
+        lambda t, state, obs, action, reward: steps.append((state, obs, action, reward)))
     true_states, observed_states, actions, rewards = map(np.array, zip(*steps))
     # replay the recorded actions with no noise: true states must match
     state = envs.reset(spec, np.random.default_rng(13))
@@ -495,24 +504,24 @@ def test_noise_never_touches_true_trajectory():
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_run_episode_hands_step_t_its_noise_rows(sigma):
+    """At sigma 0 the -0.0 block hands act an exact copy of each state, as a
+    new array."""
     spec = pend_spec(horizon=7)
-    _, obs_noise, act_noise = envs.episode_noise(spec, 3, 0, sigma)
+    episode = envs.episode_noise(spec, 3, 0, sigma)
+    _, obs_noise, act_noise = episode
     seen = []
 
     def act(obs, noise):
         seen.append((obs, noise))
-        return np.zeros(1) if noise is None else noise
+        return noise
 
     steps, record = step_recorder()
-    envs.run_episode(spec, act, np.random.default_rng(1), (obs_noise, act_noise), record)
+    envs.run_episode(spec, act, episode, record)
     assert len(seen) == 7
     for t, ((obs, noise), (state, _, _)) in enumerate(zip(seen, steps)):
         assert noise.tobytes() == act_noise[t].tobytes()
-        want = state if obs_noise is None else state + obs_noise[t]
+        want = state if sigma == 0.0 else state + obs_noise[t]
         assert obs.tobytes() == want.tobytes() and obs is not state
-    seen.clear()
-    envs.run_episode(spec, act, np.random.default_rng(1), on_step=record)
-    assert [noise for _, noise in seen] == [None] * 7
 
 
 def test_pointmass_return_bound():
@@ -521,5 +530,5 @@ def test_pointmass_return_bound():
     rng = np.random.default_rng(14)
     for seed in range(10):
         total, _, _ = envs.run_episode(spec, lambda s, _: rng.uniform(-1, 1, 2),
-                                       np.random.default_rng(seed))
+                                       still(spec, seed))
         assert bound <= total <= 0.0

@@ -1,9 +1,10 @@
-"""The two episode loops and their per-episode noise blocks: play_episodes
+"""The two episode loops and the episodes they play: play_episodes
 (run_episode, a step at a time) and score_policy (run_lockstep, every
-episode of a chunk of (sigma, seed) cells at once) draw each episode's
-observation and action noise once, as blocks, through envs.episode_noise,
-and must give the returns, actions and trigger logs of a loop that draws
-per step."""
+episode of a chunk of (sigma, seed) cells at once) play episodes made by
+envs.episode_noise, each a reset generator with its observation and action
+noise drawn once, as blocks (the -0.0 observation block at sigma 0), and
+must give the returns, actions and trigger logs of a loop that draws per
+step."""
 
 import copy
 import sys
@@ -51,6 +52,13 @@ def pendulum_policy():
                        rng=np.random.default_rng(11), init_log_std=-1.0)
 
 
+def cell_episodes(spec, cells, episodes):
+    """Episodes 0 .. episodes-1 of every (sigma, seed) cell, cell-major, as
+    score_policy makes them."""
+    return [envs.episode_noise(spec, seed, ep, sigma)
+            for sigma, seed in cells for ep in range(episodes)]
+
+
 def scored(policy, env_id, sigma, episodes, seed):
     """score_policy's returns on the one (sigma, seed) cell, as an array."""
     artifacts = SimpleNamespace(policy=policy, config=SimpleNamespace(env_id=env_id))
@@ -94,13 +102,12 @@ def test_episode_noise_is_the_per_step_draws(env_id, sigma):
     obs_rng = named_generator(4, "online_ep3_obs")
     act_rng = named_generator(4, "online_ep3_act")
     assert act_noise.shape == (spec.horizon, spec.action_dim)
+    assert obs_noise.shape == (spec.horizon, spec.state_dim)
     if sigma == 0.0:
-        assert obs_noise is None
-    else:
-        assert obs_noise.shape == (spec.horizon, spec.state_dim)
+        assert obs_noise.tobytes() == np.full(obs_noise.shape, -0.0).tobytes()
     for t in range(spec.horizon):
         assert act_noise[t].tobytes() == act_rng.standard_normal(spec.action_dim).tobytes()
-        if obs_noise is not None:
+        if sigma != 0.0:
             want = obs_rng.standard_normal(spec.state_dim) * sigma
             assert obs_noise[t].tobytes() == want.tobytes()
 
@@ -191,14 +198,16 @@ def test_score_policy_needs_an_episode():
 
 @pytest.mark.parametrize("env_id", ["pendulum1", "pointmass2d"])
 def test_every_cell_of_one_loop_matches_the_per_step_loop(pointmass, env_id):
-    """run_lockstep over cells that mix sigma 0 with non-zero sigmas and
-    repeat seeds: row block i has the bits of the per-step loop on cell i,
-    and on pointmass the cells' episodes end at different steps."""
+    """run_lockstep over the episodes of cells that mix sigma 0 with non-zero
+    sigmas and repeat seeds: row block i has the bits of the per-step loop
+    on cell i, and on pointmass the cells' episodes end at different steps."""
     policy = pendulum_policy() if env_id == "pendulum1" else pointmass[0].policy
     cells = [(0.0, 2), (0.2, 2), (0.0, 5), (0.1, 3), (0.05, 5)]
-    returns = envs.run_lockstep(envs.make_spec(env_id), partial(sample_action, policy),
-                                cells, 8)
-    assert returns.shape == (len(cells), 8)
+    spec = envs.make_spec(env_id)
+    returns = envs.run_lockstep(spec, partial(sample_action, policy),
+                                cell_episodes(spec, cells, 8))
+    assert returns.shape == (len(cells) * 8,)
+    returns = returns.reshape(len(cells), 8)
     ends = []
     for (sigma, seed), got in zip(cells, returns):
         lengths = {}
@@ -226,7 +235,7 @@ def test_a_sigma_0_row_observes_an_exact_copy_of_its_state(monkeypatch):
         seen.append(obs.copy())
         return np.zeros_like(noise)
 
-    envs.run_lockstep(spec, act_rows, [(0.0, 1), (0.1, 1)], 2)
+    envs.run_lockstep(spec, act_rows, cell_episodes(spec, [(0.0, 1), (0.1, 1)], 2))
     assert seen[0][:2].tobytes() == np.array([[0.5, -0.0, -0.0, 0.0]] * 2).tobytes()
     assert not np.array_equal(seen[0][2:], seen[0][:2])
 

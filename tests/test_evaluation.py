@@ -331,6 +331,29 @@ class TestEvaluateCell:
             grid_search_kth(trained, expert, normalizer, 0.1, candidates=(0.0, 0.5),
                             runs=1, episodes=2, patience=0)
 
+    @pytest.mark.parametrize("missing", ["discriminator", "gmm_expert", "gmm_supp"])
+    def test_models_that_cannot_adapt_are_refused_before_any_cell(
+            self, trained, normalizer, demo_paths, pool_sizes, monkeypatch, missing):
+        """An adaptive sweep or grid without the discriminator or a GMM used
+        to run one evaluate_cell before its ConfigError, with the worker pool
+        already started at jobs > 1."""
+        _, expert = demo_paths
+
+        def no_cell(*args):
+            raise AssertionError("evaluate_cell ran before the sweep was checked")
+
+        monkeypatch.setattr(evaluation, "evaluate_cell", no_cell)
+        artifacts = replace(trained, **{missing: None})
+        match = "discriminator" if missing == "discriminator" else "state-density"
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError, match=match):
+                noise_sweep(artifacts, normalizer, sigmas=(0.0, 0.1), runs=2, episodes=2,
+                            adapt="on", expert_demos=expert, jobs=jobs)
+            with pytest.raises(ConfigError, match=match):
+                grid_search_kth(artifacts, expert, normalizer, 0.1, candidates=(0.0, 0.5),
+                                runs=2, episodes=2, jobs=jobs)
+        assert pool_sizes == []
+
     def test_adaptive_cell_never_mutates_caller_artifacts(self, trained,
                                                           normalizer, demo_paths):
         _, expert = demo_paths
@@ -535,9 +558,12 @@ class TestSweepLoop:
         loops, rows = [], []
         run_lockstep, step_rows = envs.run_lockstep, envs.step_rows
 
-        def counted_loop(spec, act_rows, cells, episodes):
-            loops.append(list(cells))
-            return run_lockstep(spec, act_rows, cells, episodes)
+        def blocks(episodes):
+            return [(obs.tobytes(), act.tobytes()) for _, obs, act in episodes]
+
+        def counted_loop(spec, act_rows, episodes):
+            loops.append(blocks(episodes))
+            return run_lockstep(spec, act_rows, episodes)
 
         def counted_step(spec, states, actions):
             rows.append(len(states))
@@ -548,8 +574,11 @@ class TestSweepLoop:
         monkeypatch.setattr(envs, "step_rows", counted_step)
         report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=3, episodes=4)
         assert report.cells == want
-        assert loops == [[(0.0, 0), (0.0, 1)], [(0.0, 2), (0.1, 0)],
-                         [(0.1, 1), (0.1, 2)]]
+        spec = envs.make_spec(ENV)
+        assert loops == [blocks(envs.episode_noise(spec, seed, ep, sigma)
+                                for sigma, seed in chunk for ep in range(4))
+                         for chunk in ([(0.0, 0), (0.0, 1)], [(0.0, 2), (0.1, 0)],
+                                       [(0.1, 1), (0.1, 2)])]
         assert max(rows) == 8
 
     @pytest.mark.parametrize("jobs,chunks", [(1, 1), (2, 2), (3, 3), (64, 20)])
@@ -560,9 +589,9 @@ class TestSweepLoop:
         loops = []
         run_lockstep = envs.run_lockstep
 
-        def counted_loop(spec, act_rows, cells, episodes):
-            loops.append(len(cells))
-            return run_lockstep(spec, act_rows, cells, episodes)
+        def counted_loop(spec, act_rows, episodes):
+            loops.append(len(episodes) // 2)
+            return run_lockstep(spec, act_rows, episodes)
 
         serial = noise_sweep(trained, normalizer, runs=5, episodes=2)
         with pytest.MonkeyPatch.context() as mp:

@@ -521,8 +521,10 @@ def test_plain_bc_partial_storage(demo_paths, tmp_path):
     out = tmp_path / "pbc"
     written = offline.save_offline_artifacts(out, art)
     assert offline.DISC_FILE not in written
-    with pytest.raises(DataError, match="incomplete artifacts"):
-        offline.load_offline_artifacts(out)
-    back = offline.load_offline_artifacts(out, require_full=False)
+    # a plain_bc config's directory needs only the policy
+    back = offline.load_offline_artifacts(out)
     assert back.discriminator is None
     assert policies_equal(back.policy, art.policy)
+    os.remove(os.path.join(out, offline.POLICY_FILE))
+    with pytest.raises(DataError, match=r"incomplete artifacts.*: missing policy\.ckpt$"):
+        offline.load_offline_artifacts(out)

@@ -38,6 +38,13 @@ class TestSuite:
         with pytest.raises(ConfigError, match="unknown checks"):
             run_checks(names=["lambda_schedule", "nonsense"])
 
+    def test_empty_check_list_rejected(self):
+        """An empty list used to report 0/0 checks passed, a pass with
+        nothing checked."""
+        for names in ([], ()):
+            with pytest.raises(ConfigError, match="no checks named"):
+                run_checks(names=names)
+
     def test_subset_runs_only_requested(self):
         results = run_checks(names=["weight_bounds", "em_monotonicity"])
         assert [r.name for r in results] == ["weight_bounds", "em_monotonicity"]
