@@ -14,17 +14,15 @@ from pathlib import Path
 
 from . import envs
 from .configio import (RunManifest, Stopwatch, apply_overrides, config_hash,
-                       load_config, write_manifest, write_text_atomic)
+                       format_record, load_config, write_manifest,
+                       write_text_atomic)
 from .demos import (TIERS, check_tier, generate_tier, load_reference_returns,
                     measure_reference_returns, mix_supplementary, save_demoset,
                     save_reference_returns)
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import (DEFAULT_RUNS, DEFAULT_SIGMAS, SCORE_EPISODES,
-                         ablation_plot_data, ablation_records,
-                         format_ablation_summary, format_grid_summary,
-                         format_sweep_summary, grid_plot_data, grid_records,
                          grid_search_kth, noise_sweep, normalizer_from_reference,
-                         sweep_plot_data, sweep_records, tier_ablation)
+                         report_files, tier_ablation)
 from .offline import (OfflineConfig, load_demo_file, load_offline_artifacts,
                       run_offline, save_offline_artifacts)
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
@@ -151,8 +149,9 @@ def cmd_gen_refs(args) -> int:
     save_reference_returns(out, ref)
     params = {"env": args.env, "episodes": args.episodes, "seed": args.seed}
     _write_run("gen-refs", Path(f"{out}.manifest"), params, args.seed, watch, {},
-               f"wrote {out}: expert_return={ref.expert_return!r} "
-               f"random_return={ref.random_return!r}\n", [out.name])
+               f"wrote {out}: " + format_record({"expert_return": ref.expert_return,
+                                                 "random_return": ref.random_return}),
+               [out.name])
     return EXIT_OK
 
 
@@ -164,8 +163,8 @@ def cmd_train_offline(args) -> int:
     artifacts = run_offline(config)
     files = save_offline_artifacts(out, artifacts)
     _write_run("train-offline", out / "manifest.txt", config.to_dict(), config.seed,
-               watch, {}, f"trained {config.env_id} artifacts in {out}\n"
-               f"config_hash={config.hash()} seed={config.seed} files={len(files)}\n",
+               watch, {}, f"trained {config.env_id} artifacts in {out}\n" + format_record(
+                   {"config_hash": config.hash(), "seed": config.seed, "files": len(files)}),
                files, config_path=str(args.config))
     return EXIT_OK
 
@@ -179,19 +178,19 @@ def cmd_run_online(args) -> int:
                         episodes=args.episodes, adapt=args.adapt,
                         seed=args.seed, kappa_threshold=args.kth,
                         patience=args.patience)
-    returns_text = "".join(
-        f"episode={i} return={float(r)!r}\n"
-        for i, r in enumerate(result.episode_returns))
+    returns_text = "".join(format_record({"episode": i, "return": float(r)})
+                           for i, r in enumerate(result.episode_returns))
     params = {"artifacts_config_hash": artifacts.config.hash(),
               "sigma": args.sigma, "episodes": args.episodes,
               "adapt": args.adapt, "seed": args.seed, "kth": args.kth,
               "patience": args.patience}
-    mean_return = float(result.episode_returns.mean())
     _write_run("run-online", out / "manifest.txt", params, args.seed, watch,
                {"returns.log": returns_text,
                 "triggers.log": format_trigger_log(result.records)},
-               f"episodes={args.episodes} mean_return={mean_return!r} "
-               f"triggers={result.update_invocations} failed={result.failed_updates}\n")
+               format_record({"episodes": args.episodes,
+                              "mean_return": float(result.episode_returns.mean()),
+                              "triggers": result.update_invocations,
+                              "failed": result.failed_updates}))
     return EXIT_OK
 
 
@@ -209,12 +208,11 @@ def cmd_evaluate(args) -> int:
                          patience=args.patience, jobs=args.jobs)
     params = {"artifacts_config_hash": artifacts.config.hash(),
               "sigmas": args.sigmas, "runs": args.runs, "adapt": args.adapt,
-              "episodes": report.episodes, "seed": args.seed, "kth": args.kth,
+              "episodes": report.header["episodes"], "seed": args.seed, "kth": args.kth,
               "patience": args.patience}
-    summary = format_sweep_summary(report)
-    _write_run("evaluate", out / "manifest.txt", params, args.seed, watch,
-               {"records.txt": sweep_records(report), "summary.txt": summary,
-                "plot.txt": sweep_plot_data(report)}, summary)
+    files = report_files(report)
+    _write_run("evaluate", out / "manifest.txt", params, args.seed, watch, files,
+               files["summary.txt"])
     return EXIT_OK
 
 
@@ -232,10 +230,9 @@ def cmd_grid_kth(args) -> int:
               "sigma": args.sigma, "runs": args.runs,
               "episodes": args.episodes, "seed": args.seed,
               "patience": args.patience}
-    summary = format_grid_summary(report)
-    _write_run("grid-kth", out / "manifest.txt", params, args.seed, watch,
-               {"records.txt": grid_records(report), "summary.txt": summary,
-                "plot.txt": grid_plot_data(report)}, summary)
+    files = report_files(report)
+    _write_run("grid-kth", out / "manifest.txt", params, args.seed, watch, files,
+               files["summary.txt"])
     return EXIT_OK
 
 
@@ -253,11 +250,9 @@ def cmd_tier_ablation(args) -> int:
     params = dict(base.to_dict(), sigmas=args.sigmas, runs=args.runs,
                   episodes=args.episodes, eval_seed=args.seed,
                   mixes=",".join(f"{label}:{path}" for label, path in mixes))
-    summary = format_ablation_summary(report)
-    _write_run("tier-ablation", out / "manifest.txt", params, args.seed, watch,
-               {"records.txt": ablation_records(report), "summary.txt": summary,
-                "plot.txt": ablation_plot_data(report)}, summary,
-               config_path=str(args.config))
+    files = report_files(report)
+    _write_run("tier-ablation", out / "manifest.txt", params, args.seed, watch, files,
+               files["summary.txt"], config_path=str(args.config))
     return EXIT_OK
 
 

@@ -1,9 +1,14 @@
-"""Flat key=value config files, stable hashing, and atomic run manifests.
+"""Flat key=value configs, one-line records, stable hashing, atomic manifests.
 
-The whole pipeline shares one config dialect: one `key=value` per line, blank
-lines and `#` comments ignored, values kept as strings until a consumer
-coerces them. Hashing is over the canonical (sorted, stripped) rendering, so
-irrelevant formatting differences do not change identity.
+Configs and manifests hold one `key=value` per line; blank lines and `#`
+comments are ignored, a value may hold spaces (a demo path, say), and values
+stay strings until a consumer coerces them. Hashing is over the canonical
+(sorted, stripped) rendering, so irrelevant formatting differences do not
+change identity.
+
+A record holds the fields of one thing on one line as single-space separated
+`key=value` tokens: checkpoint headers, logs, sweep reports and plot data.
+format_record writes every record and parse_record reads one back.
 """
 
 from __future__ import annotations
@@ -70,6 +75,44 @@ def apply_overrides(cfg: dict, overrides) -> dict[str, str]:
             raise ConfigError(f"override has bad key {key!r}")
         out[key] = value.strip()
     return out
+
+
+# ----------------------------------------------------------------- records
+
+
+# the exact types most fields hold skip the checks below (one adaptive run logs
+# tens of thousands of trigger records); subclasses take the general path
+_RECORD_TEXT = {int: int.__repr__, float: float.__repr__, bool: ("0", "1").__getitem__}
+
+
+def _record_value(key: str, value) -> str:
+    text = _RECORD_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join([_record_value(key, v) for v in value])
+    if isinstance(value, str) and (" " in value or "=" in value or "\n" in value):
+        raise ConfigError(f"record field {key}={value!r} contains reserved characters")
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def format_record(fields: dict) -> str:
+    """One record line, fields in the given order: a float as its repr, a bool
+    as 1 or 0, an int with str, a tuple or list comma-joined by the same rules.
+    A str holding a space, '=' or a newline raises ConfigError."""
+    return " ".join([f"{k}={_record_value(k, v)}" for k, v in fields.items()]) + "\n"
+
+
+def parse_record(line: str) -> dict[str, str]:
+    """A record line's fields as strings, in line order; an empty token, a
+    token without '=' or a repeated key raises DataError."""
+    fields: dict[str, str] = {}
+    for token in line.split(" "):
+        key, eq, value = token.partition("=")
+        if not key or not eq or key in fields:
+            raise DataError(f"{'repeated' if key in fields else 'malformed'} record field {token!r}")
+        fields[key] = value
+    return fields
 
 
 # --------------------------------------------------------------- coercions

@@ -232,7 +232,6 @@ def _row_dtype(state_dim: int, action_dim: int) -> np.dtype:
 
 def save_demoset(path, demos: DemoSet) -> None:
     _check_consistent(demos)
-    tiers = ",".join(f"{r.tier}:{r.episodes}:{r.samples}" for r in demos.tier_runs)
     fields = {
         "env_id": demos.env_id,
         "state_dim": demos.state_dim,
@@ -240,7 +239,7 @@ def save_demoset(path, demos: DemoSet) -> None:
         "seed": demos.seed,
         "episodes": demos.n_episodes,
         "samples": demos.n_samples,
-        "tiers": tiers,
+        "tiers": tuple(f"{r.tier}:{r.episodes}:{r.samples}" for r in demos.tier_runs),
     }
     rows = np.empty(demos.n_samples, dtype=_row_dtype(demos.state_dim, demos.action_dim))
     rows["ep"] = demos.episode_ids
@@ -345,8 +344,8 @@ def measure_reference_returns(spec: envs.EnvSpec, episodes: int = 100,
 def save_reference_returns(path, ref: ReferenceReturns) -> None:
     write_record_file(path, REFRET_KIND, {
         "env_id": ref.env_id,
-        "expert_return": repr(ref.expert_return),
-        "random_return": repr(ref.random_return),
+        "expert_return": ref.expert_return,
+        "random_return": ref.random_return,
         "episodes": ref.episodes,
         "seed": ref.seed,
     })

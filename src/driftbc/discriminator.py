@@ -453,7 +453,7 @@ def pointwise_optimum(p_expert: float, p_supp: float, supp_coef: float = 1.0,
 
 def save_discriminator(path, model: DiscriminatorModel, extra: dict | None = None) -> None:
     fields = {**(extra or {}), **net_fields(model.net),
-              "clip_lo": repr(model.clip_lo), "clip_hi": repr(model.clip_hi)}
+              "clip_lo": model.clip_lo, "clip_hi": model.clip_hi}
     write_record_file(path, "disc", fields, pack_floats([model.net.params]))
 
 

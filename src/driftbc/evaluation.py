@@ -7,6 +7,12 @@ raw per-cell records.
 
 Every sweep maps one task over its cells: score_policy over chunks of
 (sigma, seed) cells, or evaluate_cell over adaptive cells one at a time.
+
+The paper's three result kinds (robustness to noise sigma, adaptation at each
+threshold kth, coverage of supplementary tiers) have one shape: the scores
+of (value, seed) cells grouped by the swept value. noise_sweep,
+grid_search_kth and tier_ablation each return that shape as a Report of
+ReportRows, whose files report_files writes.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 
 from . import envs
 from .demos import DemoSet, ReferenceReturns
+from .configio import format_record
 from .errors import ConfigError
 from .offline import OfflineArtifacts, OfflineConfig, load_demo_file, run_offline
 from .online import (ADAPT_MODES, KAPPA_THRESHOLD, PATIENCE,
@@ -115,6 +122,8 @@ def score_policy(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
     of artifacts."""
     if episodes < 1:
         raise ConfigError("episodes must be positive")
+    if not cells:
+        raise ConfigError("score_policy needs at least one (sigma, seed) cell")
     spec = envs.make_spec(artifacts.config.env_id)
     returns = envs.run_lockstep(spec, partial(sample_action, artifacts.policy),
                                 [envs.episode_noise(spec, seed, ep, sigma)
@@ -201,36 +210,58 @@ def _run_sweep(task, tasks: list, jobs: int) -> list:
         return list(pool.map(task, tasks))
 
 
-def _row_stats(cells) -> dict:
-    """The seeds, scores, mean_score and std_score (sample std, 0 for one
-    seed) of the cells of one swept value."""
-    scores = tuple(c.score for c in cells)
-    return dict(seeds=tuple(c.seed for c in cells), scores=scores,
-                mean_score=float(np.mean(scores)),
-                std_score=float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0)
-
-
-# ------------------------------------------------------------- noise sweep
+# ----------------------------------------------------------------- reports
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    sigma: float
+class ReportRow:
+    """The cells of one swept value. key holds the fields that name the row,
+    in record order: sigma (noise sweep), threshold (grid) or label and
+    sigma (tier ablation); each reads as an attribute, row.sigma say.
+    std_score is the sample std of the scores, 0 for one seed."""
+
+    key: dict
     seeds: tuple[int, ...]
     scores: tuple[float, ...]
+    updates: tuple[int, ...]
     mean_score: float
     std_score: float
     mean_stability: float
 
+    def __getattr__(self, name):
+        key = self.__dict__.get("key", {})
+        if name not in key:
+            raise AttributeError(f"report row has no field {name!r}")
+        return key[name]
+
+
+def _report_row(key: dict, cells) -> ReportRow:
+    scores = tuple(c.score for c in cells)
+    return ReportRow(
+        key=key, seeds=tuple(c.seed for c in cells), scores=scores,
+        updates=tuple(c.updates for c in cells), mean_score=float(np.mean(scores)),
+        std_score=float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0,
+        mean_stability=float(np.mean([c.stability for c in cells])))
+
 
 @dataclass(frozen=True)
-class SweepReport:
-    env_id: str
-    adapt: str
-    sigmas: tuple[float, ...]
-    seeds: tuple[int, ...]
-    episodes: int
-    cells: tuple[SweepCell, ...]
+class Report:
+    """One result table of the paper: kind "sweep" (noise robustness),
+    "grid" (threshold search) or "ablation" (supplementary tiers); the
+    fields of its header record, in record order; its rows in swept order;
+    and the cells its records list, a noise sweep's every cell."""
+
+    kind: str
+    header: dict
+    rows: tuple[ReportRow, ...]
+    cells: tuple[SweepCell, ...] = ()
+
+
+def sweep_rows(report: Report) -> list[ReportRow]:
+    return list(report.rows)
+
+
+# ------------------------------------------------------------- noise sweep
 
 
 def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
@@ -238,9 +269,9 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
                 adapt: str = "off", episodes: int | None = None,
                 expert_demos: DemoSet | None = None, base_seed: int = 0,
                 kappa_threshold: float = KAPPA_THRESHOLD,
-                patience: int = PATIENCE, jobs: int = 1) -> SweepReport:
+                patience: int = PATIENCE, jobs: int = 1) -> Report:
     """Evaluate every (sigma, seed) cell, sigma-major; deterministic given the
-    seed list, whatever the worker count.
+    seed list, whatever the worker count. One row per sigma.
 
     adapt="off" plays whole cells together: consecutive chunks of them go
     through one score_policy call each, chunk after chunk at jobs=1, across
@@ -262,99 +293,14 @@ def noise_sweep(artifacts: OfflineArtifacts, normalizer: ScoreNormalizer,
                                    episodes, adapt, patience, None),
                            [(s, seed, kappa_threshold) for s in sigmas for seed in seeds],
                            jobs)
-    return SweepReport(env_id=artifacts.config.env_id, adapt=adapt,
-                       sigmas=sigmas, seeds=seeds, episodes=episodes,
-                       cells=tuple(cells))
-
-
-def sweep_rows(report: SweepReport) -> list[SweepRow]:
-    rows = []
-    for sigma in report.sigmas:
-        cells = [c for c in report.cells if c.sigma == sigma]
-        rows.append(SweepRow(
-            sigma=sigma, mean_stability=float(np.mean([c.stability for c in cells])),
-            **_row_stats(cells)))
-    return rows
-
-
-def sweep_records(report: SweepReport) -> str:
-    """Newline-delimited machine-readable records: header, cells, rows."""
-    lines = [
-        f"kind=sweep env={report.env_id} adapt={report.adapt} "
-        f"runs={len(report.seeds)} episodes={report.episodes} "
-        f"ema_coefficient={EMA_COEFFICIENT!r}"
-    ]
-    for c in report.cells:
-        lines.append(
-            f"kind=cell sigma={c.sigma!r} seed={c.seed} "
-            f"mean_return={c.mean_return!r} score={c.score!r} "
-            f"stability={c.stability!r} updates={c.updates}")
-    for r in sweep_rows(report):
-        lines.append(
-            f"kind=row sigma={r.sigma!r} seeds={','.join(str(s) for s in r.seeds)} "
-            f"mean={r.mean_score!r} std={r.std_score!r}")
-    return "\n".join(lines) + "\n"
-
-
-def format_sweep_summary(report: SweepReport) -> str:
-    """Plain-text summary table: one line per sigma, mean +/- sample std."""
-    lines = [
-        f"noise sweep: env={report.env_id} adapt={report.adapt} "
-        f"runs={len(report.seeds)} episodes={report.episodes} "
-        f"ema_coefficient={EMA_COEFFICIENT}",
-        f"{'sigma':>8}  {'score':>18}  {'stability':>10}",
-    ]
-    for r in sweep_rows(report):
-        score = f"{r.mean_score:.2f} +/- {r.std_score:.2f}"
-        lines.append(f"{r.sigma:>8.2f}  {score:>18}  {r.mean_stability:>10.3f}")
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------- plot data
-
-
-def plot_data(curves) -> str:
-    """One record per point: curve label plus x, y, err columns."""
-    lines = []
-    for label, points in curves:
-        _check_label(label)
-        for x, y, err in points:
-            lines.append(f"curve={label} x={float(x)!r} y={float(y)!r} err={float(err)!r}")
-    if not lines:
-        raise ConfigError("plot data needs at least one point")
-    return "\n".join(lines) + "\n"
-
-
-def _check_label(label: str) -> None:
-    if not label or any(ch.isspace() or ch == "=" for ch in label):
-        raise ConfigError(f"label {label!r} must be a single token without '='")
-
-
-def sweep_plot_data(report: SweepReport) -> str:
-    points = [(r.sigma, r.mean_score, r.std_score) for r in sweep_rows(report)]
-    return plot_data([(f"{report.env_id}_{report.adapt}", points)])
+    rows = [_report_row({"sigma": s}, cells[i * runs:(i + 1) * runs])
+            for i, s in enumerate(sigmas)]
+    return Report("sweep", {"env": artifacts.config.env_id, "adapt": adapt, "runs": runs,
+                            "episodes": episodes, "ema_coefficient": EMA_COEFFICIENT},
+                  tuple(rows), tuple(cells))
 
 
 # --------------------------------------------------- threshold grid search
-
-
-@dataclass(frozen=True)
-class GridRow:
-    threshold: float
-    seeds: tuple[int, ...]
-    scores: tuple[float, ...]
-    updates: tuple[int, ...]
-    mean_score: float
-    std_score: float
-
-
-@dataclass(frozen=True)
-class GridReport:
-    env_id: str
-    sigma: float
-    episodes: int
-    rows: tuple[GridRow, ...]
-    best_threshold: float
 
 
 def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
@@ -363,12 +309,12 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
                     episodes: int = SCORE_EPISODES, base_seed: int = 0,
                     patience: int = PATIENCE,
                     update_config: OnlineUpdateConfig | None = None,
-                    jobs: int = 1) -> GridReport:
-    """Score the adaptive runner at each trigger-threshold candidate.
+                    jobs: int = 1) -> Report:
+    """Score the adaptive runner at each trigger-threshold candidate, a row each.
 
     Candidate 0 never triggers (scores never fall below zero), so its row
-    doubles as the adapt-off baseline. The argmax is reported; ties resolve
-    to the lowest candidate.
+    doubles as the adapt-off baseline. The argmax is reported as the
+    header's best_threshold; ties resolve to the lowest candidate.
     """
     candidates = tuple(float(t) for t in candidates)
     if not candidates:
@@ -379,79 +325,28 @@ def grid_search_kth(artifacts: OfflineArtifacts, expert_demos: DemoSet,
     cells = _run_sweep(partial(evaluate_cell, artifacts, normalizer, expert_demos,
                                episodes, "on", patience, update_config),
                        [(sigma, seed, t) for t in candidates for seed in seeds], jobs)
-    rows = []
-    for i, threshold in enumerate(candidates):
-        group = cells[i * runs:(i + 1) * runs]
-        rows.append(GridRow(threshold=threshold, updates=tuple(c.updates for c in group),
-                            **_row_stats(group)))
+    rows = [_report_row({"threshold": t}, cells[i * runs:(i + 1) * runs])
+            for i, t in enumerate(candidates)]
     best = rows[int(np.argmax([r.mean_score for r in rows]))].threshold
-    return GridReport(env_id=artifacts.config.env_id, sigma=float(sigma),
-                      episodes=episodes, rows=tuple(rows), best_threshold=best)
-
-
-def grid_records(report: GridReport) -> str:
-    lines = [
-        f"kind=grid env={report.env_id} sigma={report.sigma!r} "
-        f"episodes={report.episodes} ema_coefficient={EMA_COEFFICIENT!r} "
-        f"best_threshold={report.best_threshold!r}"
-    ]
-    for r in report.rows:
-        lines.append(
-            f"kind=candidate threshold={r.threshold!r} "
-            f"seeds={','.join(str(s) for s in r.seeds)} "
-            f"scores={','.join(repr(s) for s in r.scores)} "
-            f"updates={','.join(str(u) for u in r.updates)} "
-            f"mean={r.mean_score!r} std={r.std_score!r}")
-    return "\n".join(lines) + "\n"
-
-
-def format_grid_summary(report: GridReport) -> str:
-    lines = [
-        f"threshold grid: env={report.env_id} sigma={report.sigma} "
-        f"best={report.best_threshold}",
-        f"{'threshold':>10}  {'score':>18}  {'updates':>8}",
-    ]
-    for r in report.rows:
-        score = f"{r.mean_score:.2f} +/- {r.std_score:.2f}"
-        marker = " <- best" if r.threshold == report.best_threshold else ""
-        lines.append(
-            f"{r.threshold:>10.1f}  {score:>18}  {sum(r.updates):>8}{marker}")
-    return "\n".join(lines) + "\n"
-
-
-def grid_plot_data(report: GridReport) -> str:
-    points = [(r.threshold, r.mean_score, r.std_score) for r in report.rows]
-    return plot_data([(f"kth_{report.env_id}", points)])
+    return Report("grid", {"env": artifacts.config.env_id, "sigma": float(sigma),
+                           "episodes": episodes, "ema_coefficient": EMA_COEFFICIENT,
+                           "best_threshold": best}, tuple(rows))
 
 
 # ------------------------------------------------------------ tier ablation
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    label: str
-    sweep: SweepReport
-
-
-@dataclass(frozen=True)
-class AblationReport:
-    """Rows in mix order; every row's sweep has the same sigmas, seeds and
-    episodes."""
-
-    env_id: str
-    rows: tuple[AblationRow, ...]
-
-
 def tier_ablation(base_config: OfflineConfig, mixes,
                   normalizer: ScoreNormalizer, sigmas=DEFAULT_SIGMAS,
                   runs: int = DEFAULT_RUNS, episodes: int = SCORE_EPISODES,
-                  base_seed: int = 0, jobs: int = 1) -> AblationReport:
-    """Train one offline run per supplementary mix and sweep each policy.
+                  base_seed: int = 0, jobs: int = 1) -> Report:
+    """Train one offline run per supplementary mix and sweep each policy;
+    the rows of each mix's noise sweep, labelled, in mix order.
 
-    mixes: ordered (label, supp_demos_path) pairs, narrowest coverage first;
-    rows keep that order. All runs share base_config apart from the
-    supplementary path, so rows differ only in data coverage. The sweep
-    arguments and every mix's demo file are checked before any training.
+    mixes: ordered (label, supp_demos_path) pairs, narrowest coverage first.
+    All runs share base_config apart from the supplementary path, so rows
+    differ only in data coverage. The sweep arguments and every mix's demo
+    file are checked before any training.
     """
     mixes = [(str(label), str(path)) for label, path in mixes]
     if not mixes:
@@ -470,44 +365,95 @@ def tier_ablation(base_config: OfflineConfig, mixes,
         sweep = noise_sweep(artifacts, normalizer, sigmas=sigmas, runs=runs,
                             adapt="off", episodes=episodes, base_seed=base_seed,
                             jobs=jobs)
-        rows.append(AblationRow(label=label, sweep=sweep))
-    return AblationReport(env_id=base_config.env_id, rows=tuple(rows))
+        rows += [replace(r, key={"label": label, **r.key}) for r in sweep.rows]
+    return Report("ablation", {"env": base_config.env_id, "runs": runs,
+                               "episodes": episodes, "ema_coefficient": EMA_COEFFICIENT},
+                  tuple(rows))
 
 
-def ablation_records(report: AblationReport) -> str:
-    first = report.rows[0].sweep
-    lines = [
-        f"kind=ablation env={report.env_id} runs={len(first.seeds)} "
-        f"episodes={first.episodes} ema_coefficient={EMA_COEFFICIENT!r}"
-    ]
-    for row in report.rows:
-        for r in sweep_rows(row.sweep):
-            lines.append(
-                f"kind=mix label={row.label} sigma={r.sigma!r} "
-                f"scores={','.join(repr(s) for s in r.scores)} "
-                f"mean={r.mean_score!r} std={r.std_score!r}")
-    return "\n".join(lines) + "\n"
+# ------------------------------------------------------------ report files
 
 
-def format_ablation_summary(report: AblationReport) -> str:
-    first = report.rows[0].sweep
-    lines = [
-        f"tier ablation: env={report.env_id} runs={len(first.seeds)} "
-        f"episodes={first.episodes}",
-        f"{'mix':>10}  " + "  ".join(f"{('sigma=' + format(s, 'g')):>18}"
-                                     for s in first.sigmas),
-    ]
-    for row in report.rows:
-        cols = [f"{r.mean_score:.2f} +/- {r.std_score:.2f}"
-                for r in sweep_rows(row.sweep)]
-        lines.append(f"{row.label:>10}  " + "  ".join(f"{c:>18}" for c in cols))
-    return "\n".join(lines) + "\n"
+def _score(row: ReportRow) -> str:
+    return f"{row.mean_score:.2f} +/- {row.std_score:.2f}"
 
 
-def ablation_plot_data(report: AblationReport) -> str:
-    curves = []
-    for row in report.rows:
-        points = [(r.sigma, r.mean_score, r.std_score)
-                  for r in sweep_rows(row.sweep)]
-        curves.append((row.label, points))
-    return plot_data(curves)
+def _sweep_summary(report: Report) -> str:
+    lines = [f"{'sigma':>8}  {'score':>18}  {'stability':>10}"]
+    lines += [f"{r.sigma:>8.2f}  {_score(r):>18}  {r.mean_stability:>10.3f}"
+              for r in report.rows]
+    return "noise sweep: " + format_record(report.header) + "\n".join(lines) + "\n"
+
+
+def _grid_summary(report: Report) -> str:
+    h = report.header
+    lines = [f"{'threshold':>10}  {'score':>18}  {'updates':>8}"]
+    lines += [f"{r.threshold:>10.1f}  {_score(r):>18}  {sum(r.updates):>8}"
+              + (" <- best" if r.threshold == h["best_threshold"] else "") for r in report.rows]
+    title = format_record({"env": h["env"], "sigma": h["sigma"], "best": h["best_threshold"]})
+    return "threshold grid: " + title + "\n".join(lines) + "\n"
+
+
+def _ablation_summary(report: Report) -> str:
+    labels = list(dict.fromkeys(r.label for r in report.rows))
+    sigmas = [r.sigma for r in report.rows if r.label == labels[0]]
+    lines = [f"{'mix':>10}  " + "  ".join(f"{('sigma=' + format(s, 'g')):>18}"
+                                         for s in sigmas)]
+    lines += [f"{label:>10}  " + "  ".join(f"{_score(r):>18}" for r in report.rows
+                                           if r.label == label) for label in labels]
+    title = format_record({k: report.header[k] for k in ("env", "runs", "episodes")})
+    return "tier ablation: " + title + "\n".join(lines) + "\n"
+
+
+# report kind -> (record kind of its rows, row fields written before mean and
+# std, plot curve name of rows with no label, plain-text summary table)
+_REPORT_KINDS = {
+    "sweep": ("row", ("seeds",), "{env}_{adapt}", _sweep_summary),
+    "grid": ("candidate", ("seeds", "scores", "updates"), "kth_{env}", _grid_summary),
+    "ablation": ("mix", ("scores",), None, _ablation_summary),
+}
+
+
+def report_files(report: Report) -> dict[str, str]:
+    """A report's records, plain-text summary and plot data, by file name."""
+    return {"records.txt": report_records(report),
+            "summary.txt": _REPORT_KINDS[report.kind][3](report),
+            "plot.txt": report_plot(report)}
+
+
+def report_records(report: Report) -> str:
+    """Machine-readable records: the header, every listed cell (all its
+    fields but the raw returns), then one record per row."""
+    row_kind, row_fields, _, _ = _REPORT_KINDS[report.kind]
+    cells = [{"kind": "cell", **{k: v for k, v in vars(c).items() if k != "returns"}}
+             for c in report.cells]
+    rows = [{"kind": row_kind, **r.key, **{f: getattr(r, f) for f in row_fields},
+             "mean": r.mean_score, "std": r.std_score} for r in report.rows]
+    return "".join(map(format_record, [{"kind": report.kind, **report.header},
+                                       *cells, *rows]))
+
+
+def report_plot(report: Report) -> str:
+    """Plot data: one point per row, on the curve of its label or, for rows
+    with no label, the report's one curve; x is the swept value."""
+    curve = _REPORT_KINDS[report.kind][2]
+    return plot_data((r.key.get("label") or curve.format(**report.header),
+                      [(list(r.key.values())[-1], r.mean_score, r.std_score)])
+                     for r in report.rows)
+
+
+def plot_data(curves) -> str:
+    """One record per point: curve label plus x, y, err columns."""
+    lines = []
+    for label, points in curves:
+        _check_label(label)
+        lines += [format_record({"curve": label, "x": float(x), "y": float(y),
+                                 "err": float(err)}) for x, y, err in points]
+    if not lines:
+        raise ConfigError("plot data needs at least one point")
+    return "".join(lines)
+
+
+def _check_label(label: str) -> None:
+    if not label or any(ch.isspace() or ch == "=" for ch in label):
+        raise ConfigError(f"label {label!r} must be a single token without '='")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configio import write_bytes_atomic
+from .configio import format_record, parse_record, write_bytes_atomic
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -440,31 +440,12 @@ def named_generator(seed: int, name: str) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Record files: one ASCII header line of key=value fields, then a little-endian
-# payload. Every file kind (policy, disc, gmm, demoset, refret) is written by
-# write_record_file and read through a RecordReader. Round trips are bit-exact.
+# Record files: an ASCII header line (the kind, then a configio record of its
+# fields in sorted key order) and a little-endian payload. Every kind (policy, disc,
+# gmm, demoset, refret) round-trips bit-exactly via write_record_file/RecordReader.
 
 def format_header(kind: str, fields: dict) -> str:
-    parts = [kind]
-    for k in sorted(fields):
-        v = str(fields[k])
-        if " " in v or "=" in v or "\n" in v or "=" in k or " " in k:
-            raise ConfigError(f"header field {k}={v!r} contains reserved characters")
-        parts.append(f"{k}={v}")
-    return " ".join(parts) + "\n"
-
-
-def parse_header(line: str) -> tuple[str, dict]:
-    parts = line.strip().split(" ")
-    if not parts or not parts[0]:
-        raise DataError("empty checkpoint header")
-    fields = {}
-    for p in parts[1:]:
-        if "=" not in p:
-            raise DataError(f"malformed header field {p!r}")
-        k, v = p.split("=", 1)
-        fields[k] = v
-    return parts[0], fields
+    return kind + (" " if fields else "") + format_record(dict(sorted(fields.items())))
 
 
 def write_record_file(path, kind: str, fields: dict, payload: bytes = b"") -> None:
@@ -474,8 +455,7 @@ def write_record_file(path, kind: str, fields: dict, payload: bytes = b"") -> No
 
 def net_fields(net: MlpNetwork) -> dict:
     """The header fields that RecordReader.net reads the net back from."""
-    return {"layer_dims": ",".join(str(d) for d in net.layer_dims),
-            "activation": net.activation}
+    return {"layer_dims": net.layer_dims, "activation": net.activation}
 
 
 class RecordReader:
@@ -494,9 +474,10 @@ class RecordReader:
         if nl < 0:
             raise DataError(f"{path}: no header line found")
         try:
-            found, self.fields = parse_header(raw[:nl].decode("ascii"))
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: header is not ASCII") from e
+            found, space, rest = raw[:nl].decode("ascii").partition(" ")
+            self.fields = parse_record(rest) if space else {}
+        except (UnicodeDecodeError, DataError) as e:
+            raise DataError(f"{path}: bad header: {e}") from None
         if found != kind:
             raise DataError(f"{path}: expected a {kind!r} file, found {found!r}")
         self.payload = raw[nl + 1:]

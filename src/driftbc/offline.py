@@ -174,11 +174,9 @@ class _MetricsLog:
         self.watch = configio.Stopwatch()
 
     def add(self, stage: str, step: int, loss: float, lam: float = 0.0) -> None:
-        self.lines.append(f"stage={stage} step={step} loss={float(loss)!r} "
-                          f"lambda={float(lam)!r} wall_ms={self.watch.ms()}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n" if self.lines else ""
+        self.lines.append(configio.format_record(
+            {"stage": stage, "step": step, "loss": float(loss), "lambda": float(lam),
+             "wall_ms": self.watch.ms()}))
 
 
 def _train_discriminator(config: OfflineConfig, disc: DiscriminatorModel,
@@ -271,7 +269,7 @@ def run_offline(config: OfflineConfig) -> OfflineArtifacts:
     return OfflineArtifacts(config=config, policy=policy, discriminator=disc,
                             ref_expert=ref_expert, ref_supp=ref_supp,
                             gmm_expert=gmm_expert, gmm_supp=gmm_supp,
-                            metrics=log.text())
+                            metrics="".join(log.lines))
 
 
 # ----------------------------------------------------------------- storage

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs
-from .configio import Stopwatch
+from .configio import Stopwatch, format_record, parse_record
 from .demos import DemoSet
 from .density import GmmModel, membership_score
 from .discriminator import (bc_weight, check_scores, train_discriminator,
@@ -285,24 +285,21 @@ def run_online(artifacts: OfflineArtifacts, expert_demos: DemoSet, sigma: float,
 
 
 def format_trigger_log(records) -> str:
-    lines = [f"episode={r.episode} step={r.step} kappa={float(r.kappa)!r} "
-             f"triggered={int(r.triggered)} wall_ms={r.update_wall_ms}"
-             for r in records]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(format_record({"episode": r.episode, "step": r.step,
+                                  "kappa": float(r.kappa), "triggered": r.triggered,
+                                  "wall_ms": r.update_wall_ms})
+                   for r in records)
 
 
 def parse_trigger_log(text: str) -> list[StepRecord]:
     records = []
     for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            parts = dict(tok.split("=", 1) for tok in line.split())
+            parts = parse_record(line)
             records.append(StepRecord(int(parts["episode"]), int(parts["step"]),
-                                      float(parts["kappa"]),
-                                      bool(int(parts["triggered"])),
+                                      float(parts["kappa"]), bool(int(parts["triggered"])),
                                       int(parts["wall_ms"])))
-        except (KeyError, ValueError):
+        except (DataError, KeyError, ValueError):
             raise DataError(f"malformed trigger log line {i}: {line!r}") from None
     return records
 

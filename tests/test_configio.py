@@ -1,6 +1,10 @@
-"""Config dialect, hashing stability, overrides, and manifest round trips."""
+"""Config dialect, record codec, hashing stability, overrides, and manifest
+round trips."""
 
+import math
 import os
+import struct
+import sys
 
 import pytest
 from hypothesis import given
@@ -54,6 +58,69 @@ def test_overrides():
 def test_parse_format_round_trip(cfg):
     text = configio.format_config(cfg)
     assert configio.parse_config_text(text) == {k: str(v) for k, v in cfg.items()}
+
+
+# ------------------------------------------------------------- record codec
+
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+     -sys.float_info.max, math.inf, -math.inf])
+SCALARS = FLOATS | st.integers() | st.booleans()
+RECORD_VALUES = SCALARS | st.one_of(
+    *(st.lists(s, min_size=1, max_size=4).map(tuple)
+      for s in (FLOATS, st.integers(), st.booleans())))
+
+
+def decode(value, text: str):
+    """text read back as the type of value, the way record readers do."""
+    if isinstance(value, tuple):
+        return tuple(decode(v, t) for v, t in zip(value, text.split(","), strict=True))
+    if isinstance(value, bool):
+        return {"1": True, "0": False}[text]
+    return float(text) if isinstance(value, float) else int(text)
+
+
+def bits(value):
+    """value with every float as its 8 bytes, so -0.0 differs from 0.0."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return (type(value), value)
+
+
+@given(st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
+                       RECORD_VALUES, min_size=1, max_size=8))
+def test_record_round_trip_is_bit_exact(fields):
+    line = configio.format_record(fields)
+    assert line.endswith("\n") and line.count("\n") == 1
+    parsed = configio.parse_record(line[:-1])
+    assert list(parsed) == list(fields)
+    for key, value in fields.items():
+        assert bits(decode(value, parsed[key])) == bits(value)
+
+
+def test_record_keeps_field_order_and_formats_by_type():
+    line = configio.format_record({"z": 1, "a": 0.1, "flag": True, "dims": (3, 64, 1),
+                                   "name": "pointmass2d", "off": False})
+    assert line == "z=1 a=0.1 flag=1 dims=3,64,1 name=pointmass2d off=0\n"
+
+
+@pytest.mark.parametrize("value", ["two words", "a=b", "line\nbreak", ("ok", "a b")])
+def test_record_str_with_reserved_characters_raises(value):
+    with pytest.raises(ConfigError, match="reserved characters"):
+        configio.format_record({"ok": 1, "field": value})
+
+
+@pytest.mark.parametrize("line, match", [
+    ("", "malformed"), ("a=1  b=2", "malformed"), (" a=1", "malformed"),
+    ("a=1 ", "malformed"), ("a=1 b", "malformed"), ("a=1 =2", "malformed"),
+    ("a=1 b=2 a=1", "repeated"),
+], ids=["empty", "doubled-space", "leading-space", "trailing-space", "no-equals",
+        "empty-key", "repeated-key"])
+def test_parse_record_refuses_malformed_lines(line, match):
+    with pytest.raises(DataError, match=match):
+        configio.parse_record(line)
 
 
 def test_coercions():

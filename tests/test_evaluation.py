@@ -20,14 +20,11 @@ from driftbc.errors import ConfigError, DataError
 from driftbc.evaluation import (ADAPT_EPISODES, DEFAULT_RUNS, DEFAULT_SIGMAS,
                                 EMA_COEFFICIENT, KTH_CANDIDATES,
                                 SCORE_EPISODES, ScoreNormalizer, SweepCell,
-                                ablation_plot_data, ablation_records,
-                                evaluate_cell, format_ablation_summary,
-                                format_grid_summary, format_sweep_summary,
-                                grid_plot_data, grid_records, grid_search_kth,
-                                noise_sweep, normalized_score,
-                                normalizer_from_reference, plot_data,
-                                score_policy, stability_metric, sweep_plot_data,
-                                sweep_records, sweep_rows, tier_ablation)
+                                evaluate_cell, grid_search_kth, noise_sweep,
+                                normalized_score, normalizer_from_reference,
+                                plot_data, report_files, report_plot,
+                                report_records, score_policy, stability_metric,
+                                sweep_rows, tier_ablation)
 from driftbc.numeric import named_generator
 from driftbc.offline import OfflineConfig, run_offline
 from driftbc.online import KAPPA_THRESHOLD, OnlineUpdateConfig, run_online
@@ -249,6 +246,18 @@ class TestScorePolicy:
         with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
             score_policy(trained, normalizer, 2, [(0.1, 0), (bad, 1)])
 
+    @pytest.mark.parametrize("cells", [[], ()])
+    def test_no_cells_is_refused_before_any_loop(self, trained, normalizer, monkeypatch,
+                                                 cells):
+        """An empty cell list used to fail with an untyped ValueError from
+        unpacking the empty episode list."""
+        def no_loop(*args):
+            raise AssertionError("a lock-step loop was started")
+
+        monkeypatch.setattr(envs, "run_lockstep", no_loop)
+        with pytest.raises(ConfigError, match="at least one"):
+            score_policy(trained, normalizer, 3, cells)
+
     def test_works_without_density_models(self, plain, normalizer):
         cells = score_policy(plain, normalizer, 2, [(0.0, 0), (0.1, 0)])
         assert [(c.sigma, c.seed, c.updates, len(c.returns)) for c in cells] == \
@@ -381,10 +390,12 @@ class TestNoiseSweep:
     def test_report_shape_and_aggregates(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2,
                              episodes=2)
-        assert report.env_id == ENV
-        assert report.adapt == "off"
-        assert report.seeds == (0, 1)
-        assert sweep_records(report).splitlines()[0].endswith(
+        assert report.kind == "sweep"
+        assert report.header["env"] == ENV
+        assert report.header["adapt"] == "off"
+        assert report.header["runs"] == 2
+        assert [c.seed for c in report.cells] == [0, 1, 0, 1]
+        assert report_records(report).splitlines()[0].endswith(
             f" ema_coefficient={EMA_COEFFICIENT!r}")
         assert len(report.cells) == 4
         rows = sweep_rows(report)
@@ -397,7 +408,7 @@ class TestNoiseSweep:
     def test_sweep_is_bit_deterministic(self, trained, normalizer):
         a = noise_sweep(trained, normalizer, sigmas=(0.05,), runs=2, episodes=2)
         b = noise_sweep(trained, normalizer, sigmas=(0.05,), runs=2, episodes=2)
-        assert sweep_records(a) == sweep_records(b)
+        assert report_records(a) == report_records(b)
         assert all(x.returns == y.returns for x, y in zip(a.cells, b.cells))
 
     def test_parallel_workers_match_serial_bitwise(self, trained, normalizer):
@@ -405,7 +416,7 @@ class TestNoiseSweep:
                              episodes=2, jobs=1)
         parallel = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2,
                                episodes=2, jobs=2)
-        assert sweep_records(serial) == sweep_records(parallel)
+        assert report_records(serial) == report_records(parallel)
         assert all(a.returns == b.returns
                    for a, b in zip(serial.cells, parallel.cells))
 
@@ -422,7 +433,8 @@ class TestNoiseSweep:
     def test_base_seed_shifts_seed_list(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.0,), runs=3,
                              episodes=2, base_seed=10)
-        assert report.seeds == (10, 11, 12)
+        assert [c.seed for c in report.cells] == [10, 11, 12]
+        assert sweep_rows(report)[0].seeds == (10, 11, 12)
 
     def test_validation(self, trained, normalizer):
         with pytest.raises(ConfigError, match="sigma"):
@@ -433,7 +445,7 @@ class TestNoiseSweep:
     def test_records_are_parseable_lines(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2,
                              episodes=2)
-        lines = sweep_records(report).splitlines()
+        lines = report_records(report).splitlines()
         assert lines[0].startswith("kind=sweep ")
         assert "ema_coefficient=0.1" in lines[0]
         assert sum(1 for l in lines if l.startswith("kind=cell ")) == 4
@@ -445,7 +457,7 @@ class TestNoiseSweep:
     def test_cell_records_recompute_to_row_aggregates(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.1,), runs=3,
                              episodes=2)
-        lines = sweep_records(report).splitlines()
+        lines = report_records(report).splitlines()
         scores = [float(l.split("score=")[1].split()[0])
                   for l in lines if l.startswith("kind=cell ")]
         row_line = next(l for l in lines if l.startswith("kind=row "))
@@ -455,7 +467,7 @@ class TestNoiseSweep:
     def test_summary_table_format(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2,
                              episodes=2)
-        text = format_sweep_summary(report)
+        text = report_files(report)["summary.txt"]
         assert "ema_coefficient=0.1" in text
         assert "+/-" in text
         assert len(text.splitlines()) == 4
@@ -463,7 +475,7 @@ class TestNoiseSweep:
     def test_plot_data_format(self, trained, normalizer):
         report = noise_sweep(trained, normalizer, sigmas=(0.0, 0.1), runs=2,
                              episodes=2)
-        lines = sweep_plot_data(report).splitlines()
+        lines = report_plot(report).splitlines()
         assert len(lines) == 2
         assert lines[0].startswith(f"curve={ENV}_off x=0.0 y=")
         assert " err=" in lines[0]
@@ -597,7 +609,7 @@ class TestSweepLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(envs, "run_lockstep", counted_loop)
             report = noise_sweep(trained, normalizer, runs=5, episodes=2, jobs=jobs)
-        assert sweep_records(report) == sweep_records(serial)
+        assert report_records(report) == report_records(serial)
         assert len(loops) == chunks and sum(loops) == 20
         assert max(loops) - min(loops) <= 1
         assert pool_sizes == ([] if jobs == 1 else [chunks])
@@ -702,7 +714,7 @@ class TestGridSearch:
         assert len(report.rows) == 11
         assert [r.threshold for r in report.rows] == list(KTH_CANDIDATES)
         means = [r.mean_score for r in report.rows]
-        assert report.best_threshold == \
+        assert report.header["best_threshold"] == \
             report.rows[int(np.argmax(means))].threshold
 
     def test_high_threshold_triggers_more_than_low(self, trained, normalizer,
@@ -729,14 +741,14 @@ class TestGridSearch:
         report = grid_search_kth(trained, expert, normalizer, sigma=0.0,
                                  candidates=(0.0, 0.5), runs=2, episodes=2,
                                  patience=201, update_config=small_update())
-        rec = grid_records(report).splitlines()
+        rec = report_records(report).splitlines()
         assert rec[0].startswith("kind=grid ")
         assert "best_threshold=" in rec[0]
         assert sum(1 for l in rec if l.startswith("kind=candidate ")) == 2
         assert "seeds=0,1" in rec[1]
-        summary = format_grid_summary(report)
+        summary = report_files(report)["summary.txt"]
         assert "<- best" in summary
-        plot = grid_plot_data(report).splitlines()
+        plot = report_plot(report).splitlines()
         assert len(plot) == 2
         assert plot[0].startswith(f"curve=kth_{ENV} x=0.0 ")
 
@@ -765,7 +777,16 @@ class TestTierAblation:
         return ablation_report
 
     def test_two_mixes_match_cell_by_cell_at_any_worker_count(self, demo_paths,
-                                                              normalizer):
+                                                              normalizer, monkeypatch):
+        """Each mix's noise sweep matches its cells one by one at jobs 1 and
+        3, and the report's rows of that mix are the sweep's rows, labelled."""
+        sweeps = []
+
+        def recorded_sweep(*args, **kwargs):
+            sweeps.append(noise_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(evaluation, "noise_sweep", recorded_sweep)
         paths, _ = demo_paths
         base = OfflineConfig(
             env_id=ENV, expert_demos=paths["expert"], supp_demos=paths["medium"],
@@ -776,27 +797,35 @@ class TestTierAblation:
             reports = [tier_ablation(base, mixes, normalizer, sigmas=(0.1, 0.0), runs=3,
                                      episodes=3, jobs=jobs) for jobs in (1, 3)]
             trained_mixes = [run_offline(replace(base, supp_demos=path)) for _, path in mixes]
-        assert ablation_records(reports[0]) == ablation_records(reports[1])
-        for row, artifacts in zip(reports[0].rows, trained_mixes):
-            assert row.sweep.cells == cell_by_cell(artifacts, normalizer, (0.1, 0.0), 3, 3)
+        assert report_records(reports[0]) == report_records(reports[1])
+        assert len(sweeps) == 4
+        for i, ((label, _), artifacts) in enumerate(zip(mixes, trained_mixes)):
+            want = cell_by_cell(artifacts, normalizer, (0.1, 0.0), 3, 3)
+            for j, report in enumerate(reports):
+                assert sweeps[2 * j + i].cells == tuple(want)
+                assert [(r.label, r.sigma, r.seeds, r.scores)
+                        for r in report.rows[2 * i:2 * i + 2]] == \
+                    [(label, s, (0, 1, 2), tuple(c.score for c in want if c.sigma == s))
+                     for s in (0.1, 0.0)]
 
     def test_rows_keep_mix_order_and_shape(self, report):
-        assert [r.label for r in report.rows] == ["me", "memr"]
+        assert report.kind == "ablation" and report.cells == ()
+        assert [(r.label, r.sigma) for r in report.rows] == \
+            [("me", 0.0), ("me", 0.1), ("memr", 0.0), ("memr", 0.1)]
         for row in report.rows:
-            assert row.sweep.sigmas == (0.0, 0.1)
-            assert row.sweep.seeds == (0, 1)
-            assert len(row.sweep.cells) == 4
+            assert row.seeds == (0, 1)
+            assert len(row.scores) == 2
         assert f"runs=2 episodes=2 ema_coefficient={EMA_COEFFICIENT!r}" in \
-            ablation_records(report)
+            report_records(report)
 
     def test_records_and_summary_and_plot(self, report):
-        rec = ablation_records(report).splitlines()
+        rec = report_records(report).splitlines()
         assert rec[0].startswith("kind=ablation ")
         assert sum(1 for l in rec if l.startswith("kind=mix label=me ")) == 2
         assert sum(1 for l in rec if l.startswith("kind=mix label=memr ")) == 2
-        summary = format_ablation_summary(report)
+        summary = report_files(report)["summary.txt"]
         assert "me" in summary and "memr" in summary
-        plot = ablation_plot_data(report).splitlines()
+        plot = report_plot(report).splitlines()
         assert len(plot) == 4
         assert plot[0].startswith("curve=me x=0.0 ")
         assert plot[2].startswith("curve=memr x=0.0 ")

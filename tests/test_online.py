@@ -500,6 +500,17 @@ class TestTriggerLog:
             online.parse_trigger_log(
                 "episode=0 step=0 kappa=0.5 triggered=0 wall_ms=0\nnot a record\n")
 
+    @pytest.mark.parametrize("bad", [
+        "episode=0 step=1 kappa=0.5 triggered=0 wall_ms=0 step=1",
+        "episode=0  step=1 kappa=0.5 triggered=0 wall_ms=0",
+        "episode=0\tstep=1 kappa=0.5 triggered=0 wall_ms=0",
+        "episode=0 step=1 kappa=0.5 triggered=0 wall_ms=0 ",
+    ], ids=["repeated-key", "doubled-space", "tab", "trailing-space"])
+    def test_repeated_key_or_empty_token_raises_naming_the_line(self, bad):
+        good = "episode=0 step=0 kappa=0.5 triggered=0 wall_ms=0"
+        with pytest.raises(DataError, match="line 2"):
+            online.parse_trigger_log(f"{good}\n{bad}\n")
+
     def test_validator_accepts_rule_following_log(self):
         assert online.validate_trigger_log(self.make_records(), 0.4, 20) == 1
 

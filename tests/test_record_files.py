@@ -13,7 +13,8 @@ from driftbc import demos, envs
 from driftbc.density import fit_gmm, load_gmm, save_gmm
 from driftbc.discriminator import (DiscriminatorModel, init_discriminator,
                                    load_discriminator, save_discriminator)
-from driftbc.errors import DataError
+from driftbc.errors import ConfigError, DataError
+from driftbc.numeric import format_header
 from driftbc.policy import LOG_STD_MAX, LOG_STD_MIN, init_policy, load_policy, save_policy
 
 LOADERS = {
@@ -101,6 +102,22 @@ def test_flipped_header_byte_raises_only_data_error(files, data):
         load(kind, bytes(blob), root)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_repeated_header_field_raises_naming_the_file(files, kind):
+    """A header that repeats a field, even with the same value, used to load
+    with the last one kept."""
+    raw, root = files
+    header, payload = raw[kind].split(b"\n", 1)
+    last = header.rsplit(b" ", 1)[1]
+    with pytest.raises(DataError, match="corrupt.rec: .*repeated record field"):
+        load(kind, header + b" " + last + b"\n" + payload, root)
+
+
+def test_header_with_reserved_characters_is_refused():
+    with pytest.raises(ConfigError, match="reserved characters"):
+        format_header("policy", {"provenance": "two words", "seed": 0})
 
 
 class TestImpossibleModels:
